@@ -223,6 +223,8 @@ def validate_frame(
     With ``close_transitively`` the relation is replaced by its transitive
     closure; otherwise non-transitive input is rejected.
     """
+    if not isinstance(worlds, (list, tuple)) or not all(isinstance(w, str) for w in worlds):
+        raise FrameError("worlds must be a list of world names")
     ws = list(worlds)
     if not ws:
         raise FrameError("frame needs at least one world")
@@ -231,15 +233,18 @@ def validate_frame(
     index = {w: i for i, w in enumerate(ws)}
     n = len(ws)
     succ = [0] * n
-    for pair in rel:
-        if len(pair) != 2:
-            raise FrameError(f"relation entry {pair!r} is not a pair")
-        a, b = pair
-        if a not in index:
-            raise FrameError(f"unknown world {a!r} in relation")
-        if b not in index:
-            raise FrameError(f"unknown world {b!r} in relation")
-        succ[index[a]] |= 1 << index[b]
+    try:
+        for pair in rel:
+            if len(pair) != 2:
+                raise FrameError(f"relation entry {pair!r} is not a pair")
+            a, b = pair
+            if a not in index:
+                raise FrameError(f"unknown world {a!r} in relation")
+            if b not in index:
+                raise FrameError(f"unknown world {b!r} in relation")
+            succ[index[a]] |= 1 << index[b]
+    except TypeError:  # an entry without a length, or an unhashable name
+        raise FrameError("relation entries must be pairs of world names") from None
     if close_transitively:
         succ = transitive_closure(succ)
     else:
@@ -247,6 +252,8 @@ def validate_frame(
         if witness is not None:
             a, b = witness
             raise FrameError(f"relation is not transitive: missing ({ws[a]}, {ws[b]})")
+    if not isinstance(func, Mapping) or not all(isinstance(b, str) for b in func.values()):
+        raise FrameError("function must map world names to world names")
     f = [0] * n
     for w in ws:
         if w not in func:
@@ -265,9 +272,16 @@ def frame_from_dict(data: Mapping, close_transitively: bool = False) -> tuple[Fr
     for key in ("worlds", "rel", "func"):
         if key not in data:
             raise FrameError(f"frame file is missing {key!r}")
+    if not isinstance(data["rel"], list):
+        raise FrameError("rel must be a list of pairs")
     frame = validate_frame(data["worlds"], data["rel"], data["func"], close_transitively)
+    given = data.get("valuation", {})
+    if not isinstance(given, Mapping):
+        raise FrameError("valuation must map variables to lists of world names")
     valuation: dict[str, frozenset[str]] = {}
-    for p, names in data.get("valuation", {}).items():
+    for p, names in given.items():
+        if not isinstance(names, list) or not all(isinstance(w, str) for w in names):
+            raise FrameError(f"valuation of {p!r} must be a list of world names")
         for w in names:
             frame.index(w)
         valuation[p] = frozenset(names)

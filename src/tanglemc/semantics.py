@@ -7,16 +7,27 @@ point after at most |W| shrinking steps.  Two independent oracles are kept
 alongside: a literal union over all subsets (exponential, guarded), and a
 characterisation through reflexive clusters meeting every S_i.
 
-Formulas are compiled once per frame into closures over a valuation
-environment; on frames with at most 12 worlds the derivative and preimage
-operators run off precomputed 2^n tables, which makes exhaustive valuation
-sweeps cheap.
+Formulas are compiled once per frame into closures that evaluate a block
+of ``lanes`` valuations at once.  A truth set is one int of ``n * lanes``
+bits grouped by world: world w owns bits ``[w*lanes, (w+1)*lanes)``, one
+bit per valuation.  With one lane this is the plain world mask, and <d>
+runs on the frame's sparse predecessor masks.  With more lanes, <d> ORs the
+lane groups of each world's successors and O gathers the group of each
+world's image; the Boolean connectives stay single int operations, and the
+tangle is the same fixed-point loop run on the packed ints, where every
+lane converges on its own.
+
+Validity sweeps run in blocks of lanes and keep the canonical order of a
+one-valuation-at-a-time loop: exhaustive mode counts valuation codes
+upwards, sampled mode draws from the seed in the same order, and the first
+failing lane of the first failing block is the reported countermodel.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .formula import (
@@ -34,9 +45,11 @@ from .formula import (
 )
 from .frame import Frame, _bits
 
-_TABLE_BITS = 12
-
 EXHAUSTIVE_BITS_LIMIT = 24
+
+_BLOCK_BITS = 12  # an exhaustive block holds 2^12 valuation codes
+_FIRST_SAMPLES = 64  # a 64-lane pass costs about as much as one valuation
+_MAX_LANES = 1 << _BLOCK_BITS
 
 
 class Model:
@@ -74,31 +87,46 @@ def tangle_fixpoint(
         steps += 1
 
 
-class Evaluator:
-    """Compiles formulas against one frame; reusable across valuations."""
+@dataclass(frozen=True)
+class Countermodel:
+    valuation: dict[str, tuple[str, ...]]
+    world: str
 
-    def __init__(self, frame: Frame):
+
+@dataclass(frozen=True)
+class Verdict:
+    valid: bool
+    mode: str
+    checked: int
+    countermodel: Countermodel | None = None
+    seed: int | None = None
+
+
+class Evaluator:
+    """Compiles formulas against one frame; a call evaluates `lanes` valuations.
+
+    Truth sets are ints of ``n * lanes`` bits grouped by world: world w owns
+    bits ``[w*lanes, (w+1)*lanes)``, one bit per valuation.
+    """
+
+    def __init__(self, frame: Frame, lanes: int = 1):
         self.frame = frame
-        self.full = frame.full_mask
+        self.lanes = lanes
         n = frame.n
-        inv = [0] * n
-        for w in range(n):
-            inv[frame.func_index(w)] |= 1 << w
-        self._inv = inv
-        if n <= _TABLE_BITS:
-            down_t = [0] * (1 << n)
-            pre_t = [0] * (1 << n)
-            pred = [frame.pred_mask(i) for i in range(n)]
-            for m in range(1, 1 << n):
-                lsb = m & -m
-                i = lsb.bit_length() - 1
-                down_t[m] = down_t[m ^ lsb] | pred[i]
-                pre_t[m] = pre_t[m ^ lsb] | inv[i]
-            self.down = down_t.__getitem__
-            self.preimage = pre_t.__getitem__
-        else:
+        self.full = (1 << (n * lanes)) - 1
+        self._group = (1 << lanes) - 1
+        self._func = [frame.func_index(w) for w in range(n)]
+        if lanes == 1:
+            inv = [0] * n
+            for w, fw in enumerate(self._func):
+                inv[fw] |= 1 << w
+            self._inv = inv
             self.down = frame.down_mask
             self.preimage = self._preimage_sparse
+        else:
+            self._succ = [tuple(_bits(frame.succ_mask(w))) for w in range(n)]
+            self.down = self._down_lanes
+            self.preimage = self._preimage_lanes
 
     def _preimage_sparse(self, mask: int) -> int:
         out = 0
@@ -106,6 +134,58 @@ class Evaluator:
         for v in _bits(mask):
             out |= inv[v]
         return out
+
+    def _groups(self, mask: int) -> list[int]:
+        lanes, group = self.lanes, self._group
+        return [(mask >> (w * lanes)) & group for w in range(self.frame.n)]
+
+    def _down_lanes(self, mask: int) -> int:
+        """Each world gets the OR of its successors' lane groups."""
+        groups = self._groups(mask)
+        lanes = self.lanes
+        out = 0
+        for succ in reversed(self._succ):
+            acc = 0
+            for v in succ:
+                acc |= groups[v]
+            out = (out << lanes) | acc
+        return out
+
+    def _preimage_lanes(self, mask: int) -> int:
+        """Each world gets the lane group of its image."""
+        groups = self._groups(mask)
+        lanes = self.lanes
+        out = 0
+        for fw in reversed(self._func):
+            out = (out << lanes) | groups[fw]
+        return out
+
+    def _lane(self, mask: int, lane: int) -> int:
+        """The world mask that one lane of a truth set holds."""
+        out = 0
+        for w, g in enumerate(self._groups(mask)):
+            out |= (g >> lane & 1) << w
+        return out
+
+    def refutation(
+        self, value: int, env: Mapping[str, int], variables: Sequence[str]
+    ) -> tuple[int, Countermodel] | None:
+        """The first lane where `value` misses a world, with that lane's
+        valuation and its first missing world; None when `value` is full."""
+        if value == self.full:
+            return None
+        missing = self.full ^ value
+        failing = 0
+        for g in self._groups(missing):
+            failing |= g
+        lane = (failing & -failing).bit_length() - 1
+        worlds = self._lane(missing, lane)
+        frame = self.frame
+        valuation = {
+            v: tuple(frame.sorted_names(self._lane(env[v], lane))) for v in variables
+        }
+        world = frame.worlds[(worlds & -worlds).bit_length() - 1]
+        return lane, Countermodel(valuation, world)
 
     def compile(self, phi: Formula) -> Callable[[Mapping[str, int]], int]:
         full = self.full
@@ -206,23 +286,112 @@ def tangled_oracle_clusters(frame: Frame, sets: Sequence[Iterable[str]]) -> froz
     return frame.names(out)
 
 
-@dataclass(frozen=True)
-class Countermodel:
-    valuation: dict[str, tuple[str, ...]]
-    world: str
+@lru_cache(maxsize=64)
+def _block_layout(n: int, count: int, lane_bits: int):
+    """What :func:`_exhaustive_blocks` needs: the lane patterns of the low
+    code bits per variable, and (variable, world group) of each high bit."""
+    lanes = 1 << lane_bits
+    group = (1 << lanes) - 1
+    base = [0] * count
+    high = []
+    for b in range(n * count):
+        i, w = divmod(b, n)
+        if b < lane_bits:
+            # bit b of the lane number: runs of 2^b clear lanes, then 2^b set
+            run = 1 << b
+            pattern = group // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+            base[i] |= pattern << (w * lanes)
+        else:
+            high.append((i, group << (w * lanes)))
+    return tuple(base), tuple(high)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    valid: bool
-    mode: str
-    checked: int
-    countermodel: Countermodel | None = None
-    seed: int | None = None
+def _exhaustive_blocks(n: int, count: int, lane_bits: int):
+    """Lane-packed masks of `count` variables, one list per block of
+    2^lane_bits valuation codes in ascending order.  Bit i*n + w of a code
+    puts world w in variable i: below `lane_bits` it is a fixed pattern
+    across the lanes, above it all-ones or zero for the whole block."""
+    base, high = _block_layout(n, count, lane_bits)
+    for block in range(1 << len(high)):
+        masks = list(base)
+        for j, (i, m) in enumerate(high):
+            if block >> j & 1:
+                masks[i] |= m
+        yield masks
 
 
-def _env_valuation(frame: Frame, variables: Sequence[str], env: Mapping[str, int]):
-    return {v: tuple(frame.sorted_names(env.get(v, 0))) for v in variables}
+# _BIT_CHARS[i] maps a byte to b"1" when its bit i is set, else to b"0"
+_BIT_CHARS = [(b"0" * (1 << i) + b"1" * (1 << i)) * (128 >> i) for i in range(8)]
+
+
+def _sample_block(rng: random.Random, n: int, count: int, lanes: int) -> list[int]:
+    """Lane-packed masks of `count` variables for `lanes` valuations, drawn
+    as `lanes` rounds of one ``rng.getrandbits(n)`` per variable would be."""
+    if lanes == 1:
+        return [rng.getrandbits(n) for _ in range(count)]
+    # getrandbits fills 32-bit words from the low end and keeps the top bits
+    # of a draw's last word, so one wide draw holds all the narrow ones
+    words = (n + 31) // 32
+    stride = 4 * words * count
+    raw = rng.getrandbits(8 * stride * lanes).to_bytes(stride * lanes, "little")
+    last = 32 * (words - 1)
+    masks = []
+    for i in range(count):
+        digits = []
+        for w in reversed(range(n)):
+            pos = w + 32 * words - n if w >= last else w
+            column = raw[4 * words * i + pos // 8::stride]
+            digits.append(column.translate(_BIT_CHARS[pos % 8])[::-1])
+        masks.append(int(b"".join(digits), 2))
+    return masks
+
+
+def exhaustive_sweep(
+    frame: Frame, phi: Formula, variables: Sequence[str]
+) -> tuple[int, Countermodel | None]:
+    """Evaluate phi under every valuation of `variables` (sorted, covering
+    those of phi), in blocks of 2^min(bits, 12) ascending valuation codes.
+    Returns the number of valuations checked up to and including the first
+    refutation, and that refutation (None when phi is valid on the frame)."""
+    lane_bits = min(frame.n * len(variables), _BLOCK_BITS)
+    ev = Evaluator(frame, 1 << lane_bits)
+    fn = ev.compile(phi)
+    for block, masks in enumerate(_exhaustive_blocks(frame.n, len(variables), lane_bits)):
+        env = dict(zip(variables, masks))
+        hit = ev.refutation(fn(env), env, variables)
+        if hit is not None:
+            return (block << lane_bits) + hit[0] + 1, hit[1]
+    return (block + 1) << lane_bits, None
+
+
+def sampled_sweep(
+    frame: Frame, phi: Formula, variables: Sequence[str], rng: random.Random,
+    samples: int,
+) -> tuple[int, Countermodel | None]:
+    """Evaluate phi under `samples` valuations drawn from `rng`, each one
+    ``rng.getrandbits(n)`` per variable of `variables` in order.  A block
+    holds as many lanes as have been checked so far, at least 64 and at
+    most 4096.  A packed <d> takes a step per relation pair and a one-lane
+    <d> about one per world, so a block whose lanes times twice the worlds
+    fall short of the relation pairs is evaluated one lane per pass.
+    Returns what :func:`exhaustive_sweep` returns."""
+    n = frame.n
+    pairs = sum(frame.succ_mask(w).bit_count() for w in range(n))
+    checked = 0
+    ev = None
+    while checked < samples:
+        lanes = min(max(checked, _FIRST_SAMPLES), _MAX_LANES, samples - checked)
+        if 2 * lanes * n < pairs:
+            lanes = 1
+        if ev is None or ev.lanes != lanes:
+            ev = Evaluator(frame, lanes)
+            fn = ev.compile(phi)
+        env = dict(zip(variables, _sample_block(rng, n, len(variables), lanes)))
+        hit = ev.refutation(fn(env), env, variables)
+        if hit is not None:
+            return checked + hit[0] + 1, hit[1]
+        checked += lanes
+    return checked, None
 
 
 def valid_on_frame(
@@ -234,58 +403,28 @@ def valid_on_frame(
 ) -> Verdict:
     """Check validity of phi over valuations of the frame.
 
-    Exhaustive mode sweeps all valuations of the variables of phi (guarded
-    by ``|worlds| * |vars| <= 24``) in ascending bitmask order; sampled mode
-    draws `samples` pseudo-random valuations from the seed.  The first
-    failing (valuation, world) in that order is reported.
+    Exhaustive mode covers all valuations of the variables of phi (guarded
+    by ``|worlds| * |vars| <= 24``) in ascending valuation-code order, in
+    blocks of 2^min(bits, 12) lanes; sampled mode draws `samples`
+    pseudo-random valuations from the seed, in blocks of 64 lanes growing
+    to 4096 (one lane per pass where the relation is too dense for packed
+    <d> to pay off).  Blocks do not change the order: the first failing
+    (valuation, world) in it is reported, with the count of valuations up
+    to it, exactly as a sweep of one valuation at a time would report it.
     """
     variables = sorted(vars_of(phi))
-    n = frame.n
-    full = frame.full_mask
-    ev = Evaluator(frame)
-    fn = ev.compile(phi)
     if mode == "exhaustive":
-        bits = n * len(variables)
+        bits = frame.n * len(variables)
         if bits > EXHAUSTIVE_BITS_LIMIT:
             raise ValueError(
                 f"exhaustive validity needs |worlds|*|vars| <= {EXHAUSTIVE_BITS_LIMIT}, got {bits}"
             )
-        checked = 0
-        for code in range(1 << bits):
-            env = {
-                v: (code >> (i * n)) & full for i, v in enumerate(variables)
-            }
-            checked += 1
-            m = fn(env)
-            if m != full:
-                world = frame.worlds[_first_zero(m, n)]
-                return Verdict(
-                    False,
-                    "exhaustive",
-                    checked,
-                    Countermodel(_env_valuation(frame, variables, env), world),
-                )
-        return Verdict(True, "exhaustive", checked)
+        checked, cm = exhaustive_sweep(frame, phi, variables)
+        return Verdict(cm is None, mode, checked, cm)
     if mode == "sampled":
+        if samples < 1:
+            raise ValueError("samples must be >= 1")
         rng = random.Random(seed)
-        for k in range(samples):
-            env = {v: rng.getrandbits(n) & full for v in variables}
-            m = fn(env)
-            if m != full:
-                world = frame.worlds[_first_zero(m, n)]
-                return Verdict(
-                    False,
-                    "sampled",
-                    k + 1,
-                    Countermodel(_env_valuation(frame, variables, env), world),
-                    seed=seed,
-                )
-        return Verdict(True, "sampled", samples, seed=seed)
+        checked, cm = sampled_sweep(frame, phi, variables, rng, samples)
+        return Verdict(cm is None, mode, checked, cm, seed=seed)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _first_zero(mask: int, n: int) -> int:
-    for i in range(n):
-        if not (mask >> i) & 1:
-            return i
-    raise ValueError("mask has no zero bit")

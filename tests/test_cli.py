@@ -60,6 +60,52 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_worlds_that_are_not_a_list_exit_2(capsys, tmp_path):
+    f = tmp_path / "bad.frame.json"
+    f.write_text(json.dumps({"worlds": 5, "rel": [], "func": {}}))
+    code, report = run(capsys, "check", "--frame", str(f), "--formula", "p")
+    assert code == 2 and "worlds must be a list" in report["error"]
+
+
+def test_valuation_that_is_a_string_exits_2(capsys, tmp_path):
+    f = tmp_path / "bad.frame.json"
+    f.write_text(json.dumps({"worlds": ["a", "b"], "rel": [], "func": {"a": "a", "b": "b"},
+                             "valuation": {"p": "ab"}}))
+    code, report = run(capsys, "check", "--frame", str(f), "--formula", "p")
+    assert code == 2 and "valuation of 'p'" in report["error"]
+
+
+@pytest.mark.parametrize("data", [
+    {"worlds": ["a"], "rel": [], "func": 5},
+    {"worlds": ["a"], "rel": 5, "func": {"a": "a"}},
+    {"worlds": ["a"], "rel": [5], "func": {"a": "a"}},
+    {"worlds": ["a"], "rel": [], "func": {"a": "a"}, "valuation": 5},
+    {"worlds": ["a"], "rel": [], "func": {"a": ["a"]}},
+])
+def test_other_malformed_frame_shapes_exit_2(capsys, tmp_path, data):
+    f = tmp_path / "bad.frame.json"
+    f.write_text(json.dumps(data))
+    code, report = run(capsys, "check", "--frame", str(f), "--formula", "p")
+    assert code == 2 and report["error"]
+
+
+def test_sample_counts_below_one_exit_2(capsys):
+    code, report = run(capsys, "validity", "--frame", str(DEMOS / "f1.frame.json"),
+                       "--formula", "p", "--mode", "sampled", "--samples", "-5")
+    assert code == 2 and "samples" in report["error"]
+    code, report = run(capsys, "axioms", "--logic", "K4C", "--samples", "0")
+    assert code == 2 and "samples" in report["error"]
+
+
+def test_exhaustive_mode_ignores_sample_count(capsys):
+    code, report = run(capsys, "validity", "--frame", str(DEMOS / "f1.frame.json"),
+                       "--formula", "p -> p", "--mode", "exhaustive", "--samples", "0")
+    assert code == 0 and report["valid"]
+    code, report = run(capsys, "axioms", "--logic", "K4C", "--mode", "exhaustive",
+                       "--samples", "0", "--trials", "2")
+    assert code == 0 and report["violations"] == []
+
+
 def test_validity_exhaustive(capsys):
     code, report = run(
         capsys, "validity", "--frame", str(DEMOS / "f1.frame.json"),

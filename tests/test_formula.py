@@ -109,21 +109,18 @@ def test_closure_collapses_double_negation():
     assert c == frozenset({p, Neg(p)})
 
 
-formulas = st.deferred(
-    lambda: st.one_of(
-        st.sampled_from([p, q, r, top(), bot()]),
-        st.builds(Neg, formulas),
-        st.builds(And, formulas, formulas),
-        st.builds(Or, formulas, formulas),
-        st.builds(Implies, formulas, formulas),
-        st.builds(Diamond, formulas),
-        st.builds(Box, formulas),
-        st.builds(Next, formulas),
-        st.builds(
-            lambda args: Tangle(tuple(args)),
-            st.lists(formulas, min_size=1, max_size=3),
-        ),
-    )
+formulas = st.recursive(
+    st.sampled_from([p, q, r, top(), bot()]),
+    lambda sub: st.one_of(
+        st.builds(Neg, sub),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub),
+        st.builds(Diamond, sub),
+        st.builds(Box, sub),
+        st.builds(Next, sub),
+        st.builds(lambda args: Tangle(tuple(args)), st.lists(sub, min_size=1, max_size=3)),
+    ),
 )
 
 

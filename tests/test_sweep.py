@@ -1,0 +1,182 @@
+"""Differential tests of the lane-packed sweeps against a per-valuation oracle.
+
+The oracle evaluates one valuation at a time on plain world masks and walks
+the valuations in the canonical order: ascending valuation codes in
+exhaustive mode, one ``getrandbits(n)`` per sorted variable and sample in
+sampled mode, and for the search the frames in the enumeration order.
+"""
+
+import itertools
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from tanglemc.formula import (
+    And, Box, Diamond, Implies, Neg, Next, Or, Tangle, Var, parse, vars_of,
+)
+from tanglemc.frame import Frame, random_transitive_frame
+from tanglemc.logic import (
+    LOGICS, _monotone_ok, _transitive_succs, countermodel_search, random_class_frame,
+    random_formula,
+)
+from tanglemc import semantics
+from tanglemc.semantics import Countermodel, Verdict, valid_on_frame
+
+
+def oracle_mask(frame, phi, env):
+    full, ev = frame.full_mask, lambda f: oracle_mask(frame, f, env)
+    if isinstance(phi, Var):
+        return env.get(phi.name, 0)
+    if isinstance(phi, (And, Or, Implies)):
+        a, b = ev(phi.left), ev(phi.right)
+        return a & b if isinstance(phi, And) else a | b if isinstance(phi, Or) else (full ^ a) | b
+    if isinstance(phi, Neg):
+        return full ^ ev(phi.child)
+    if isinstance(phi, (Diamond, Box)):
+        c = ev(phi.child)
+        return frame.down_mask(c) if isinstance(phi, Diamond) else full ^ frame.down_mask(full ^ c)
+    if isinstance(phi, Next):
+        c = ev(phi.child)
+        return sum(1 << w for w in range(frame.n) if c >> frame.func_index(w) & 1)
+    a = full
+    while True:
+        new = a
+        for f in phi.args:
+            new &= frame.down_mask(ev(f) & a)
+        if new == a:
+            return a
+        a = new
+
+
+def oracle_sweep(frame, phi, envs):
+    """(checked, countermodel) of the first valuation of `envs` refuting phi."""
+    checked = 0
+    for env in envs:
+        checked += 1
+        missing = frame.full_mask & ~oracle_mask(frame, phi, env)
+        if missing:
+            valuation = {v: tuple(frame.sorted_names(m)) for v, m in sorted(env.items())}
+            world = frame.worlds[(missing & -missing).bit_length() - 1]
+            return checked, Countermodel(valuation, world)
+    return checked, None
+
+
+def exhaustive_envs(frame, phi):
+    variables, n = sorted(vars_of(phi)), frame.n
+    for code in range(1 << (n * len(variables))):
+        yield {v: (code >> (i * n)) & frame.full_mask for i, v in enumerate(variables)}
+
+
+def sampled_envs(frame, phi, rng, samples):
+    variables = sorted(vars_of(phi))
+    for _ in range(samples):
+        yield {v: rng.getrandbits(frame.n) for v in variables}
+
+
+def oracle_verdict(frame, phi, mode, samples=1000, seed=0):
+    if mode == "exhaustive":
+        checked, cm = oracle_sweep(frame, phi, exhaustive_envs(frame, phi))
+        return Verdict(cm is None, mode, checked, cm)
+    checked, cm = oracle_sweep(frame, phi, sampled_envs(frame, phi, random.Random(seed), samples))
+    return Verdict(cm is None, mode, checked, cm, seed=seed)
+
+
+@given(st.integers(0, 10**6), st.sampled_from(sorted(LOGICS)), st.integers(1, 3))
+@settings(max_examples=120, deadline=None)
+def test_sweeps_match_oracle_on_class_frames(seed, logic, depth):
+    rng = random.Random(seed)
+    frame = random_class_frame(rng, 6, LOGICS[logic])
+    phi = random_formula(rng, ["p", "q"], depth)
+    assert valid_on_frame(frame, phi) == oracle_verdict(frame, phi, "exhaustive")
+    samples = rng.choice((1, 7, 64, 65, 300))
+    assert (valid_on_frame(frame, phi, "sampled", samples, seed)
+            == oracle_verdict(frame, phi, "sampled", samples, seed))
+
+
+def test_exhaustive_failure_in_a_later_block():
+    # 6 worlds and 3 variables make 18 bits; r enters at bit 12, so the
+    # first refutation lies in the second block of 2^12 codes
+    rng = random.Random(2)
+    frame = random_class_frame(rng, 6, LOGICS["K4C"])
+    while frame.n != 6:
+        frame = random_class_frame(rng, 6, LOGICS["K4C"])
+    for text in ("~(r & p & (q | ~q))", "~(r & O p) | q & ~q", "r -> p | [d]q | q"):
+        phi = parse(text)
+        verdict = valid_on_frame(frame, phi)
+        assert verdict.checked > 4096 and not verdict.valid
+        assert verdict == oracle_verdict(frame, phi, "exhaustive")
+
+
+def test_sampled_failure_past_the_first_block():
+    # one world where all seven variables hold has odds 1/128 per sample
+    frame = Frame(["w0"], [1], [0])
+    phi = parse("~(p & q & r & s & t & u & v)")
+    late = 0
+    for seed in range(12):
+        verdict = valid_on_frame(frame, phi, "sampled", 2000, seed)
+        assert verdict == oracle_verdict(frame, phi, "sampled", 2000, seed)
+        late += verdict.checked > 64
+    assert late >= 3
+
+
+def test_sampled_draws_on_wide_frames():
+    # 40 and 80 worlds take two and three 32-bit words per draw
+    phi = parse("~(p & q & <d>p & O q & r)")
+    for n in (40, 80):
+        frame = random_transitive_frame(n, seed=n)
+        for seed in range(3):
+            assert (valid_on_frame(frame, phi, "sampled", 200, seed)
+                    == oracle_verdict(frame, phi, "sampled", 200, seed))
+
+
+def test_sampled_dense_frame_turns_from_one_lane_to_packed(monkeypatch):
+    # 150 worlds in one cluster have 22,500 relation pairs, more than twice
+    # the worlds times any block of fewer than 75 lanes: the first 75
+    # samples take one lane per pass and the later blocks are packed.
+    # O maps every world to w0, so each sample refutes phi with odds 1/128.
+    n = 150
+    frame = Frame([f"w{i}" for i in range(n)], [(1 << n) - 1] * n, [0] * n)
+    phi = parse("~(O p & O q & O r & O s & O t & O u & <d>O v)")
+    widths = []
+
+    class Recording(semantics.Evaluator):
+        def __init__(self, frame, lanes=1):
+            widths.append(lanes)
+            super().__init__(frame, lanes)
+
+    monkeypatch.setattr(semantics, "Evaluator", Recording)
+    checked = []
+    for seed in range(16):
+        verdict = valid_on_frame(frame, phi, "sampled", 1000, seed)
+        assert verdict == oracle_verdict(frame, phi, "sampled", 1000, seed)
+        checked.append(verdict.checked)
+    assert min(checked) <= 75 < max(checked)
+    assert set(widths) >= {1, 75} and all(w == 1 or w >= 75 for w in widths)
+
+
+def oracle_search(phi, logic, max_worlds):
+    frames = vals = 0
+    for n in range(1, max_worlds + 1):
+        worlds = [f"w{i}" for i in range(n)]
+        for succ in _transitive_succs(n):
+            if logic.serial and not all(succ):
+                continue
+            for func in itertools.product(range(n), repeat=n):
+                if _monotone_ok(succ, func, logic.strict):
+                    frame = Frame(worlds, succ, func)
+                    frames += 1
+                    checked, cm = oracle_sweep(frame, phi, exhaustive_envs(frame, phi))
+                    vals += checked
+                    if cm is not None:
+                        return frames, vals, frame, cm.valuation, cm.world
+    return frames, vals, None, None, None
+
+
+def test_exhaustive_search_matches_oracle_at_three_worlds():
+    for logic, text in (("K4C", "[d]p -> [d][d]p"), ("K4DC", "<t>{O p} -> O <t>{p}"),
+                        ("K4C", "<d>O p -> O <d>p"), ("K4I", "<t>{O p} -> O <t>{p}"),
+                        ("K4DI", "[d](p | q) -> [d]p | [d]q")):
+        phi = parse(text)
+        result = countermodel_search(phi, logic, max_worlds=3)
+        assert (result.frames_checked, result.valuations_checked, result.frame,
+                result.valuation, result.world) == oracle_search(phi, LOGICS[logic], 3)

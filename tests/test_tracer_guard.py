@@ -1,0 +1,35 @@
+"""The benchmark's traced run wraps named boundaries of the package; this
+checks that every one of them still exists and is restored afterwards."""
+
+import importlib.util
+from pathlib import Path
+
+from tanglemc import cli, formula, frame, logic, pathspace, semantics, story
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _namespaces():
+    owners = (cli, formula, frame, logic, pathspace, semantics, story,
+              semantics.Evaluator, frame.Frame)
+    return {owner: dict(vars(owner)) for owner in owners}
+
+
+def test_tracer_installs_and_restores_every_boundary():
+    tracer = _load_tracer()
+    before = _namespaces()
+    rec = tracer.Recorder()
+    try:
+        tracer.install(rec)
+        assert semantics.tangle_fixpoint is not before[semantics]["tangle_fixpoint"]
+        assert frame.Frame.__dict__["down_mask"] is not before[frame.Frame]["down_mask"]
+    finally:
+        rec.uninstall()
+    assert _namespaces() == before
