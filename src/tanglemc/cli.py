@@ -209,11 +209,10 @@ def _cmd_pathspace_verify(args) -> int:
     report = pathspace.verify_lim_pmorphism(st, assignment, args.resolution)
     out = _report("pathspace-verify", input=source, **report.to_dict())
     if args.dump_paths:
-        frames = [m.frame_view() for m in st.levels]
         out["paths"] = [
             pathspace.format_path(p)
-            for f in frames
-            for p in pathspace.enumerate_paths(f, args.resolution)
+            for m in st.levels
+            for p in pathspace.enumerate_paths(m.frame, args.resolution)
         ]
     _emit(out)
     return 0 if report.ok else 1

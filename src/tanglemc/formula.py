@@ -308,10 +308,24 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Deepest nesting a parsed formula may have: operators and parentheses on
+# one path from the root, with a dotted operator counting for the core
+# connectives it expands to.  It keeps the recursive printer, the evaluator
+# and the parser itself far from Python's recursion limit.
+MAX_NESTING = 100
+
+_PREFIX = {"NOT": Neg, "DIA": Diamond, "BOX": Box, "DDIA": dot_diamond,
+           "DBOX": dot_box, "NEXT": Next}
+
+
 class _Parser:
+    """Recursive descent; every production returns the formula and its
+    nesting depth, and only parentheses and tangle braces recurse."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = 0  # enclosing parentheses and tangle braces
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -327,89 +341,101 @@ class _Parser:
             raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
         return self.advance()
 
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "ARROW":
-            self.advance()
-            return Implies(left, self.implies())
-        return left
+    def nested(self, depth: int, pos: int) -> int:
+        if depth > MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", pos)
+        return depth
 
-    def disjunction(self) -> Formula:
-        out = self.conjunction()
+    def implies(self) -> tuple[Formula, int]:
+        parts = [self.disjunction()]
+        arrows = []
+        while self.peek()[0] == "ARROW":
+            arrows.append(self.advance()[2])
+            parts.append(self.disjunction())
+        out, depth = parts.pop()
+        while parts:  # "->" associates to the right
+            left, d = parts.pop()
+            out, depth = Implies(left, out), self.nested(max(d, depth) + 1, arrows.pop())
+        return out, depth
+
+    def disjunction(self) -> tuple[Formula, int]:
+        out, depth = self.conjunction()
         while self.peek()[0] == "OR":
-            self.advance()
-            out = Or(out, self.conjunction())
-        return out
+            pos = self.advance()[2]
+            right, d = self.conjunction()
+            out, depth = Or(out, right), self.nested(max(depth, d) + 1, pos)
+        return out, depth
 
-    def conjunction(self) -> Formula:
-        out = self.unary()
+    def conjunction(self) -> tuple[Formula, int]:
+        out, depth = self.unary()
         while self.peek()[0] == "AND":
-            self.advance()
-            out = And(out, self.unary())
-        return out
+            pos = self.advance()[2]
+            right, d = self.unary()
+            out, depth = And(out, right), self.nested(max(depth, d) + 1, pos)
+        return out, depth
 
-    def unary(self) -> Formula:
-        kind = self.peek()[0]
-        if kind == "NOT":
-            self.advance()
-            return Neg(self.unary())
-        if kind == "DIA":
-            self.advance()
-            return Diamond(self.unary())
-        if kind == "BOX":
-            self.advance()
-            return Box(self.unary())
-        if kind == "DDIA":
-            self.advance()
-            return dot_diamond(self.unary())
-        if kind == "DBOX":
-            self.advance()
-            return dot_box(self.unary())
-        if kind == "NEXT":
-            self.advance()
-            return Next(self.unary())
-        return self.atom()
+    def unary(self) -> tuple[Formula, int]:
+        ops = []
+        while self.peek()[0] in _PREFIX:
+            ops.append(self.advance())
+        out, depth = self.atom()
+        for kind, _, pos in reversed(ops):
+            out = _PREFIX[kind](out)
+            depth = self.nested(depth + (2 if kind in ("DDIA", "DBOX") else 1), pos)
+        return out, depth
 
-    def atom(self) -> Formula:
+    def atom(self) -> tuple[Formula, int]:
         kind, text, pos = self.peek()
         if kind == "IDENT":
             self.advance()
-            return Var(text)
+            return Var(text), 0
         if kind == "TOP":
             self.advance()
-            return top()
+            return top(), 0
         if kind == "BOT":
             self.advance()
-            return bot()
+            return bot(), 0
         if kind == "LPAREN":
             self.advance()
-            inner = self.implies()
+            self.enter(pos)
+            inner, depth = self.implies()
             self.expect("RPAREN")
-            return inner
+            self.open -= 1
+            return inner, self.nested(depth + 1, pos)
         if kind == "TANGLE":
             self.advance()
-            return Tangle(tuple(self.tangle_args()))
+            args, depth = self.tangle_args()
+            return Tangle(tuple(args)), self.nested(depth + 1, pos)
         if kind == "DTANGLE":
             self.advance()
-            return dot_tangle(self.tangle_args())
+            args, depth = self.tangle_args()
+            # <d.> over the left-folded conjunction of the arguments
+            return dot_tangle(args), self.nested(depth + len(args) + 2, pos)
         raise ParseError(f"expected a formula, found {text!r}", pos)
 
-    def tangle_args(self) -> list[Formula]:
+    def enter(self, pos: int) -> None:
+        self.open += 1
+        self.nested(self.open, pos)
+
+    def tangle_args(self) -> tuple[list[Formula], int]:
         _, _, pos = self.expect("LBRACE")
         if self.peek()[0] == "RBRACE":
             raise ParseError("empty tangle", self.peek()[2])
+        self.enter(pos)
         args = [self.implies()]
         while self.peek()[0] == "COMMA":
             self.advance()
             args.append(self.implies())
         self.expect("RBRACE")
-        return args
+        self.open -= 1
+        return [f for f, _ in args], max(d for _, d in args)
 
 
 def parse(text: str) -> Formula:
-    """Parse a formula from the ASCII surface syntax."""
+    """Parse a formula from the ASCII surface syntax; formulas nested
+    deeper than ``MAX_NESTING`` raise ParseError."""
     p = _Parser(text)
-    out = p.implies()
+    out, _ = p.implies()
     kind, tok, pos = p.peek()
     if kind != "EOF":
         raise ParseError(f"unexpected token {tok!r}", pos)

@@ -165,21 +165,13 @@ class Frame:
 
     def classify(self) -> ClassFlags:
         succ, func = self._succ, self._func
-        transitive = all(
-            not (succ[v] & ~succ[w]) for w in range(self.n) for v in _bits(succ[w])
+        strict = _monotone_witness(succ, succ, func, True) is None
+        return ClassFlags(
+            transitive=_transitivity_witness(succ) is None,
+            serial=all(m != 0 for m in succ),
+            monotonic=strict or _monotone_witness(succ, succ, func, False) is None,
+            strictly_monotonic=strict,
         )
-        serial = all(m != 0 for m in succ)
-        monotonic = True
-        strict = True
-        for w in range(self.n):
-            fw = func[w]
-            for v in _bits(succ[w]):
-                fv = func[v]
-                if not (succ[fw] >> fv) & 1:
-                    strict = False
-                    if fw != fv:
-                        monotonic = False
-        return ClassFlags(transitive, serial, monotonic, strict and monotonic)
 
     def to_dict(self, valuation: Mapping[str, Iterable[str]] | None = None) -> dict:
         d = {
@@ -204,12 +196,60 @@ def transitive_closure(succ: Sequence[int]) -> list[int]:
 
 
 def _transitivity_witness(succ: Sequence[int]) -> tuple[int, int] | None:
+    """First (w, u) with w R v R u but not w R u, in world then successor
+    order; None when the relation is transitive."""
     for w in range(len(succ)):
         for v in _bits(succ[w]):
             missing = succ[v] & ~succ[w]
             if missing:
                 return w, next(_bits(missing))
     return None
+
+
+def _monotone_witness(
+    src_succ: Sequence[int], tgt_succ: Sequence[int], func: Sequence[int], strict: bool
+) -> tuple[int, int] | None:
+    """First source pair w R v, in world then successor order, whose images
+    are not related (strict), or are distinct and unrelated (not strict);
+    None when the map is (strictly) monotone."""
+    for w in range(len(src_succ)):
+        fw = func[w]
+        for v in _bits(src_succ[w]):
+            fv = func[v]
+            if not (tgt_succ[fw] >> fv) & 1 and (strict or fw != fv):
+                return w, v
+    return None
+
+
+def _relation(
+    worlds: Sequence[str], rel: Iterable[Sequence[str]]
+) -> tuple[list[str], dict[str, int], list[int]]:
+    """Check world names and relation pairs; returns the worlds, their
+    indices and the successor masks."""
+    if not isinstance(worlds, (list, tuple)) or not all(isinstance(w, str) for w in worlds):
+        raise FrameError("worlds must be a list of world names")
+    ws = list(worlds)
+    if not ws:
+        raise FrameError("frame needs at least one world")
+    if len(set(ws)) != len(ws):
+        raise FrameError("duplicate world names")
+    if not isinstance(rel, (list, tuple)):
+        raise FrameError("rel must be a list of pairs")
+    index = {w: i for i, w in enumerate(ws)}
+    succ = [0] * len(ws)
+    try:
+        for pair in rel:
+            if len(pair) != 2:
+                raise FrameError(f"relation entry {pair!r} is not a pair")
+            a, b = pair
+            if a not in index:
+                raise FrameError(f"unknown world {a!r} in relation")
+            if b not in index:
+                raise FrameError(f"unknown world {b!r} in relation")
+            succ[index[a]] |= 1 << index[b]
+    except TypeError:  # an entry without a length, or an unhashable name
+        raise FrameError("relation entries must be pairs of world names") from None
+    return ws, index, succ
 
 
 def validate_frame(
@@ -223,28 +263,7 @@ def validate_frame(
     With ``close_transitively`` the relation is replaced by its transitive
     closure; otherwise non-transitive input is rejected.
     """
-    if not isinstance(worlds, (list, tuple)) or not all(isinstance(w, str) for w in worlds):
-        raise FrameError("worlds must be a list of world names")
-    ws = list(worlds)
-    if not ws:
-        raise FrameError("frame needs at least one world")
-    if len(set(ws)) != len(ws):
-        raise FrameError("duplicate world names")
-    index = {w: i for i, w in enumerate(ws)}
-    n = len(ws)
-    succ = [0] * n
-    try:
-        for pair in rel:
-            if len(pair) != 2:
-                raise FrameError(f"relation entry {pair!r} is not a pair")
-            a, b = pair
-            if a not in index:
-                raise FrameError(f"unknown world {a!r} in relation")
-            if b not in index:
-                raise FrameError(f"unknown world {b!r} in relation")
-            succ[index[a]] |= 1 << index[b]
-    except TypeError:  # an entry without a length, or an unhashable name
-        raise FrameError("relation entries must be pairs of world names") from None
+    ws, index, succ = _relation(worlds, rel)
     if close_transitively:
         succ = transitive_closure(succ)
     else:
@@ -254,7 +273,7 @@ def validate_frame(
             raise FrameError(f"relation is not transitive: missing ({ws[a]}, {ws[b]})")
     if not isinstance(func, Mapping) or not all(isinstance(b, str) for b in func.values()):
         raise FrameError("function must map world names to world names")
-    f = [0] * n
+    f = [0] * len(ws)
     for w in ws:
         if w not in func:
             raise FrameError(f"function is not total: missing {w!r}")
@@ -272,8 +291,6 @@ def frame_from_dict(data: Mapping, close_transitively: bool = False) -> tuple[Fr
     for key in ("worlds", "rel", "func"):
         if key not in data:
             raise FrameError(f"frame file is missing {key!r}")
-    if not isinstance(data["rel"], list):
-        raise FrameError("rel must be a list of pairs")
     frame = validate_frame(data["worlds"], data["rel"], data["func"], close_transitively)
     given = data.get("valuation", {})
     if not isinstance(given, Mapping):

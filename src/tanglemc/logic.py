@@ -45,7 +45,7 @@ from .formula import (
     top,
     vars_of,
 )
-from .frame import ClassFlags, Frame, _bits, transitive_closure
+from .frame import ClassFlags, Frame, _monotone_witness, transitive_closure
 from .semantics import exhaustive_sweep, sampled_sweep, valid_on_frame
 from . import story as story_mod
 
@@ -202,16 +202,6 @@ def random_formula(rng: random.Random, variables: Sequence[str], depth: int) -> 
     return Tangle(tuple(args))
 
 
-def _monotone_ok(succ: Sequence[int], func: Sequence[int], strict: bool) -> bool:
-    for w in range(len(succ)):
-        fw = func[w]
-        for v in _bits(succ[w]):
-            fv = func[v]
-            if not (succ[fw] >> fv) & 1 and (strict or fw != fv):
-                return False
-    return True
-
-
 def random_class_frame(
     rng: random.Random, max_worlds: int, logic: Logic, func_tries: int = 64
 ) -> Frame:
@@ -236,7 +226,7 @@ def random_class_frame(
     func = None
     for _ in range(func_tries):
         cand = [rng.randrange(n) for _ in range(n)]
-        if _monotone_ok(succ, cand, logic.strict):
+        if _monotone_witness(succ, succ, cand, logic.strict) is None:
             func = cand
             break
     if func is None:
@@ -432,7 +422,7 @@ def _search_exhaustive(phi: Formula, logic: Logic, max_worlds: int) -> SearchRes
             if logic.serial and any(not m for m in succ):
                 continue
             for func in itertools.product(range(n), repeat=n):
-                if not _monotone_ok(succ, func, logic.strict):
+                if _monotone_witness(succ, succ, func, logic.strict) is not None:
                     continue
                 frame = Frame(worlds, succ, func)
                 frames += 1

@@ -6,16 +6,16 @@ tail, which makes the representation unique per mathematical sequence.
 The metric between distinct paths is 2^-n for the first index n where they
 differ, computed exactly.
 
-A limit assignment ranks the worlds of every story level injectively; the
-rank of an image is the minimum rank over its preimages, and worlds
-outside the image get fresh ranks on top.  The limit of a path is the
-rank-least world that recurs in it, which for a canonical eventually
-constant path is just the tail.  The ranks carry real content for the
-recurrence sets of reflexive clusters (the stabilisation behaviour of the
-non-eventually-constant paths): the verifier checks, for every such set D,
-that the rank-least world of the image of D is the image of the rank-least
-world of D, alongside the forth/back conditions relating the metric to the
-frame order.
+The limit of a canonical eventually-constant path is its tail, the only
+world that recurs in it.  A limit assignment ranks the worlds of every
+story level injectively; the rank of an image is the minimum rank over
+its preimages, and worlds outside the image get fresh ranks on top.  Only
+the recurrence-set check uses the ranks: a path that is not eventually
+constant may cycle forever through any nonempty subset D of a reflexive
+cluster, and its limit is the rank-least world of D.  The verifier checks,
+for every such D, that the rank-least world of the image of D is the
+image of the rank-least world of D, alongside the forth/back conditions
+relating the metric to the frame order.
 """
 
 from __future__ import annotations
@@ -162,18 +162,9 @@ def build_limit_assignment(story: Story) -> LimitAssignment:
     return LimitAssignment(tuple(ranks))
 
 
-def limit(p: Path, assignment: LimitAssignment | None = None, level: int = 0) -> str:
-    """Rank-least world recurring in the path.
-
-    In canonical form only the tail recurs, so the result is the tail; the
-    assignment argument settles ties for callers holding non-canonical
-    recurrence sets.
-    """
-    recurring = {p.tail}
-    if assignment is None:
-        return p.tail
-    level_ranks = assignment.ranks[level]
-    return min(recurring, key=lambda w: level_ranks[w])
+def limit(p: Path) -> str:
+    """The world recurring in a canonical eventually-constant path: its tail."""
+    return p.tail
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +200,23 @@ class PathVerifyReport:
         }
 
 
+def _thin_reflexive_cluster(frame: Frame) -> int | None:
+    """First world of the first reflexive cluster with a single world."""
+    for c in frame.cluster_masks():
+        rep = next(_bits(c))
+        if frame.is_reflexive(rep) and c == 1 << rep:
+            return rep
+    return None
+
+
 def _require_fat_clusters(story: Story):
     for i, m in enumerate(story.levels):
-        f = m.frame_view()
-        for c in f.cluster_masks():
-            rep = next(_bits(c))
-            if f.is_reflexive(rep) and bin(c).count("1") < 2:
-                raise ValueError(
-                    f"level {i}: reflexive cluster of {f.worlds[rep]!r} has a single "
-                    "world; apply the reflexive duplication first"
-                )
+        rep = _thin_reflexive_cluster(m.frame)
+        if rep is not None:
+            raise ValueError(
+                f"level {i}: reflexive cluster of {m.worlds[rep]!r} has a single "
+                "world; apply the reflexive duplication first"
+            )
 
 
 def verify_lim_pmorphism(
@@ -239,11 +237,10 @@ def verify_lim_pmorphism(
     violations: list[PathViolation] = []
     checked = 0
     for lvl, moment in enumerate(story.levels):
-        frame = moment.frame_view()
-        ranks = assignment.ranks[lvl]
+        frame = moment.frame
         paths = enumerate_paths(frame, resolution)
         checked += len(paths)
-        lims = [limit(p, assignment, lvl) for p in paths]
+        lims = [limit(p) for p in paths]
 
         # forth, grouped by shared prefix to avoid the quadratic sweep; a
         # path y is within 2^-(k+1) of x iff the two sequences agree on the
@@ -309,7 +306,7 @@ def verify_lim_pmorphism(
                         delta = path_metric(p, witness)
                         ok = (is_increasing(frame, witness)
                               and 0 < delta < Fraction(1, 2 ** k)
-                              and limit(witness, assignment, lvl) == v)
+                              and limit(witness) == v)
                         cross_checked = True
                     if not ok:
                         violations.append(PathViolation(
@@ -323,16 +320,16 @@ def verify_lim_pmorphism(
         nxt_level = min(lvl + 1, story.duration)
         for idx, p in enumerate(paths):
             q = next_path(p, fmap)
-            if limit(q, assignment, nxt_level) != fmap[lims[idx]]:
+            if limit(q) != fmap[lims[idx]]:
                 violations.append(PathViolation(
                     "commuting", lvl,
                     f"limit of the image of {format_path(p)} is "
-                    f"{limit(q, assignment, nxt_level)!r}, expected {fmap[lims[idx]]!r}",
+                    f"{limit(q)!r}, expected {fmap[lims[idx]]!r}",
                 ))
         # ... and on every recurrence set inside a reflexive cluster: a path
         # may cycle forever through any nonempty subset D, whose limit is
         # the rank-least member, so images of minima must be minima.
-        next_ranks = assignment.ranks[nxt_level]
+        ranks, next_ranks = assignment.ranks[lvl], assignment.ranks[nxt_level]
         for c in frame.cluster_masks():
             rep = next(_bits(c))
             if not frame.is_reflexive(rep):
@@ -374,11 +371,7 @@ def cantor_preconditions(frame: Frame, resolution: int) -> CantorPreconditions:
     (every enumerated path has a distinct path within every 2^-k)."""
     nonempty = frame.n > 0
     serial = all(frame.succ_mask(i) for i in range(frame.n))
-    fat = True
-    for c in frame.cluster_masks():
-        rep = next(_bits(c))
-        if frame.is_reflexive(rep) and bin(c).count("1") < 2:
-            fat = False
+    fat = _thin_reflexive_cluster(frame) is None
     perfect = True
     for p in enumerate_paths(frame, resolution):
         for k in range(resolution + 1):

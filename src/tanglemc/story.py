@@ -1,9 +1,10 @@
 """Moments and stories: stratified frames with level maps.
 
-A moment is a finite rooted tree-like transitive frame fragment with a
-valuation.  A story of duration I stacks I+1 moments joined by maps
-f_0..f_{I-1}; the map on the last level is the identity.  The five story
-conditions are checked in a fixed order, each with a concrete witness:
+A moment is a finite rooted tree-like transitive frame with a valuation;
+it holds its `Frame` (with the identity map), its root and its valuation.
+A story of duration I stacks I+1 moments joined by maps f_0..f_{I-1}; the
+map on the last level is the identity.  The five story conditions are
+checked in a fixed order, each with a concrete witness:
 
     monotonic          w below v   implies f(w) below f(v)
     root-preserving    f_i(root_i) = root_{i+1}
@@ -13,7 +14,8 @@ conditions are checked in a fixed order, each with a concrete witness:
 
 A story file may list either I maps (identity on the last level implied)
 or I+1 maps, in which case the last one is checked by the stabilising
-condition.
+condition.  Malformed files (wrong JSON shapes, unknown worlds) fail the
+"structure" condition.
 """
 
 from __future__ import annotations
@@ -22,7 +24,16 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .frame import Frame, FrameError, _bits, transitive_closure
+from .frame import (
+    Frame,
+    FrameError,
+    _bits,
+    _monotone_witness,
+    _relation,
+    _transitivity_witness,
+    duplicate_reflexive,
+    pullback_valuation,
+)
 
 
 class StoryError(ValueError):
@@ -35,20 +46,23 @@ class StoryError(ValueError):
 
 @dataclass(frozen=True)
 class Moment:
-    """Rooted tree-like fragment; the frame view carries an identity map."""
+    """A rooted tree-like frame with the identity map, plus a valuation.
 
-    worlds: tuple[str, ...]
-    rel: tuple[tuple[str, str], ...]
+    `worlds` are the frame's worlds in declared order; `rel` lists its
+    relation pairs sorted by name.
+    """
+
+    frame: Frame
     root: str
     valuation: dict[str, frozenset[str]]
 
-    def frame_view(self) -> Frame:
-        n = len(self.worlds)
-        index = {w: i for i, w in enumerate(self.worlds)}
-        succ = [0] * n
-        for a, b in self.rel:
-            succ[index[a]] |= 1 << index[b]
-        return Frame(self.worlds, succ, list(range(n)))
+    @property
+    def worlds(self) -> tuple[str, ...]:
+        return self.frame.worlds
+
+    @property
+    def rel(self) -> tuple[tuple[str, str], ...]:
+        return tuple(sorted(self.frame.rel_pairs()))
 
 
 def validate_moment(
@@ -57,34 +71,24 @@ def validate_moment(
     root: str,
     valuation: Mapping[str, Iterable[str]] | None = None,
 ) -> Moment:
-    ws = list(worlds)
-    if not ws or len(set(ws)) != len(ws):
-        raise StoryError("structure", "moment worlds must be nonempty and unique")
-    index = {w: i for i, w in enumerate(ws)}
-    n = len(ws)
-    succ = [0] * n
-    pairs = []
-    for pair in rel:
-        a, b = pair
-        if a not in index or b not in index:
-            raise StoryError("structure", f"unknown world in moment relation: {pair!r}")
-        succ[index[a]] |= 1 << index[b]
-        pairs.append((a, b))
-    for w in range(n):
-        for v in _bits(succ[w]):
-            if succ[v] & ~succ[w]:
-                raise StoryError(
-                    "structure", f"moment relation is not transitive at {ws[w]!r}"
-                )
-    if root not in index:
+    try:
+        ws, index, succ = _relation(worlds, rel)
+    except FrameError as e:
+        raise StoryError("structure", str(e)) from None
+    witness = _transitivity_witness(succ)
+    if witness is not None:
+        raise StoryError(
+            "structure", f"moment relation is not transitive at {ws[witness[0]]!r}"
+        )
+    if not isinstance(root, str) or root not in index:
         raise StoryError("structure", f"unknown root {root!r}")
+    n = len(ws)
     r = index[root]
     reach = succ[r] | (1 << r)
     if reach != (1 << n) - 1:
         missing = ws[next(_bits(((1 << n) - 1) & ~reach))]
         raise StoryError("structure", f"root does not reach {missing!r}")
     # tree-like: common upper bounds force comparability
-    refl = [(succ[i] >> i) & 1 for i in range(n)]
     for c in range(n):
         below = [a for a in range(n) if a == c or (succ[a] >> c) & 1]
         for a in below:
@@ -96,13 +100,19 @@ def validate_moment(
                         "structure",
                         f"not tree-like: {ws[a]!r} and {ws[b]!r} both below {ws[c]!r}",
                     )
+    if valuation is None:
+        valuation = {}
+    if not isinstance(valuation, Mapping):
+        raise StoryError("structure", "valuation must map variables to lists of world names")
     val: dict[str, frozenset[str]] = {}
-    for p, names in (valuation or {}).items():
+    for p, names in valuation.items():
+        if not isinstance(names, (list, tuple, set, frozenset)):
+            raise StoryError("structure", f"valuation of {p!r} must be a list of world names")
         for w in names:
-            if w not in index:
+            if not isinstance(w, str) or w not in index:
                 raise StoryError("structure", f"valuation of {p!r} mentions {w!r}")
         val[p] = frozenset(names)
-    return Moment(tuple(ws), tuple(sorted(pairs)), root, val)
+    return Moment(Frame(ws, succ, range(n)), root, val)
 
 
 def moment_from_frame(frame: Frame, valuation: Mapping[str, Iterable[str]] | None = None,
@@ -138,16 +148,14 @@ class Story:
     def assembled(self) -> tuple[Frame, dict[str, frozenset[str]]]:
         """Flat frame view: disjoint union of levels, maps glued into one
         function.  Level i's world w is named "i:w"."""
-        worlds = []
+        worlds: list[str] = []
+        succ: list[int] = []
         for i, m in enumerate(self.levels):
+            offset = len(worlds)
             worlds.extend(f"{i}:{w}" for w in m.worlds)
+            succ.extend(mask << offset for mask in m.frame._succ)
         index = {w: k for k, w in enumerate(worlds)}
-        n = len(worlds)
-        succ = [0] * n
-        for i, m in enumerate(self.levels):
-            for a, b in m.rel:
-                succ[index[f"{i}:{a}"]] |= 1 << index[f"{i}:{b}"]
-        func = [0] * n
+        func = [0] * len(worlds)
         for i in range(len(self.levels)):
             tgt = min(i + 1, self.duration)
             fmap = self.level_map(i)
@@ -160,6 +168,7 @@ class Story:
         return Frame(worlds, succ, func), {p: frozenset(s) for p, s in valuation.items()}
 
     def to_dict(self) -> dict:
+        """The story file format; the only place story JSON is built."""
         return {
             "levels": [
                 {
@@ -177,18 +186,20 @@ class Story:
 def _check_conditions(levels: Sequence[Moment], maps: Sequence[Mapping[str, str]],
                       explicit_last: Mapping[str, str] | None) -> bool:
     """Run the five conditions in order; returns the immersive flag."""
-    frames = [m.frame_view() for m in levels]
+    frames = [m.frame for m in levels]
+    # maps[i] as world indices of frames[i] into frames[i + 1]
+    funcs = [[frames[i + 1].index(fmap[w]) for w in frames[i].worlds]
+             for i, fmap in enumerate(maps)]
 
     # monotonic
-    for i, fmap in enumerate(maps):
-        src, tgt = frames[i], frames[i + 1]
-        for a, b in levels[i].rel:
-            fa, fb = tgt.index(fmap[a]), tgt.index(fmap[b])
-            if fa != fb and not (tgt.succ_mask(fa) >> fb) & 1:
-                raise StoryError(
-                    "monotonic",
-                    f"level {i}: {a!r} below {b!r} but {fmap[a]!r} not below {fmap[b]!r}",
-                )
+    for i, func in enumerate(funcs):
+        witness = _monotone_witness(frames[i]._succ, frames[i + 1]._succ, func, False)
+        if witness is not None:
+            a, b = (frames[i].worlds[j] for j in witness)
+            raise StoryError(
+                "monotonic",
+                f"level {i}: {a!r} below {b!r} but {maps[i][a]!r} not below {maps[i][b]!r}",
+            )
 
     # root preserving
     for i, fmap in enumerate(maps):
@@ -200,31 +211,32 @@ def _check_conditions(levels: Sequence[Moment], maps: Sequence[Mapping[str, str]
             )
 
     # almost injective
-    for i, fmap in enumerate(maps):
-        tgt = frames[i + 1]
-        seen: dict[str, str] = {}
-        for w in levels[i].worlds:
-            img = fmap[w]
-            if img in seen and tgt.is_reflexive(tgt.index(img)):
+    for i, func in enumerate(funcs):
+        src, tgt = frames[i], frames[i + 1]
+        seen: dict[int, int] = {}
+        for w, img in enumerate(func):
+            if img in seen and tgt.is_reflexive(img):
                 raise StoryError(
                     "almost-injective",
-                    f"level {i}: {seen[img]!r} and {w!r} collapse onto reflexive {img!r}",
+                    f"level {i}: {src.worlds[seen[img]]!r} and {src.worlds[w]!r} "
+                    f"collapse onto reflexive {tgt.worlds[img]!r}",
                 )
             seen.setdefault(img, w)
 
     # cluster preserving
-    for i, fmap in enumerate(maps):
+    for i, func in enumerate(funcs):
         src, tgt = frames[i], frames[i + 1]
-        for w in levels[i].worlds:
-            image_cluster = tgt.cluster_mask(tgt.index(fmap[w]))
+        for w in range(src.n):
+            image_cluster = tgt.cluster_mask(func[w])
             mapped = 0
-            for v in _bits(src.cluster_mask(src.index(w))):
-                mapped |= 1 << tgt.index(fmap[src.worlds[v]])
+            for v in _bits(src.cluster_mask(w)):
+                mapped |= 1 << func[v]
             if mapped != image_cluster:
                 raise StoryError(
                     "cluster-preserving",
-                    f"level {i}: cluster of {fmap[w]!r} is {sorted(tgt.names(image_cluster))} "
-                    f"but the image of the cluster of {w!r} is {sorted(tgt.names(mapped))}",
+                    f"level {i}: cluster of {tgt.worlds[func[w]]!r} is "
+                    f"{sorted(tgt.names(image_cluster))} but the image of the cluster "
+                    f"of {src.worlds[w]!r} is {sorted(tgt.names(mapped))}",
                 )
 
     # stabilising
@@ -236,27 +248,25 @@ def _check_conditions(levels: Sequence[Moment], maps: Sequence[Mapping[str, str]
                     f"last-level map sends {w!r} to {explicit_last[w]!r}, not itself",
                 )
 
-    immersive = True
-    for i, fmap in enumerate(maps):
-        tgt = frames[i + 1]
-        if len(set(fmap.values())) != len(levels[i].worlds):
-            immersive = False
-            break
-        for a, b in levels[i].rel:
-            if not (tgt.succ_mask(tgt.index(fmap[a])) >> tgt.index(fmap[b])) & 1:
-                immersive = False
-                break
-        if not immersive:
-            break
-    return immersive
+    return all(
+        len(set(func)) == len(func)
+        and _monotone_witness(frames[i]._succ, frames[i + 1]._succ, func, True) is None
+        for i, func in enumerate(funcs)
+    )
 
 
 def validate_story(data: Mapping) -> Story:
     """Check the story file format and all story conditions."""
-    if "levels" not in data or not data["levels"]:
+    if not isinstance(data, Mapping):
+        raise StoryError("structure", "a story must be a JSON object")
+    if not data.get("levels"):
         raise StoryError("structure", "story needs at least one level")
+    if not isinstance(data["levels"], list):
+        raise StoryError("structure", "levels must be a list of level objects")
     levels = []
     for k, raw in enumerate(data["levels"]):
+        if not isinstance(raw, Mapping):
+            raise StoryError("structure", f"level {k} is not an object")
         try:
             levels.append(
                 validate_moment(
@@ -266,7 +276,14 @@ def validate_story(data: Mapping) -> Story:
         except KeyError as e:
             raise StoryError("structure", f"level {k} is missing {e.args[0]!r}") from None
     duration = len(levels) - 1
-    raw_maps = list(data.get("maps", []))
+    raw_maps = data.get("maps", [])
+    if not isinstance(raw_maps, list) or not all(
+        isinstance(f, Mapping) and all(isinstance(v, str) for v in f.values())
+        for f in raw_maps
+    ):
+        raise StoryError("structure", "maps must be a list of objects from world "
+                                      "names to world names")
+    raw_maps = list(raw_maps)
     if len(raw_maps) not in (duration, duration + 1):
         raise StoryError(
             "structure",
@@ -300,10 +317,7 @@ def validate_story(data: Mapping) -> Story:
 
 def story_class(story: Story) -> frozenset[str]:
     """Logic names whose story conditions this story satisfies."""
-    serial = all(
-        all(m.frame_view().succ_mask(i) for i in range(len(m.worlds)))
-        for m in story.levels
-    )
+    serial = all(_moment_serial(m) for m in story.levels)
     flags = {"K4C"}
     if serial:
         flags.add("K4DC")
@@ -356,7 +370,7 @@ def compose_moment(
 
 def moment_height(m: Moment) -> int:
     """Length of the longest strictly ascending chain of clusters."""
-    f = m.frame_view()
+    f = m.frame
     memo: dict[int, int] = {}
 
     def h(i: int) -> int:
@@ -371,87 +385,28 @@ def moment_height(m: Moment) -> int:
 def story_oplus(story: Story) -> tuple[Story, list[dict[str, str]]]:
     """Level-wise reflexive duplication of a story.
 
-    Copies relate as their originals and the maps send a copy to the
-    same-index copy when the image is reflexive, to the primary copy
-    otherwise.  Returns the lifted story and per-level projections.  Raises
-    StoryError when the lift is not a story, which happens exactly when an
-    irreflexive world maps onto a reflexive one.
+    Each level is lifted by `duplicate_reflexive`.  The maps send a second
+    copy to the second copy of its image when the image has one, and every
+    other world to the image itself.  Returns the lifted story and
+    per-level projections.  Raises StoryError when the lift is not a story,
+    which happens exactly when an irreflexive world maps onto a reflexive
+    one.
     """
-    lifted_levels = []
-    projections: list[dict[str, str]] = []
-    ticks_list = []
-    for m in story.levels:
-        f = m.frame_view()
-        lifted_moment, proj = _duplicate_moment(m, f)
-        lifted_levels.append(lifted_moment)
-        projections.append(proj)
-        ticks_list.append(_tick_for(m, f))
-    new_maps = []
-    for i in range(story.duration):
-        src_m, tgt_m = story.levels[i], story.levels[i + 1]
-        tgt_f = tgt_m.frame_view()
-        fmap = story.maps[i]
-        tick = ticks_list[i + 1]
-        out = {}
-        for w, orig in projections[i].items():
-            img = fmap[orig]
-            second_copy = w != orig
-            if second_copy and tgt_f.is_reflexive(tgt_f.index(img)):
-                out[w] = img + tick
-            else:
-                out[w] = img
-        new_maps.append(out)
-    data = {
-        "levels": [
-            {
-                "worlds": list(m.worlds),
-                "rel": [[a, b] for a, b in m.rel],
-                "root": m.root,
-                "valuation": {p: sorted(ws) for p, ws in m.valuation.items()},
-            }
-            for m in lifted_levels
-        ],
-        "maps": new_maps,
-    }
-    return validate_story(data), projections
-
-
-def _tick_for(m: Moment, f: Frame) -> str:
-    refl = [w for i, w in enumerate(f.worlds) if f.is_reflexive(i)]
-    if not refl:
-        return "'"
-    taken = set(m.worlds)
-    k = 1
-    while any(w + "'" * k in taken for w in refl):
-        k += 1
-    return "'" * k
-
-
-def _duplicate_moment(m: Moment, f: Frame) -> tuple[Moment, dict[str, str]]:
-    tick = _tick_for(m, f)
-    new_worlds = []
-    origin = {}
-    for i, w in enumerate(f.worlds):
-        new_worlds.append(w)
-        origin[w] = w
-        if f.is_reflexive(i):
-            d = w + tick
-            new_worlds.append(d)
-            origin[d] = w
-    rel = [
-        (a, b)
-        for a in new_worlds
-        for b in new_worlds
-        if (f.succ_mask(f.index(origin[a])) >> f.index(origin[b])) & 1
-    ]
-    valuation = {
-        p: frozenset(w for w in new_worlds if origin[w] in names)
-        for p, names in m.valuation.items()
-    }
-    return (
-        validate_moment(new_worlds, rel, m.root, valuation),
-        origin,
+    lifted = [duplicate_reflexive(m.frame) for m in story.levels]
+    projections = [proj for _, proj in lifted]
+    levels = tuple(
+        Moment(f, m.root, pullback_valuation(proj, m.valuation))
+        for m, (f, proj) in zip(story.levels, lifted)
     )
+    maps = []
+    for i, fmap in enumerate(story.maps):
+        second = {o: w for w, o in projections[i + 1].items() if w != o}
+        maps.append({
+            w: second.get(fmap[o], fmap[o]) if w != o else fmap[o]
+            for w, o in projections[i].items()
+        })
+    unchecked = Story(levels, tuple(maps), immersive=False)
+    return validate_story(unchecked.to_dict()), projections
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +447,7 @@ def _transform_moment(rng: random.Random, m: Moment, fresh_prefix: str,
     irreflexive points never gain reflexivity, and fresh subtrees may be
     grafted outside the image.
     """
-    f = m.frame_view()
+    f = m.frame
     counter = [0]
 
     def fresh() -> str:
@@ -583,24 +538,11 @@ def random_story(
                     break
         levels.append(nxt)
         maps.append(fmap)
-    data = {
-        "levels": [
-            {
-                "worlds": list(m.worlds),
-                "rel": [[a, b] for a, b in m.rel],
-                "root": m.root,
-                "valuation": {p: sorted(ws) for p, ws in m.valuation.items()},
-            }
-            for m in levels
-        ],
-        "maps": maps,
-    }
-    return validate_story(data)
+    return validate_story(Story(tuple(levels), tuple(maps), immersive=False).to_dict())
 
 
 def _moment_serial(m: Moment) -> bool:
-    f = m.frame_view()
-    return all(f.succ_mask(i) for i in range(f.n))
+    return all(m.frame._succ)
 
 
 def _copy_moment(m: Moment, prefix: str) -> tuple[Moment, dict[str, str]]:

@@ -89,6 +89,52 @@ def test_other_malformed_frame_shapes_exit_2(capsys, tmp_path, data):
     assert code == 2 and report["error"]
 
 
+@pytest.mark.parametrize("formula", [
+    "(" * 400 + "p" + ")" * 400,
+    "~" * 400 + "p",
+    " & ".join(["p"] * 401),
+])
+def test_deeply_nested_formula_exits_2(capsys, formula):
+    code, report = run(capsys, "parse", "--formula", formula)
+    assert code == 2 and "nested deeper" in report["error"]
+
+
+def _chain_with(level=None, **top):
+    data = json.loads((DEMOS / "story_chain.story.json").read_text())
+    if level is not None:
+        data["levels"][0].update(level)
+    data.update(top)
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    [1, 2],
+    {"levels": 5},
+    {"levels": [5]},
+    {"levels": [{"worlds": "ab", "rel": [["a", "b"]], "root": "a"}]},
+    {"levels": [{"worlds": ["a", 5], "rel": [["a", 5]], "root": "a"}]},
+    {"levels": [{"worlds": ["a", "b"], "rel": [["a", "b"]], "root": "a",
+                 "valuation": {"p": "ab"}}]},
+    _chain_with({"rel": 5}),
+    _chain_with({"rel": [5]}),
+    _chain_with({"rel": [[["x0"], "y0"]]}),
+    _chain_with({"root": ["x0"]}),
+    _chain_with({"valuation": 5}),
+    _chain_with({"valuation": {"p": [5]}}),
+    _chain_with(maps=5),
+    _chain_with(maps=[5, 5]),
+    _chain_with(maps=[{"x0": "x1", "y0": 5}, {"x1": "x2", "y1": "y2"}]),
+])
+def test_malformed_story_shapes_are_structure_errors(capsys, tmp_path, data):
+    f = tmp_path / "bad.story.json"
+    f.write_text(json.dumps(data))
+    code, report = run(capsys, "story-validate", "--story", str(f))
+    assert code == 1 and not report["valid"] and report["condition"] == "structure"
+    for command in ("story-class", "oplus", "pathspace-verify"):
+        code, report = run(capsys, command, "--story", str(f))
+        assert code == 2 and report["error"].startswith("structure: ")
+
+
 def test_sample_counts_below_one_exit_2(capsys):
     code, report = run(capsys, "validity", "--frame", str(DEMOS / "f1.frame.json"),
                        "--formula", "p", "--mode", "sampled", "--samples", "-5")

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tanglemc.formula import (
+    MAX_NESTING,
     And,
     Box,
     Diamond,
@@ -80,6 +81,29 @@ def test_parse_errors_carry_position():
     except ParseError as e:
         err = e
     assert err is not None and err.position == 2
+
+
+@pytest.mark.parametrize("nest", [
+    lambda k: "(" * k + "p" + ")" * k,
+    lambda k: "~" * k + "p",
+    lambda k: " & ".join(["p"] * (k + 1)),
+    lambda k: " -> ".join(["p"] * (k + 1)),
+    lambda k: "<d>" * k + "p",
+    lambda k: "O " * k + "p",
+    lambda k: "<t>{" * k + "p" + "}" * k,
+])
+def test_nesting_bound(nest):
+    parse(nest(MAX_NESTING))
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse(nest(MAX_NESTING + 1))
+
+
+def test_nesting_bound_counts_expanded_sugar():
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse("<d.>" * 60 + "p")
+    wide = "<t.>{" + ", ".join(f"p{i}" for i in range(400)) + "}"
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse(wide)
 
 
 def test_empty_tangle_constructor_rejected():

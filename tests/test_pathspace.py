@@ -115,11 +115,9 @@ def test_next_path_is_one_lipschitz():
 
 
 def test_limit_examples():
-    story = single_level(f1_oplus())
-    la = build_limit_assignment(story)
-    assert limit(Path(("a",), "b"), la) == "b"
-    assert limit(Path((), "a"), la) == "a"
-    assert limit(Path(("a", "b"), "b'"), la) == "b'"
+    assert limit(Path(("a",), "b")) == "b"
+    assert limit(Path((), "a")) == "a"
+    assert limit(Path(("a", "b"), "b'")) == "b'"
 
 
 def test_limit_assignment_first_level_ranks_are_canonical():
@@ -270,11 +268,11 @@ def test_limit_commutes_on_enumerated_paths():
         story = random_story(rng, rng.randint(0, 2))
         lifted, _ = story_oplus(story)
         la = build_limit_assignment(lifted)
+        assert la.ranks[0] == {w: i for i, w in enumerate(lifted.levels[0].worlds)}
         for i, moment in enumerate(lifted.levels):
             fmap = lifted.level_map(i)
-            nxt = min(i + 1, lifted.duration)
-            for p in enumerate_paths(moment.frame_view(), 3):
-                assert limit(next_path(p, fmap), la, nxt) == fmap[limit(p, la, i)]
+            for p in enumerate_paths(moment.frame, 3):
+                assert limit(next_path(p, fmap)) == fmap[limit(p)]
 
 
 def test_next_path_locally_injective_for_immersive_stories():
@@ -283,7 +281,7 @@ def test_next_path_locally_injective_for_immersive_stories():
     lifted, _ = story_oplus(story)
     for i, moment in enumerate(lifted.levels[:-1]):
         fmap = lifted.maps[i]
-        paths = enumerate_paths(moment.frame_view(), 3)
+        paths = enumerate_paths(moment.frame, 3)
         by_first = {}
         for p in paths:
             by_first.setdefault(p.value(0), []).append(p)
@@ -295,15 +293,13 @@ def test_next_path_locally_injective_for_immersive_stories():
 def test_truth_pullback_through_limit():
     rng = random.Random(15)
     frame = f1_oplus()
-    story = single_level(frame)
-    la = build_limit_assignment(story)
     paths = enumerate_paths(frame, 4)
     for _ in range(20):
         phi = random_formula(rng, ["p", "q"], 2)
         val = {v: {w for w in frame.worlds if rng.random() < 0.5} for v in "pq"}
         ts = truth_set(Model(frame, val), phi)
-        preimage = [p for p in paths if limit(p, la) in ts]
-        assert {limit(p, la) for p in preimage} == ts
+        preimage = [p for p in paths if limit(p) in ts]
+        assert {limit(p) for p in preimage} == ts
 
 
 def test_cantor_preconditions():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tanglemc.frame import check_frame_pmorphism
+from tanglemc.frame import check_frame_pmorphism, duplicate_reflexive
 from tanglemc.story import (
     StoryError,
     compose_moment,
@@ -241,7 +241,7 @@ def test_story_oplus_yields_story_with_fat_clusters():
                              max_level_worlds=12)
         lifted, projections = story_oplus(story)
         for m in lifted.levels:
-            f = m.frame_view()
+            f = m.frame
             for c in f.cluster_masks():
                 i = (c & -c).bit_length() - 1
                 if f.is_reflexive(i):
@@ -254,6 +254,38 @@ def test_story_oplus_yields_story_with_fat_clusters():
             for w, o in proj.items():
                 glued[f"{i}:{w}"] = f"{i}:{o}"
         assert check_frame_pmorphism(big, orig, glued).ok
+
+
+def test_story_oplus_commutes_with_assembly():
+    # with no tick in any name, every level takes the same single tick
+    rng = random.Random(43)
+    for k in range(60):
+        story = random_story(rng, rng.randint(0, 3), serial=k % 3 == 0,
+                             immersive=k % 4 == 0, allow_clusters=k % 2 == 0,
+                             max_level_worlds=9)
+        assert not any("'" in w for m in story.levels for w in m.worlds)
+        lifted, _ = story_oplus(story)
+        assert lifted.assembled()[0] == duplicate_reflexive(story.assembled()[0])[0]
+
+
+def test_story_oplus_avoids_taken_names():
+    def level(x):
+        return {"worlds": [x, x + "'"], "rel": [[x, x], [x, x + "'"]], "root": x}
+
+    story = validate_story({"levels": [level("a"), level("b")],
+                            "maps": [{"a": "b", "a'": "b'"}]})
+    lifted, projections = story_oplus(story)
+    assert [m.worlds for m in lifted.levels] == [("a", "a''", "a'"), ("b", "b''", "b'")]
+    assert lifted.maps == ({"a": "b", "a''": "b''", "a'": "b'"},)
+    assert projections[0] == {"a": "a", "a''": "a", "a'": "a'"}
+
+
+def test_moment_keeps_its_frame():
+    m = validate_moment(["r", "x"], [["x", "x"], ["r", "x"]], "r", {"p": ["x"]})
+    assert m.frame.worlds == m.worlds == ("r", "x")
+    assert m.frame.func_map() == {"r": "r", "x": "x"}
+    assert m.rel == (("r", "x"), ("x", "x"))
+    assert m.frame.is_reflexive(1) and not m.frame.is_reflexive(0)
 
 
 def test_story_oplus_preserves_immersive():

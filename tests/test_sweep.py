@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 from tanglemc.formula import (
     And, Box, Diamond, Implies, Neg, Next, Or, Tangle, Var, parse, vars_of,
 )
-from tanglemc.frame import Frame, random_transitive_frame
+from tanglemc.frame import Frame, _monotone_witness, random_transitive_frame
 from tanglemc.logic import (
-    LOGICS, _monotone_ok, _transitive_succs, countermodel_search, random_class_frame,
+    LOGICS, _transitive_succs, countermodel_search, random_class_frame,
     random_formula,
 )
 from tanglemc import semantics
@@ -162,7 +162,7 @@ def oracle_search(phi, logic, max_worlds):
             if logic.serial and not all(succ):
                 continue
             for func in itertools.product(range(n), repeat=n):
-                if _monotone_ok(succ, func, logic.strict):
+                if _monotone_witness(succ, succ, func, logic.strict) is None:
                     frame = Frame(worlds, succ, func)
                     frames += 1
                     checked, cm = oracle_sweep(frame, phi, exhaustive_envs(frame, phi))
