@@ -1,9 +1,10 @@
 """Batch front-end: every operation on files, reproducible seeds, JSON reports.
 
 Exit codes: 0 success/valid/pass, 1 countermodel-found/check-fail, 2 input
-error.  Reports are printed to stdout with a stable schema version; runs
-with identical inputs and seed produce byte-identical reports.  The
-environment variable ``TANGLEMC_SEED`` supplies the default seed.
+error, 3 internal error; both errors print a report with an `error`.  Reports
+are printed to stdout with a stable schema version; runs with identical
+inputs and seed produce byte-identical reports.  The environment variable
+``TANGLEMC_SEED`` supplies the default seed.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ import os
 import sys
 
 from . import pathspace, story as story_mod
-from .formula import Formula, ParseError, next_depth, parse, pretty, size, vars_of
+from .formula import Formula, next_depth, parse, pretty, size, vars_of
 from .frame import (
     Frame,
-    FrameError,
     duplicate_reflexive,
     frame_from_dict,
     pullback_valuation,
@@ -303,12 +303,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, FrameError, StoryError, ValueError) as e:
+    except (ValueError, OSError) as e:  # parse, frame, story and JSON errors too
         _emit(_report(args.command, error=str(e)))
         return 2
-    except (OSError, json.JSONDecodeError) as e:
-        _emit(_report(args.command, error=str(e)))
-        return 2
+    except Exception as e:
+        import traceback  # here, not at the top: it would slow every start-up
+        traceback.print_exc()  # to stderr; stdout keeps the JSON report
+        _emit(_report(args.command, error=f"internal error: {type(e).__name__}: {e}"))
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

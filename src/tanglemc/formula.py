@@ -313,14 +313,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # connectives it expands to.  It keeps the recursive printer, the evaluator
 # and the parser itself far from Python's recursion limit.
 MAX_NESTING = 100
+# Most nodes (as `size` counts them) a parsed formula may have: the tree
+# doubles with each nested dotted operator, which shares its argument.
+MAX_NODES = 100_000
 
 _PREFIX = {"NOT": Neg, "DIA": Diamond, "BOX": Box, "DDIA": dot_diamond,
            "DBOX": dot_box, "NEXT": Next}
 
 
 class _Parser:
-    """Recursive descent; every production returns the formula and its
-    nesting depth, and only parentheses and tangle braces recurse."""
+    """Recursive descent; productions return the formula, its nesting depth
+    and its node count, and only parentheses and tangle braces recurse."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -346,78 +349,87 @@ class _Parser:
             raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", pos)
         return depth
 
-    def implies(self) -> tuple[Formula, int]:
+    def sized(self, nodes: int, pos: int) -> int:
+        if nodes > MAX_NODES:
+            raise ParseError(f"formula has more than {MAX_NODES} nodes", pos)
+        return nodes
+
+    def join(self, op, left: tuple[Formula, int, int], right: tuple[Formula, int, int],
+             pos: int) -> tuple[Formula, int, int]:
+        return (op(left[0], right[0]), self.nested(max(left[1], right[1]) + 1, pos),
+                self.sized(left[2] + right[2] + 1, pos))
+
+    def implies(self) -> tuple[Formula, int, int]:
         parts = [self.disjunction()]
         arrows = []
         while self.peek()[0] == "ARROW":
             arrows.append(self.advance()[2])
             parts.append(self.disjunction())
-        out, depth = parts.pop()
+        out = parts.pop()
         while parts:  # "->" associates to the right
-            left, d = parts.pop()
-            out, depth = Implies(left, out), self.nested(max(d, depth) + 1, arrows.pop())
-        return out, depth
+            out = self.join(Implies, parts.pop(), out, arrows.pop())
+        return out
 
-    def disjunction(self) -> tuple[Formula, int]:
-        out, depth = self.conjunction()
+    def disjunction(self) -> tuple[Formula, int, int]:
+        out = self.conjunction()
         while self.peek()[0] == "OR":
             pos = self.advance()[2]
-            right, d = self.conjunction()
-            out, depth = Or(out, right), self.nested(max(depth, d) + 1, pos)
-        return out, depth
+            out = self.join(Or, out, self.conjunction(), pos)
+        return out
 
-    def conjunction(self) -> tuple[Formula, int]:
-        out, depth = self.unary()
+    def conjunction(self) -> tuple[Formula, int, int]:
+        out = self.unary()
         while self.peek()[0] == "AND":
             pos = self.advance()[2]
-            right, d = self.unary()
-            out, depth = And(out, right), self.nested(max(depth, d) + 1, pos)
-        return out, depth
+            out = self.join(And, out, self.unary(), pos)
+        return out
 
-    def unary(self) -> tuple[Formula, int]:
+    def unary(self) -> tuple[Formula, int, int]:
         ops = []
         while self.peek()[0] in _PREFIX:
             ops.append(self.advance())
-        out, depth = self.atom()
+        out, depth, nodes = self.atom()
         for kind, _, pos in reversed(ops):
+            dotted = kind in ("DDIA", "DBOX")  # phi | <d>phi, phi & [d]phi
             out = _PREFIX[kind](out)
-            depth = self.nested(depth + (2 if kind in ("DDIA", "DBOX") else 1), pos)
-        return out, depth
+            depth = self.nested(depth + (2 if dotted else 1), pos)
+            nodes = 2 * nodes + 2 if dotted else nodes + 1
+        # the chain's size is checked once, so its nesting is reported first
+        return out, depth, self.sized(nodes, ops[0][2]) if ops else nodes
 
-    def atom(self) -> tuple[Formula, int]:
+    def atom(self) -> tuple[Formula, int, int]:
         kind, text, pos = self.peek()
         if kind == "IDENT":
             self.advance()
-            return Var(text), 0
-        if kind == "TOP":
+            return Var(text), 0, 1
+        if kind in ("TOP", "BOT"):
             self.advance()
-            return top(), 0
-        if kind == "BOT":
-            self.advance()
-            return bot(), 0
+            const = top() if kind == "TOP" else bot()
+            return const, 0, size(const)
         if kind == "LPAREN":
             self.advance()
             self.enter(pos)
-            inner, depth = self.implies()
+            inner, depth, nodes = self.implies()
             self.expect("RPAREN")
             self.open -= 1
-            return inner, self.nested(depth + 1, pos)
-        if kind == "TANGLE":
+            return inner, self.nested(depth + 1, pos), nodes
+        if kind in ("TANGLE", "DTANGLE"):
             self.advance()
-            args, depth = self.tangle_args()
-            return Tangle(tuple(args)), self.nested(depth + 1, pos)
-        if kind == "DTANGLE":
-            self.advance()
-            args, depth = self.tangle_args()
-            # <d.> over the left-folded conjunction of the arguments
-            return dot_tangle(args), self.nested(depth + len(args) + 2, pos)
+            args, depth, counts = self.tangle_args()
+            n = sum(counts.values())  # equal arguments merge, so each counts once
+            if kind == "TANGLE":
+                return Tangle(tuple(args)), self.nested(depth + 1, pos), self.sized(n + 1, pos)
+            # <d.> over the left-folded conjunction of the arguments, | <t>
+            conj = n + len(counts) - 1
+            return (dot_tangle(args), self.nested(depth + len(args) + 2, pos),
+                    self.sized(2 * conj + n + 4, pos))
         raise ParseError(f"expected a formula, found {text!r}", pos)
 
     def enter(self, pos: int) -> None:
         self.open += 1
         self.nested(self.open, pos)
 
-    def tangle_args(self) -> tuple[list[Formula], int]:
+    def tangle_args(self) -> tuple[list[Formula], int, dict[Formula, int]]:
         _, _, pos = self.expect("LBRACE")
         if self.peek()[0] == "RBRACE":
             raise ParseError("empty tangle", self.peek()[2])
@@ -428,14 +440,16 @@ class _Parser:
             args.append(self.implies())
         self.expect("RBRACE")
         self.open -= 1
-        return [f for f, _ in args], max(d for _, d in args)
+        return ([f for f, _, _ in args], max(d for _, d, _ in args),
+                {f: n for f, _, n in args})
 
 
 def parse(text: str) -> Formula:
     """Parse a formula from the ASCII surface syntax; formulas nested
-    deeper than ``MAX_NESTING`` raise ParseError."""
+    deeper than ``MAX_NESTING`` or with more than ``MAX_NODES`` nodes raise
+    ParseError."""
     p = _Parser(text)
-    out, _ = p.implies()
+    out, _, _ = p.implies()
     kind, tok, pos = p.peek()
     if kind != "EOF":
         raise ParseError(f"unexpected token {tok!r}", pos)

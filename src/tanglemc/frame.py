@@ -110,9 +110,6 @@ class Frame:
     def func_index(self, i: int) -> int:
         return self._func[i]
 
-    def func_name(self, world: str) -> str:
-        return self.worlds[self._func[self.index(world)]]
-
     def func_map(self) -> dict[str, str]:
         return {w: self.worlds[self._func[i]] for i, w in enumerate(self.worlds)}
 
@@ -125,13 +122,6 @@ class Frame:
 
     def is_reflexive(self, i: int) -> bool:
         return bool(self._succ[i] >> i & 1)
-
-    def reflexive_mask(self) -> int:
-        m = 0
-        for i in range(self.n):
-            if self.is_reflexive(i):
-                m |= 1 << i
-        return m
 
     # -- operators ---------------------------------------------------------
 

@@ -202,9 +202,10 @@ def random_formula(rng: random.Random, variables: Sequence[str], depth: int) -> 
     return Tangle(tuple(args))
 
 
-def random_class_frame(
-    rng: random.Random, max_worlds: int, logic: Logic, func_tries: int = 64
-) -> Frame:
+FUNC_TRIES = 64  # random maps tried for a monotone one before the identity
+
+
+def random_class_frame(rng: random.Random, max_worlds: int, logic: Logic) -> Frame:
     """Rejection-sample a frame of the logic's class: random edges, transitive
     closure, seriality repair, then map resampling with identity fallback."""
     n = rng.randint(1, max_worlds)
@@ -224,7 +225,7 @@ def random_class_frame(
                 succ[w] |= 1 << rng.randrange(n)
             succ = transitive_closure(succ)
     func = None
-    for _ in range(func_tries):
+    for _ in range(FUNC_TRIES):
         cand = [rng.randrange(n) for _ in range(n)]
         if _monotone_witness(succ, succ, cand, logic.strict) is None:
             func = cand

@@ -16,13 +16,20 @@ cluster, and its limit is the rank-least world of D.  The verifier checks,
 for every such D, that the rank-least world of the image of D is the
 image of the rank-least world of D, alongside the forth/back conditions
 relating the metric to the frame order.
+
+Paths are enumerated by prefix length, each prefix extended in ascending
+world order, which yields the documented order without a sort; a prefix
+is extended only by a world with a successor other than itself, as no
+other prefix reaches a tail.  Inside the verifier a path is the tuple of
+its world indices up to index resolution + 1, whose last entry is the
+tail; names appear only in `Path` objects and in messages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .frame import Frame, _bits
 from .story import Story, StoryError
@@ -100,31 +107,20 @@ def enumerate_paths(frame: Frame, max_prefix: int) -> list[Path]:
     """
     if max_prefix < 0:
         raise ValueError("max_prefix must be >= 0")
-    out = []
-
-    def tails_for(last: int | None) -> Iterable[int]:
-        if last is None:
-            return range(frame.n)
-        return _bits(frame.succ_mask(last) & ~(1 << last))
-
-    def extend(prefix: tuple[int, ...]):
-        last = prefix[-1] if prefix else None
-        for t in tails_for(last):
-            out.append((prefix, t))
-        if len(prefix) < max_prefix:
-            if prefix:
-                nxt = frame.succ_mask(prefix[-1]) | (1 << prefix[-1])
-            else:
-                nxt = frame.full_mask
+    strict = [frame.succ_mask(i) & ~(1 << i) for i in range(frame.n)]
+    live = sum(1 << i for i, m in enumerate(strict) if m)
+    out = [((), t) for t in range(frame.n)]
+    level = [((), live)]  # the prefixes of one length, with their extensions
+    for _ in range(max_prefix):
+        longer = []
+        for prefix, nxt in level:
             for w in _bits(nxt):
-                extend(prefix + (w,))
-
-    extend(())
-    out.sort(key=lambda pt: (len(pt[0]), pt[0], pt[1]))
-    return [
-        Path(tuple(frame.worlds[i] for i in prefix), frame.worlds[t])
-        for prefix, t in out
-    ]
+                grown = prefix + (w,)
+                longer.append((grown, (strict[w] | 1 << w) & live))
+                out.extend((grown, t) for t in _bits(strict[w]))
+        level = longer
+    worlds = frame.worlds
+    return [Path(tuple(worlds[i] for i in prefix), worlds[t]) for prefix, t in out]
 
 
 # ---------------------------------------------------------------------------
@@ -238,30 +234,31 @@ def verify_lim_pmorphism(
     checked = 0
     for lvl, moment in enumerate(story.levels):
         frame = moment.frame
+        worlds = frame.worlds
+        succ, pos = frame._succ, {w: i for i, w in enumerate(worlds)}
         paths = enumerate_paths(frame, resolution)
         checked += len(paths)
         lims = [limit(p) for p in paths]
+        seqs = [tuple(pos[w] for w in p.prefix)
+                + (pos[p.tail],) * (resolution + 2 - len(p.prefix)) for p in paths]
 
-        # forth, grouped by shared prefix to avoid the quadratic sweep; a
-        # path y is within 2^-(k+1) of x iff the two sequences agree on the
-        # first k+2 values
-        horizon = resolution + 2
-        seqs = [tuple(p.value(i) for i in range(horizon)) for p in paths]
-        keys = [seqs[idx][: seqs[idx].index(lims[idx]) + 2] for idx in range(len(paths))]
-        by_length: dict[int, dict[tuple, list[int]]] = {}
-        for length in {len(k) for k in keys}:
-            table: dict[tuple, list[int]] = {}
-            for jdx in range(len(paths)):
-                table.setdefault(seqs[jdx][:length], []).append(jdx)
-            by_length[length] = table
+        # forth: a path y is within 2^-(k+1) of x iff the two sequences
+        # agree on the first k+2 values, so x's ball is keyed by that
+        # stretch of its sequence, and every path with the key K has its
+        # limit at K[-2].  One pass over the paths and the key lengths
+        # collects, per key, the members whose limit is not strictly above.
+        keys = [xs[: xs.index(xs[-1]) + 2] for xs in seqs]
+        offenders: dict[tuple[int, ...], list[int]] = {k: [] for k in keys}
+        lengths = {len(k) for k in offenders}
+        for jdx, ys in enumerate(seqs):
+            for length in lengths:
+                key = ys[:length]
+                if key in offenders and not (succ[key[-2]] >> ys[-1]) & 1:
+                    offenders[key].append(jdx)
         for idx, p in enumerate(paths):
             key = keys[idx]
-            li = frame.index(lims[idx])
-            for jdx in by_length[len(key)][key]:
-                if jdx == idx:
-                    continue
-                lj = frame.index(lims[jdx])
-                if not (frame.succ_mask(li) >> lj) & 1:
+            for jdx in offenders[key]:
+                if jdx != idx:
                     violations.append(PathViolation(
                         "forth", lvl,
                         f"{format_path(p)} and {format_path(paths[jdx])} are "
@@ -276,42 +273,30 @@ def verify_lim_pmorphism(
         # is exactly 2^-(n0+1) once the values at n0+1 differ; the checks
         # run on integer exponents, with one full object-level pass per
         # path as a cross-check.
-        index = frame.index
-        worlds = frame.worlds
-        for idx, p in enumerate(paths):
-            t = lims[idx]
-            ti = index(t)
-            xs = seqs[idx]
+        for p, xs in zip(paths, seqs):
+            ti = xs[-1]
             plen = len(p.prefix)
             cross_checked = False
-            for vi in _bits(frame.succ_mask(ti)):
-                v = worlds[vi]
+            for vi in _bits(succ[ti]):
+                if vi != ti:
+                    step_ok, wit_next = (succ[ti] >> vi) & 1, vi
+                else:
+                    wit_next = next(_bits(frame.cluster_mask(ti) & ~(1 << ti)))
+                    step_ok = (succ[ti] >> wit_next) & 1 and (succ[wit_next] >> ti) & 1
                 for k in range(min(plen, resolution), resolution + 1):
                     n0 = max(k, plen)
-                    if v != t:
-                        step_ok = (frame.succ_mask(ti) >> vi) & 1
-                        wit_next = v
-                    else:
-                        cluster = frame.cluster_mask(ti) & ~(1 << ti)
-                        mi = next(_bits(cluster))
-                        step_ok = ((frame.succ_mask(ti) >> mi) & 1
-                                   and (frame.succ_mask(mi) >> ti) & 1)
-                        wit_next = worlds[mi]
                     # distance 2^-(n0+1) lies in (0, 2^-k) iff n0 >= k
                     ok = bool(step_ok) and xs[n0 + 1] != wit_next and n0 >= k
                     if ok and not cross_checked:
-                        stem = xs[: n0 + 1]
-                        witness = (Path(stem, v) if v != t
-                                   else Path(stem + (wit_next,), t))
-                        delta = path_metric(p, witness)
+                        witness = _witness(frame, p, worlds[vi], k)
                         ok = (is_increasing(frame, witness)
-                              and 0 < delta < Fraction(1, 2 ** k)
-                              and limit(witness) == v)
+                              and 0 < path_metric(p, witness) < Fraction(1, 2 ** k)
+                              and limit(witness) == worlds[vi])
                         cross_checked = True
                     if not ok:
                         violations.append(PathViolation(
                             "back", lvl,
-                            f"{format_path(p)}, successor {v!r}, eps=2^-{k}: "
+                            f"{format_path(p)}, successor {worlds[vi]!r}, eps=2^-{k}: "
                             "witness construction failed",
                         ))
 
@@ -372,27 +357,31 @@ def cantor_preconditions(frame: Frame, resolution: int) -> CantorPreconditions:
     nonempty = frame.n > 0
     serial = all(frame.succ_mask(i) for i in range(frame.n))
     fat = _thin_reflexive_cluster(frame) is None
-    perfect = True
-    for p in enumerate_paths(frame, resolution):
-        for k in range(resolution + 1):
-            if _close_neighbour(frame, p, k) is None:
-                perfect = False
-                break
-        if not perfect:
-            break
+    perfect = all(_close_neighbour(frame, p, k) is not None
+                  for p in enumerate_paths(frame, resolution)
+                  for k in range(resolution + 1))
     return CantorPreconditions(nonempty, serial, fat, perfect)
 
 
 def _close_neighbour(frame: Frame, p: Path, k: int) -> Path | None:
     """A distinct path within 2^-k of p, constructed by extending the stem."""
     ti = frame.index(p.tail)
-    n0 = max(k, len(p.prefix))
-    stem = tuple(p.value(i) for i in range(n0 + 1))
     succ = frame.succ_mask(ti)
     for vi in _bits(succ & ~(1 << ti)):
-        return Path(stem, frame.worlds[vi])
+        return _witness(frame, p, frame.worlds[vi], k)
     if (succ >> ti) & 1:
-        cluster = frame.cluster_mask(ti) & ~(1 << ti)
-        for mi in _bits(cluster):
-            return Path(stem + (frame.worlds[mi],), p.tail)
+        return _witness(frame, p, p.tail, k)
+    return None
+
+
+def _witness(frame: Frame, p: Path, v: str, k: int) -> Path | None:
+    """The path that follows p up to index max(k, prefix length) and then
+    has the limit v: it steps to v, or, when v is p's own tail, detours
+    through the first cluster mate of the tail.  None without a mate."""
+    stem = tuple(p.value(i) for i in range(max(k, len(p.prefix)) + 1))
+    if v != p.tail:
+        return Path(stem, v)
+    ti = frame.index(p.tail)
+    for mi in _bits(frame.cluster_mask(ti) & ~(1 << ti)):
+        return Path(stem + (frame.worlds[mi],), p.tail)
     return None

@@ -1,9 +1,11 @@
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
 
+from tanglemc import cli
 from tanglemc.cli import main
 from tanglemc.frame import frame_from_dict
 from tanglemc.semantics import Model, truth_set
@@ -97,6 +99,36 @@ def test_other_malformed_frame_shapes_exit_2(capsys, tmp_path, data):
 def test_deeply_nested_formula_exits_2(capsys, formula):
     code, report = run(capsys, "parse", "--formula", formula)
     assert code == 2 and "nested deeper" in report["error"]
+
+
+@pytest.mark.parametrize("levels", [22, 50])
+def test_nested_dotted_sugar_over_the_node_bound_exits_2(capsys, levels):
+    t0 = time.perf_counter()
+    code, report = run(capsys, "parse", "--formula", "<d.>" * levels + "p")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and "nodes" in report["error"]
+
+
+def test_nested_dotted_sugar_under_the_node_bound_parses(capsys):
+    code, report = run(capsys, "parse", "--formula", "<d.>" * 15 + "p")
+    expected = "p"
+    for level in range(15):
+        expected = f"{expected} | <d>{expected if level == 0 else '(' + expected + ')'}"
+    assert code == 0 and report["size"] == 98_302
+    assert report["canonical"] == expected
+    assert report["next_depth"] == 0 and report["variables"] == ["p"]
+
+
+@pytest.mark.parametrize("error", [RuntimeError("boom"), RecursionError("deep")])
+def test_internal_errors_exit_3(capsys, monkeypatch, error):
+    def fail(text):
+        raise error
+
+    monkeypatch.setattr(cli, "parse", fail)
+    code, report = run(capsys, "parse", "--formula", "p")
+    assert code == 3
+    assert report["command"] == "parse"
+    assert report["error"] == f"internal error: {type(error).__name__}: {error}"
 
 
 def _chain_with(level=None, **top):

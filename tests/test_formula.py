@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from tanglemc.formula import (
     MAX_NESTING,
+    MAX_NODES,
     And,
     Box,
     Diamond,
@@ -13,6 +14,7 @@ from tanglemc.formula import (
     ParseError,
     Tangle,
     Var,
+    _Parser,
     bot,
     children,
     next_depth,
@@ -104,6 +106,26 @@ def test_nesting_bound_counts_expanded_sugar():
     wide = "<t.>{" + ", ".join(f"p{i}" for i in range(400)) + "}"
     with pytest.raises(ParseError, match="nested deeper"):
         parse(wide)
+
+
+@pytest.mark.parametrize("text", [
+    "<d.>p", "[d.]<d.>~p", "<t.>{p, q}", "<t.>{p, p, <d.>q}", "<t>{q, p, q}",
+    "T & F -> <t.>{[d.]T, O p}", "<d.>(p | <t.>{p, <d.>p}) & [d.](q -> F)",
+])
+def test_parser_counts_the_expanded_nodes(text):
+    phi, _, nodes = _Parser(text).implies()
+    assert nodes == size(phi)
+
+
+def test_node_bound():
+    # 15 nested <d.> expand to 98,302 nodes; a tangle fills up the rest
+    chain = "<d.>" * 15 + "p & <t>{"
+    names = [f"p{i}" for i in range(MAX_NODES - 98_302 - 2)]
+    assert size(parse(chain + ", ".join(names) + "}")) == MAX_NODES
+    # equal tangle arguments are merged, so a repeated one adds no node
+    parse(chain + ", ".join(names + ["p0"]) + "}")
+    with pytest.raises(ParseError, match="nodes"):
+        parse(chain + ", ".join(names + ["q"]) + "}")
 
 
 def test_empty_tangle_constructor_rejected():

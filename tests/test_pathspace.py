@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tanglemc.frame import duplicate_reflexive
+from tanglemc.frame import Frame, duplicate_reflexive
 from tanglemc.pathspace import (
     Path,
     build_limit_assignment,
@@ -20,6 +20,7 @@ from tanglemc.pathspace import (
 from tanglemc.semantics import Model, truth_set
 from tanglemc.logic import random_formula
 from tanglemc.story import (
+    Moment,
     Story,
     moment_from_frame,
     random_story,
@@ -88,6 +89,52 @@ def test_enumerated_paths_are_canonical_increasing_and_unique():
             for a, b in zip(seq, seq[1:]):
                 assert a == b or (frame.succ_mask(frame.index(a))
                                   >> frame.index(b)) & 1
+
+
+def brute_force_paths(frame, bound):
+    """Every canonical increasing sequence, sorted by prefix length, prefix
+    indices and tail index."""
+    def related(a, b):
+        return a == b or (frame.succ_mask(a) >> b) & 1
+
+    out = []
+    for length in range(bound + 1):
+        for prefix in itertools.product(range(frame.n), repeat=length):
+            for t in range(frame.n):
+                seq = prefix + (t,)
+                if (not prefix or prefix[-1] != t) and all(
+                        related(a, b) for a, b in zip(seq, seq[1:])):
+                    out.append((length, prefix, t))
+    out.sort()
+    return [Path(tuple(frame.worlds[i] for i in prefix), frame.worlds[t])
+            for _, prefix, t in out]
+
+
+def test_enumerate_paths_matches_brute_force():
+    rng = random.Random(21)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        succ = [sum(1 << j for j in range(n) if rng.random() < 0.4) for _ in range(n)]
+        frame = Frame([f"w{i}" for i in range(n)], succ, list(range(n)))
+        for bound in range(4):
+            assert enumerate_paths(frame, bound) == brute_force_paths(frame, bound)
+
+
+def test_enumerate_paths_on_a_long_chain():
+    chain = Frame(["a", "b"], [0b10, 0], [0, 1])
+    paths = enumerate_paths(chain, 3000)
+    assert len(paths) == 3002
+    assert paths[-1] == Path(("a",) * 3000, "b")
+
+
+def test_verify_reports_forth_on_a_non_transitive_frame():
+    # r -> u -> v without r -> v, built directly: validation would refuse it
+    frame = Frame(["r", "u", "v"], [0b010, 0b100, 0], [0, 1, 2])
+    story = Story((Moment(frame, "r", {}),), (), immersive=True)
+    report = verify_lim_pmorphism(story, build_limit_assignment(story), 3)
+    assert [(v.kind, v.level, v.message) for v in report.violations] == [
+        ("forth", 0, ";r and r,r,u;v are 2^-2-close but 'r' is not strictly below 'v'"),
+    ]
 
 
 def _metric_axioms(frame, bound):

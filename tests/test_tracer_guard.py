@@ -2,11 +2,14 @@
 checks that every one of them still exists and is restored afterwards."""
 
 import importlib.util
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 from tanglemc import cli, formula, frame, logic, pathspace, semantics, story
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -33,3 +36,19 @@ def test_tracer_installs_and_restores_every_boundary():
     finally:
         rec.uninstall()
     assert _namespaces() == before
+
+
+def test_traced_pathspace_verify_records_enumeration():
+    tracer = _load_tracer()
+    rec = tracer.Recorder()
+    try:
+        tracer.install(rec)
+        with redirect_stdout(StringIO()):
+            code = cli.main(["pathspace-verify", "--frame",
+                             str(ROOT / "demos" / "f1_oplus.frame.json")])
+    finally:
+        rec.uninstall()
+    assert code == 0
+    # the verifier reaches enumeration through the wrapped module global
+    assert rec.totals["pathspace.verify"][0] == 1
+    assert rec.totals["pathspace.enumerate"][0] == 1
