@@ -209,11 +209,7 @@ def _cmd_pathspace_verify(args) -> int:
     report = pathspace.verify_lim_pmorphism(st, assignment, args.resolution)
     out = _report("pathspace-verify", input=source, **report.to_dict())
     if args.dump_paths:
-        out["paths"] = [
-            pathspace.format_path(p)
-            for m in st.levels
-            for p in pathspace.enumerate_paths(m.frame, args.resolution)
-        ]
+        out["paths"] = [pathspace.format_path(p) for p in report.paths]
     _emit(out)
     return 0 if report.ok else 1
 

@@ -196,17 +196,26 @@ def _transitivity_witness(succ: Sequence[int]) -> tuple[int, int] | None:
     return None
 
 
+def _image_ranges(tgt_succ: Sequence[int], strict: bool) -> list[int]:
+    """Per target world a, the images a (strictly) monotone map may give a
+    successor of a world it sends to a: the successors of a, and a itself
+    when not strict."""
+    if strict:
+        return list(tgt_succ)
+    return [m | 1 << a for a, m in enumerate(tgt_succ)]
+
+
 def _monotone_witness(
     src_succ: Sequence[int], tgt_succ: Sequence[int], func: Sequence[int], strict: bool
 ) -> tuple[int, int] | None:
     """First source pair w R v, in world then successor order, whose images
     are not related (strict), or are distinct and unrelated (not strict);
     None when the map is (strictly) monotone."""
+    ranges = _image_ranges(tgt_succ, strict)
     for w in range(len(src_succ)):
-        fw = func[w]
+        allowed = ranges[func[w]]
         for v in _bits(src_succ[w]):
-            fv = func[v]
-            if not (tgt_succ[fw] >> fv) & 1 and (strict or fw != fv):
+            if not allowed >> func[v] & 1:
                 return w, v
     return None
 
@@ -278,6 +287,8 @@ def validate_frame(
 
 def frame_from_dict(data: Mapping, close_transitively: bool = False) -> tuple[Frame, dict[str, frozenset[str]]]:
     """Read the frame file format; returns the frame and its valuation."""
+    if not isinstance(data, Mapping):
+        raise FrameError("frame file must hold a JSON object")
     for key in ("worlds", "rel", "func"):
         if key not in data:
             raise FrameError(f"frame file is missing {key!r}")

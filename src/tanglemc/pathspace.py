@@ -35,7 +35,7 @@ from .frame import Frame, _bits
 from .story import Story, StoryError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """Canonical eventually-constant path: prefix then tail forever."""
 
@@ -177,8 +177,12 @@ class PathViolation:
 class PathVerifyReport:
     resolution: int
     levels: int
-    paths_checked: int
+    paths: tuple[Path, ...]  # every level's enumerated paths, level by level
     violations: tuple[PathViolation, ...]
+
+    @property
+    def paths_checked(self) -> int:
+        return len(self.paths)
 
     @property
     def ok(self) -> bool:
@@ -231,13 +235,13 @@ def verify_lim_pmorphism(
     """
     _require_fat_clusters(story)
     violations: list[PathViolation] = []
-    checked = 0
+    checked: list[Path] = []
     for lvl, moment in enumerate(story.levels):
         frame = moment.frame
         worlds = frame.worlds
         succ, pos = frame._succ, {w: i for i, w in enumerate(worlds)}
         paths = enumerate_paths(frame, resolution)
-        checked += len(paths)
+        checked += paths
         lims = [limit(p) for p in paths]
         seqs = [tuple(pos[w] for w in p.prefix)
                 + (pos[p.tail],) * (resolution + 2 - len(p.prefix)) for p in paths]
@@ -334,7 +338,7 @@ def verify_lim_pmorphism(
                         f"world is {image_least!r}",
                     ))
                     break
-    return PathVerifyReport(resolution, len(story.levels), checked, tuple(violations))
+    return PathVerifyReport(resolution, len(story.levels), tuple(checked), tuple(violations))
 
 
 @dataclass(frozen=True)

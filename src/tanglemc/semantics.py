@@ -8,19 +8,25 @@ alongside: a literal union over all subsets (exponential, guarded), and a
 characterisation through reflexive clusters meeting every S_i.
 
 Formulas are compiled once per frame into closures that evaluate a block
-of ``lanes`` valuations at once.  A truth set is one int of ``n * lanes``
-bits grouped by world: world w owns bits ``[w*lanes, (w+1)*lanes)``, one
-bit per valuation.  With one lane this is the plain world mask, and <d>
-runs on the frame's sparse predecessor masks.  With more lanes, <d> ORs the
-lane groups of each world's successors and O gathers the group of each
-world's image; the Boolean connectives stay single int operations, and the
-tangle is the same fixed-point loop run on the packed ints, where every
+of ``lanes`` models at once.  A truth set is one int of ``n * lanes`` bits
+grouped by world: world w owns bits ``[w*lanes, (w+1)*lanes)``, one bit
+per lane.  With one lane this is the plain world mask, and <d> runs on the
+frame's sparse predecessor masks.  With more lanes, <d> ORs the lane
+groups of each world's successors, and O takes each world's bits from the
+group of its image.  The lanes fall into map slots of equal width, each
+with its own map on the frame's relation; by default one slot holds the
+frame's own map.  The Boolean connectives stay single int operations, and
+the tangle is the same fixed-point loop run on the packed ints, where every
 lane converges on its own.
 
 Validity sweeps run in blocks of lanes and keep the canonical order of a
 one-valuation-at-a-time loop: exhaustive mode counts valuation codes
 upwards, sampled mode draws from the seed in the same order, and the first
-failing lane of the first failing block is the reported countermodel.
+failing lane of the first failing block is the reported countermodel.  The
+exhaustive sweep also takes several maps of one relation, relation-major:
+each slot runs the same valuation codes under its map, so a pass covers as
+many maps as fit in 2^12 lanes, and the lowest failing lane names the map
+and the valuation that come first in (map, valuation code) order.
 """
 
 from __future__ import annotations
@@ -103,10 +109,13 @@ class Verdict:
 
 
 class Evaluator:
-    """Compiles formulas against one frame; a call evaluates `lanes` valuations.
+    """Compiles formulas against one frame; a call evaluates `lanes` models.
 
     Truth sets are ints of ``n * lanes`` bits grouped by world: world w owns
-    bits ``[w*lanes, (w+1)*lanes)``, one bit per valuation.
+    bits ``[w*lanes, (w+1)*lanes)``, one bit per lane.  A lane is a
+    valuation under a map: :meth:`place_maps` splits the lanes into map
+    slots, and O reads each slot's own map.  Until then one slot holds the
+    frame's map; with one lane O always reads it, on sparse masks.
     """
 
     def __init__(self, frame: Frame, lanes: int = 1):
@@ -127,6 +136,20 @@ class Evaluator:
             self._succ = [tuple(_bits(frame.succ_mask(w))) for w in range(n)]
             self.down = self._down_lanes
             self.preimage = self._preimage_lanes
+            self.place_maps([self._func])
+
+    def place_maps(self, maps: Sequence[Sequence[int]]) -> None:
+        """Split the lanes into ``len(maps)`` equal runs, the map slots, and
+        let O read ``maps[j]`` in slot j (more than one lane only)."""
+        n = self.frame.n
+        width = self.lanes // len(maps)
+        slot = (1 << width) - 1
+        images = [[0] * n for _ in range(n)]
+        for j, func in enumerate(maps):
+            lanes = slot << (j * width)
+            for w, v in enumerate(func):
+                images[w][v] |= lanes
+        self._images = [[(v, m) for v, m in enumerate(row) if m] for row in images]
 
     def _preimage_sparse(self, mask: int) -> int:
         out = 0
@@ -152,12 +175,16 @@ class Evaluator:
         return out
 
     def _preimage_lanes(self, mask: int) -> int:
-        """Each world gets the lane group of its image."""
+        """Each world gets, in every map slot, the lanes of its image's group
+        under that slot's map: n^2 steps at most, whatever the map count."""
         groups = self._groups(mask)
         lanes = self.lanes
         out = 0
-        for fw in reversed(self._func):
-            out = (out << lanes) | groups[fw]
+        for images in reversed(self._images):
+            acc = 0
+            for v, slots in images:
+                acc |= groups[v] & slots
+            out = (out << lanes) | acc
         return out
 
     def _lane(self, mask: int, lane: int) -> int:
@@ -287,17 +314,18 @@ def tangled_oracle_clusters(frame: Frame, sets: Sequence[Iterable[str]]) -> froz
 
 
 @lru_cache(maxsize=64)
-def _block_layout(n: int, count: int, lane_bits: int):
+def _block_layout(n: int, count: int, lane_bits: int, slots: int):
     """What :func:`_exhaustive_blocks` needs: the lane patterns of the low
     code bits per variable, and (variable, world group) of each high bit."""
-    lanes = 1 << lane_bits
+    lanes = slots << lane_bits
     group = (1 << lanes) - 1
     base = [0] * count
     high = []
     for b in range(n * count):
         i, w = divmod(b, n)
         if b < lane_bits:
-            # bit b of the lane number: runs of 2^b clear lanes, then 2^b set
+            # bit b of the lane number, which is bit b of the code in every
+            # slot: runs of 2^b clear lanes, then 2^b set
             run = 1 << b
             pattern = group // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
             base[i] |= pattern << (w * lanes)
@@ -306,12 +334,13 @@ def _block_layout(n: int, count: int, lane_bits: int):
     return tuple(base), tuple(high)
 
 
-def _exhaustive_blocks(n: int, count: int, lane_bits: int):
+def _exhaustive_blocks(n: int, count: int, lane_bits: int, slots: int):
     """Lane-packed masks of `count` variables, one list per block of
-    2^lane_bits valuation codes in ascending order.  Bit i*n + w of a code
-    puts world w in variable i: below `lane_bits` it is a fixed pattern
-    across the lanes, above it all-ones or zero for the whole block."""
-    base, high = _block_layout(n, count, lane_bits)
+    2^lane_bits valuation codes in ascending order, repeated in each of
+    `slots` map slots.  Bit i*n + w of a code puts world w in variable i:
+    below `lane_bits` it is a fixed pattern across the lanes, above it
+    all-ones or zero for the whole block."""
+    base, high = _block_layout(n, count, lane_bits, slots)
     for block in range(1 << len(high)):
         masks = list(base)
         for j, (i, m) in enumerate(high):
@@ -347,21 +376,42 @@ def _sample_block(rng: random.Random, n: int, count: int, lanes: int) -> list[in
 
 
 def exhaustive_sweep(
-    frame: Frame, phi: Formula, variables: Sequence[str]
-) -> tuple[int, Countermodel | None]:
+    frame: Frame, phi: Formula, variables: Sequence[str],
+    maps: Sequence[Sequence[int]] | None = None,
+) -> tuple[int, int | None, Countermodel | None]:
     """Evaluate phi under every valuation of `variables` (sorted, covering
-    those of phi), in blocks of 2^min(bits, 12) ascending valuation codes.
-    Returns the number of valuations checked up to and including the first
-    refutation, and that refutation (None when phi is valid on the frame)."""
-    lane_bits = min(frame.n * len(variables), _BLOCK_BITS)
-    ev = Evaluator(frame, 1 << lane_bits)
+    those of phi) and every map of `maps` on the frame's relation, maps
+    outermost and valuation codes ascending.  `maps` defaults to the
+    frame's own map, which must be ``maps[0]`` when they are given.
+
+    A pass is one evaluator call on 2^min(bits, 12) codes in each of as
+    many map slots as fit in 2^12 lanes; past 12 bits a pass holds one map
+    and its codes take 2^(bits - 12) passes.  The first failing lane of the
+    first failing pass is the first refutation in that order.  Returns the
+    number of valuations checked up to and including it, the index of its
+    map and the refutation (None twice when phi is valid under every map).
+    """
+    n, count = frame.n, len(variables)
+    bits = n * count
+    lane_bits = min(bits, _BLOCK_BITS)
+    total = 1 if maps is None else len(maps)
+    slots = min(total, 1 << (_BLOCK_BITS - lane_bits))
+    ev = Evaluator(frame, slots << lane_bits)
     fn = ev.compile(phi)
-    for block, masks in enumerate(_exhaustive_blocks(frame.n, len(variables), lane_bits)):
-        env = dict(zip(variables, masks))
-        hit = ev.refutation(fn(env), env, variables)
-        if hit is not None:
-            return (block << lane_bits) + hit[0] + 1, hit[1]
-    return (block + 1) << lane_bits, None
+    for first in range(0, total, slots):
+        if total > 1:
+            chunk = maps[first:first + slots]
+            # a short last chunk repeats its last map: a repeat fails only
+            # after the lanes of its original, so it never reports first
+            ev.place_maps(chunk + chunk[-1:] * (slots - len(chunk)))
+        for block, masks in enumerate(_exhaustive_blocks(n, count, lane_bits, slots)):
+            env = dict(zip(variables, masks))
+            hit = ev.refutation(fn(env), env, variables)
+            if hit is not None:
+                slot, code = divmod(hit[0], 1 << lane_bits)
+                index = first + slot
+                return (index << bits) + (block << lane_bits) + code + 1, index, hit[1]
+    return total << bits, None, None
 
 
 def sampled_sweep(
@@ -419,7 +469,7 @@ def valid_on_frame(
             raise ValueError(
                 f"exhaustive validity needs |worlds|*|vars| <= {EXHAUSTIVE_BITS_LIMIT}, got {bits}"
             )
-        checked, cm = exhaustive_sweep(frame, phi, variables)
+        checked, _, cm = exhaustive_sweep(frame, phi, variables)
         return Verdict(cm is None, mode, checked, cm)
     if mode == "sampled":
         if samples < 1:

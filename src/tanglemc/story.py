@@ -501,6 +501,9 @@ def _transform_moment(rng: random.Random, m: Moment, fresh_prefix: str,
     return go(m.root)
 
 
+LEVEL_TRIES = 10_000  # random levels drawn for one story level before giving up
+
+
 def random_story(
     rng: random.Random,
     duration: int,
@@ -514,28 +517,36 @@ def random_story(
 
     Defaults keep levels small with singleton clusters, so that path
     enumeration over the reflexive duplication stays desk-scale; pass
-    `allow_clusters` for proper multi-world clusters.
+    `allow_clusters` for proper multi-world clusters.  Each level is drawn
+    until it has at most `max_level_worlds` worlds (and is serial when
+    asked); ValueError when ``LEVEL_TRIES`` draws of one level all fail.
     """
-    while True:
+
+    def fits(m: Moment) -> bool:
+        return len(m.worlds) <= max_level_worlds and (not serial or _moment_serial(m))
+
+    failed = (f"no {'serial ' if serial else ''}story level of at most "
+              f"{max_level_worlds} worlds in {LEVEL_TRIES} draws")
+    for _ in range(LEVEL_TRIES):
         first = random_moment(rng, depth=2, variables=variables, prefix="a",
                               allow_clusters=allow_clusters)
-        if len(first.worlds) <= max_level_worlds and (
-            not serial or _moment_serial(first)
-        ):
+        if fits(first):
             break
+    else:
+        raise ValueError(failed)
     levels = [first]
     maps = []
     for i in range(duration):
         if immersive:
             nxt, fmap = _copy_moment(levels[-1], f"l{i + 1}_")
         else:
-            while True:
+            for _ in range(LEVEL_TRIES):
                 nxt, fmap = _transform_moment(rng, levels[-1], f"l{i + 1}_",
                                               allow_clusters=allow_clusters)
-                if len(nxt.worlds) <= max_level_worlds and (
-                    not serial or _moment_serial(nxt)
-                ):
+                if fits(nxt):
                     break
+            else:
+                raise ValueError(failed)
         levels.append(nxt)
         maps.append(fmap)
     return validate_story(Story(tuple(levels), tuple(maps), immersive=False).to_dict())

@@ -1,9 +1,13 @@
 import json
 import os
+import tempfile
 import time
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tanglemc import cli
 from tanglemc.cli import main
@@ -83,6 +87,9 @@ def test_valuation_that_is_a_string_exits_2(capsys, tmp_path):
     {"worlds": ["a"], "rel": [5], "func": {"a": "a"}},
     {"worlds": ["a"], "rel": [], "func": {"a": "a"}, "valuation": 5},
     {"worlds": ["a"], "rel": [], "func": {"a": ["a"]}},
+    None,
+    5,
+    "worlds, rel and func",
 ])
 def test_other_malformed_frame_shapes_exit_2(capsys, tmp_path, data):
     f = tmp_path / "bad.frame.json"
@@ -315,3 +322,97 @@ def test_wheel_demo_is_monotone_and_rotates():
     assert truth_set(m, parse("<t>{p}")) == set(frame.worlds)
     spokes = Model(frame, {"s": {f"spoke{i}" for i in range(4)}})
     assert truth_set(spokes, parse("<t>{s}")) == frozenset()
+
+
+# -- fuzzing the input boundary ------------------------------------------------
+
+_NAMES = st.sampled_from(["a", "b", "c", "a'"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3) | _NAMES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3) | _NAMES, inner, max_size=3),
+    max_leaves=8,
+)
+_WORLDS = st.lists(_NAMES, max_size=3) | _JSON
+_PAIRS = st.lists(st.lists(_NAMES, min_size=1, max_size=3) | _JSON, max_size=4)
+_VALUATION = st.dictionaries(st.sampled_from(["p", "q"]), st.lists(_NAMES, max_size=3)) | _JSON
+_FRAME = st.fixed_dictionaries(
+    {"worlds": _WORLDS, "rel": _PAIRS, "func": st.dictionaries(_NAMES, _NAMES) | _JSON},
+    optional={"valuation": _VALUATION},
+)
+_LEVEL = st.fixed_dictionaries(
+    {"worlds": _WORLDS, "rel": _PAIRS, "root": _NAMES | _JSON, "valuation": _VALUATION},
+)
+_STORY = st.fixed_dictionaries(
+    {"levels": st.lists(_LEVEL, max_size=3) | _JSON},
+    optional={"maps": st.lists(st.dictionaries(_NAMES, _NAMES) | _JSON, max_size=2)},
+)
+_TOKENS = ["p", "q", "T", "F", "~", "&", "|", "->", "O", "<d>", "[d]", "<d.>",
+           "[d.]", "<t>", "<t.>", "{", "}", ",", "(", ")"]
+_FORMULA = (st.lists(st.sampled_from(_TOKENS), max_size=12).map(" ".join)
+            | st.text(max_size=10))
+_SMALL = st.integers(-1, 3).map(str)
+
+# the report field that carries the verdict of each command that can exit 1
+_REFUTED = {
+    "check": lambda r: r["holds"] is False,
+    "validity": lambda r: r["valid"] is False,
+    "axioms": lambda r: bool(r["violations"]),
+    "search": lambda r: r["verdict"] == "countermodel",
+    "story-validate": lambda r: r["valid"] is False,
+    "pathspace-verify": lambda r: bool(r["violations"]),
+}
+
+
+@st.composite
+def _command(draw, path):
+    """A CLI command line over an input file that the caller writes."""
+    command = draw(st.sampled_from([
+        "parse", "check", "validity", "axioms", "search", "story-validate",
+        "story-class", "oplus", "pathspace-verify",
+    ]))
+    story = command.startswith("story") or (
+        command in ("oplus", "pathspace-verify") and draw(st.booleans()))
+    data = draw(_STORY if story else _FRAME | _JSON)
+    argv = [command, f"--story={path}" if story else f"--frame={path}"]
+    logic = f"--logic={draw(st.sampled_from(['K4C', 'K4DC', 'K4I', 'K4DI']))}"
+    formula = f"--formula={draw(_FORMULA)}"
+    if command == "parse":
+        argv = [command, formula]
+    elif command == "axioms":
+        argv = [command, logic, f"--trials={draw(_SMALL)}",
+                f"--max-worlds={draw(_SMALL)}", f"--samples={draw(_SMALL)}",
+                f"--mode={draw(st.sampled_from(['exhaustive', 'sampled']))}"]
+    elif command == "search":
+        worlds = draw(st.sampled_from(["-1", "0", "1", "2", "9"]))
+        argv = [command, logic, formula, f"--max-worlds={worlds}",
+                f"--max-duration={draw(_SMALL)}", f"--samples={draw(_SMALL)}"]
+    elif command == "check":
+        argv += [formula] + draw(st.sampled_from([[], [f"--world={draw(_NAMES)}"]]))
+    elif command == "validity":
+        argv += [formula, f"--samples={draw(_SMALL)}",
+                 f"--mode={draw(st.sampled_from(['exhaustive', 'sampled']))}"]
+    elif command == "pathspace-verify":
+        argv += [f"--resolution={draw(_SMALL)}"]
+        argv += draw(st.sampled_from([[], ["--dump-paths"]]))
+    if not story and command not in ("parse", "axioms", "search") and draw(st.booleans()):
+        argv.append("--close-transitively")
+    return data, argv
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_fuzzed_inputs_exit_0_1_or_2(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        content, argv = data.draw(_command(path))
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(content, fh)
+        out = StringIO()
+        with redirect_stdout(out):
+            code = main(argv)
+    report = json.loads(out.getvalue())
+    assert code in (0, 1, 2), (argv, content, report)
+    assert ("error" in report) == (code == 2), (argv, content, report)
+    if code == 1:
+        assert _REFUTED[argv[0]](report), (argv, content, report)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tanglemc import story as story_mod
 from tanglemc.frame import check_frame_pmorphism, duplicate_reflexive
 from tanglemc.story import (
     StoryError,
@@ -232,6 +233,33 @@ def test_assembled_frame_is_monotone_and_immersive_when_story_is():
     imm = random_story(random.Random(5), 2, immersive=True)
     assert imm.immersive
     assert imm.assembled()[0].classify().strictly_monotonic
+
+
+def test_random_story_gives_up_after_level_tries(monkeypatch):
+    monkeypatch.setattr(story_mod, "LEVEL_TRIES", 20)
+    # no level has zero worlds: the first level's draws run out
+    with pytest.raises(ValueError, match="at most 0 worlds in 20 draws"):
+        random_story(random.Random(0), 1, max_level_worlds=0)
+    # with two draws per level, some one-world story runs out at a later level
+    monkeypatch.setattr(story_mod, "LEVEL_TRIES", 2)
+    prefixes = []
+    transform = story_mod._transform_moment
+
+    def counted(rng, m, prefix, **kwargs):
+        prefixes.append(prefix)
+        return transform(rng, m, prefix, **kwargs)
+
+    monkeypatch.setattr(story_mod, "_transform_moment", counted)
+    for seed in range(100):
+        prefixes.clear()
+        try:
+            random_story(random.Random(seed), 3, max_level_worlds=1)
+        except ValueError:
+            if prefixes:
+                break
+    else:
+        pytest.fail("no seed ran out of draws at a later level")
+    assert prefixes.count(prefixes[-1]) == 2
 
 
 def test_story_oplus_yields_story_with_fat_clusters():

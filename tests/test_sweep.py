@@ -16,8 +16,8 @@ from tanglemc.formula import (
 )
 from tanglemc.frame import Frame, _monotone_witness, random_transitive_frame
 from tanglemc.logic import (
-    LOGICS, _transitive_succs, countermodel_search, random_class_frame,
-    random_formula,
+    LOGICS, _monotone_maps, _transitive_succs, countermodel_search,
+    random_class_frame, random_formula,
 )
 from tanglemc import semantics
 from tanglemc.semantics import Countermodel, Verdict, valid_on_frame
@@ -154,29 +154,76 @@ def test_sampled_dense_frame_turns_from_one_lane_to_packed(monkeypatch):
     assert set(widths) >= {1, 75} and all(w == 1 or w >= 75 for w in widths)
 
 
+def brute_transitive_succs(n):
+    """Every transitive relation on n worlds, from a scan of all 2^(n*n)
+    relation codes in ascending order."""
+    full = (1 << n) - 1
+    out = []
+    for code in range(1 << (n * n)):
+        succ = [(code >> (i * n)) & full for i in range(n)]
+        if all(not succ[v] & ~succ[w]
+               for w in range(n) for v in range(n) if succ[w] >> v & 1):
+            out.append(succ)
+    return out
+
+
+def brute_monotone_maps(succ, strict):
+    n = len(succ)
+    return [func for func in itertools.product(range(n), repeat=n)
+            if _monotone_witness(succ, succ, func, strict) is None]
+
+
+def test_transitive_relations_match_brute_force():
+    for n, count in enumerate((1, 2, 13, 171, 3994)):
+        relations = list(_transitive_succs(n))
+        assert len(relations) == count
+        assert relations == brute_transitive_succs(n)
+
+
+def test_monotone_maps_match_brute_force():
+    for n in range(1, 5):
+        relations = brute_transitive_succs(n)
+        for succ in relations if n < 4 else relations[::7]:
+            for strict in (False, True):
+                assert _monotone_maps(succ, strict) == brute_monotone_maps(succ, strict)
+
+
 def oracle_search(phi, logic, max_worlds):
     frames = vals = 0
     for n in range(1, max_worlds + 1):
         worlds = [f"w{i}" for i in range(n)]
-        for succ in _transitive_succs(n):
+        for succ in brute_transitive_succs(n):
             if logic.serial and not all(succ):
                 continue
-            for func in itertools.product(range(n), repeat=n):
-                if _monotone_witness(succ, succ, func, logic.strict) is None:
-                    frame = Frame(worlds, succ, func)
-                    frames += 1
-                    checked, cm = oracle_sweep(frame, phi, exhaustive_envs(frame, phi))
-                    vals += checked
-                    if cm is not None:
-                        return frames, vals, frame, cm.valuation, cm.world
+            for func in brute_monotone_maps(succ, logic.strict):
+                frame = Frame(worlds, succ, func)
+                frames += 1
+                checked, cm = oracle_sweep(frame, phi, exhaustive_envs(frame, phi))
+                vals += checked
+                if cm is not None:
+                    return frames, vals, frame, cm.valuation, cm.world
     return frames, vals, None, None, None
 
 
 def test_exhaustive_search_matches_oracle_at_three_worlds():
-    for logic, text in (("K4C", "[d]p -> [d][d]p"), ("K4DC", "<t>{O p} -> O <t>{p}"),
-                        ("K4C", "<d>O p -> O <d>p"), ("K4I", "<t>{O p} -> O <t>{p}"),
-                        ("K4DI", "[d](p | q) -> [d]p | [d]q")):
+    # A relation's maps share passes of 2^12 lanes, 2^(worlds * variables)
+    # lanes each.  "O p -> O O O p" holds under every map of at most two
+    # worlds and first fails under the second map, (0, 0, 1), of the empty
+    # relation on three worlds; with 2, 3 and 4 variables that map sits in
+    # a pass of 27, 8 and 1 maps.  The last case searches two worlds only:
+    # at 14 bits a map takes four passes, and it first fails under the
+    # swap, the third map of the empty relation, in its second pass.
+    for logic, text, worlds in (
+        ("K4C", "[d]p -> [d][d]p", 3), ("K4DC", "<t>{O p} -> O <t>{p}", 3),
+        ("K4C", "<d>O p -> O <d>p", 3), ("K4I", "<t>{O p} -> O <t>{p}", 3),
+        ("K4DI", "[d](p | q) -> [d]p | [d]q", 3),
+        ("K4C", "O p -> O O O p", 3),
+        ("K4I", "O (p | q) -> O O O p | O O O q", 3),
+        ("K4C", "O p & q -> O O O p | r", 3),
+        ("K4C", "O (p & q) & r -> O O O (p & q) | s", 3),
+        ("K4C", "O p & q & r & s & t & u & v -> O O p", 2),
+    ):
         phi = parse(text)
-        result = countermodel_search(phi, logic, max_worlds=3)
+        result = countermodel_search(phi, logic, max_worlds=worlds)
         assert (result.frames_checked, result.valuations_checked, result.frame,
-                result.valuation, result.world) == oracle_search(phi, LOGICS[logic], 3)
+                result.valuation, result.world) == oracle_search(phi, LOGICS[logic], worlds)

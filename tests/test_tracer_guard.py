@@ -40,15 +40,17 @@ def test_tracer_installs_and_restores_every_boundary():
 
 def test_traced_pathspace_verify_records_enumeration():
     tracer = _load_tracer()
-    rec = tracer.Recorder()
-    try:
-        tracer.install(rec)
-        with redirect_stdout(StringIO()):
-            code = cli.main(["pathspace-verify", "--frame",
-                             str(ROOT / "demos" / "f1_oplus.frame.json")])
-    finally:
-        rec.uninstall()
-    assert code == 0
-    # the verifier reaches enumeration through the wrapped module global
-    assert rec.totals["pathspace.verify"][0] == 1
-    assert rec.totals["pathspace.enumerate"][0] == 1
+    for extra in ([], ["--dump-paths", "--resolution", "10"]):
+        rec = tracer.Recorder()
+        try:
+            tracer.install(rec)
+            with redirect_stdout(StringIO()):
+                code = cli.main(["pathspace-verify", "--frame",
+                                 str(ROOT / "demos" / "f1_oplus.frame.json"), *extra])
+        finally:
+            rec.uninstall()
+        assert code == 0
+        # the verifier reaches enumeration through the wrapped module global,
+        # and the dump prints the verifier's paths instead of enumerating again
+        assert rec.totals["pathspace.verify"][0] == 1
+        assert rec.totals["pathspace.enumerate"][0] == 1
