@@ -6,6 +6,14 @@ represented as bit masks over that order, which keeps the fixed-point and
 valuation-enumeration loops cheap.  Reflexive loops are stored explicitly
 in the relation; the reflexive closure is always computed, never stored.
 Frames are immutable after construction.
+
+On a finite frame the derivative <d>A is the set of worlds with a
+successor in A, so <d>, the predecessor masks and the transitivity check
+depend on a world's successor row alone.  A frame groups its worlds into
+row classes, one per distinct successor row, and computes these once per
+class instead of once per world: layered frames of a thousand worlds have
+a handful of rows (the quotient by equal rows is the first step of Paige
+and Tarjan's partition refinement).
 """
 
 from __future__ import annotations
@@ -34,31 +42,41 @@ def _bits(mask: int):
 
 
 class Frame:
-    """Immutable frame; build via :func:`validate_frame` or the generators."""
+    """Immutable frame; build via :func:`validate_frame` or the generators.
 
-    __slots__ = ("worlds", "_index", "_succ", "_pred", "_func", "full_mask")
+    Besides the successor and predecessor masks a frame keeps its row
+    classes: ``(row, members)`` pairs, one per distinct successor row in
+    order of first occurrence, where ``members`` is the mask of the worlds
+    with that row.  :meth:`down_mask` ORs the member masks of the classes
+    whose row meets its argument, or the predecessor masks of the
+    argument's worlds when it has fewer worlds than the frame has classes,
+    so it takes min(|mask|, classes) steps.
+    """
 
-    def __init__(
-        self,
-        worlds: Sequence[str],
-        succ: Sequence[int],
-        func: Sequence[int],
-        pred: Sequence[int] | None = None,
-    ):
+    __slots__ = ("worlds", "_index", "_succ", "_pred", "_classes", "_func", "full_mask")
+
+    def __init__(self, worlds: Sequence[str], succ: Sequence[int], func: Sequence[int]):
         ws = tuple(worlds)
-        n = len(ws)
-        if pred is None:
-            p = [0] * n
-            for w, m in enumerate(succ):
-                for v in _bits(m):
-                    p[v] |= 1 << w
-            pred = p
+        succ = tuple(succ)
+        members: dict[int, int] = {}
+        bit = 1
+        for row in succ:
+            members[row] = members.get(row, 0) | bit
+            bit <<= 1
+        classes = tuple(members.items())
+        pred = [0] * len(ws)
+        for row, m in classes:
+            while row:  # _bits inlined: frames are built per relation in a search
+                lsb = row & -row
+                pred[lsb.bit_length() - 1] |= m
+                row ^= lsb
         object.__setattr__(self, "worlds", ws)
         object.__setattr__(self, "_index", {w: i for i, w in enumerate(ws)})
-        object.__setattr__(self, "_succ", tuple(succ))
+        object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_pred", tuple(pred))
+        object.__setattr__(self, "_classes", classes)
         object.__setattr__(self, "_func", tuple(func))
-        object.__setattr__(self, "full_mask", (1 << n) - 1)
+        object.__setattr__(self, "full_mask", (1 << len(ws)) - 1)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("frames are immutable")
@@ -107,6 +125,11 @@ class Frame:
     def pred_mask(self, i: int) -> int:
         return self._pred[i]
 
+    def row_classes(self) -> tuple[tuple[int, int], ...]:
+        """``(row, members)`` per distinct successor row, in order of first
+        occurrence; the member masks partition the worlds."""
+        return self._classes
+
     def func_index(self, i: int) -> int:
         return self._func[i]
 
@@ -126,10 +149,21 @@ class Frame:
     # -- operators ---------------------------------------------------------
 
     def down_mask(self, mask: int) -> int:
-        """Worlds with at least one successor inside `mask`."""
+        """Worlds with at least one successor inside `mask`: the predecessors
+        of its worlds, or the members of the classes whose row meets it,
+        whichever loop is shorter."""
         out = 0
-        for v in _bits(mask):
-            out |= self._pred[v]
+        classes = self._classes
+        if mask.bit_count() >= len(classes):
+            for row, members in classes:
+                if row & mask:
+                    out |= members
+            return out
+        pred = self._pred
+        while mask:  # _bits inlined: this is the one-lane evaluator's <d>
+            lsb = mask & -mask
+            out |= pred[lsb.bit_length() - 1]
+            mask ^= lsb
         return out
 
     def down(self, names: Iterable[str]) -> frozenset[str]:
@@ -187,12 +221,21 @@ def transitive_closure(succ: Sequence[int]) -> list[int]:
 
 def _transitivity_witness(succ: Sequence[int]) -> tuple[int, int] | None:
     """First (w, u) with w R v R u but not w R u, in world then successor
-    order; None when the relation is transitive."""
-    for w in range(len(succ)):
-        for v in _bits(succ[w]):
-            missing = succ[v] & ~succ[w]
+    order; None when the relation is transitive.  Whether w has a witness,
+    and which, depends on w's row alone, so a world whose row an earlier
+    world had is skipped: one scan per row class."""
+    seen = set()
+    for w, row in enumerate(succ):
+        if row in seen:
+            continue
+        seen.add(row)
+        rest = row
+        while rest:  # _bits inlined: the search runs this on every candidate row
+            lsb = rest & -rest
+            missing = succ[lsb.bit_length() - 1] & ~row
             if missing:
-                return w, next(_bits(missing))
+                return w, (missing & -missing).bit_length() - 1
+            rest ^= lsb
     return None
 
 
@@ -236,17 +279,17 @@ def _relation(
         raise FrameError("rel must be a list of pairs")
     index = {w: i for i, w in enumerate(ws)}
     succ = [0] * len(ws)
+    # the exception that stops the loop names the fault; the source name is
+    # looked up before the target, so it is the one reported when both miss
     try:
         for pair in rel:
-            if len(pair) != 2:
-                raise FrameError(f"relation entry {pair!r} is not a pair")
             a, b = pair
-            if a not in index:
-                raise FrameError(f"unknown world {a!r} in relation")
-            if b not in index:
-                raise FrameError(f"unknown world {b!r} in relation")
             succ[index[a]] |= 1 << index[b]
-    except TypeError:  # an entry without a length, or an unhashable name
+    except ValueError:  # an entry of another length
+        raise FrameError(f"relation entry {pair!r} is not a pair") from None
+    except KeyError as e:
+        raise FrameError(f"unknown world {e.args[0]!r} in relation") from None
+    except TypeError:  # an entry that is not iterable, or an unhashable name
         raise FrameError("relation entries must be pairs of world names") from None
     return ws, index, succ
 
@@ -432,18 +475,11 @@ def random_transitive_frame(
     for l in range(levels - 1, -1, -1):
         above[l] = acc
         acc |= layer_mask[l]
-    below = [0] * levels
-    acc = 0
-    for l in range(levels):
-        below[l] = acc
-        acc |= layer_mask[l]
     succ = []
-    pred = []
     for w in range(n):
         l = layer[w]
         own = layer_mask[l] if is_cluster[l] else 0
         succ.append(above[l] | own)
-        pred.append(below[l] | own)
     worlds = [f"w{i}" for i in range(n)]
     # layer-respecting map keeps the frame's structure plausible; any total
     # map would do for evaluation purposes
@@ -452,4 +488,4 @@ def random_transitive_frame(
     for w in range(n):
         pool = candidates_by_layer[layer[w]]
         func.append(pool[rng.randrange(len(pool))])
-    return Frame(worlds, succ, func, pred)
+    return Frame(worlds, succ, func)

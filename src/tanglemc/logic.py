@@ -53,7 +53,7 @@ from .frame import (
     _transitivity_witness,
     transitive_closure,
 )
-from .semantics import exhaustive_sweep, sampled_sweep, valid_on_frame
+from .semantics import EXHAUSTIVE_BITS_LIMIT, exhaustive_sweep, sampled_sweep, valid_on_frame
 from . import story as story_mod
 
 
@@ -320,6 +320,8 @@ def soundness_suite(
         logic = LOGICS[logic]
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if max_worlds < 1:
+        raise ValueError("max_worlds must be >= 1")
     if mode == "sampled" and samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
@@ -464,10 +466,15 @@ def countermodel_search(
     [d][d]p`` took about 0.4 s in K4DC at 4 worlds (60,931 frames) and
     127 s in K4C at 5 worlds (26,567,054 frames); 6 worlds carry 61 times
     as many transitive relations (9,415,189 by OEIS A006905, against
-    154,303), each with more maps.  Beyond the bound it samples random class frames and, when
-    ``max_duration > 0``, random stories of at most that duration, with 8
-    random valuations per frame in one 8-lane pass, drawn as 8 draws one
-    at a time would be.  "none-within-bounds" is not a validity claim.
+    154,303), each with more maps.  Like exhaustive validity it raises
+    ``ValueError`` before the first world count whose frames would need
+    more than 2^``EXHAUSTIVE_BITS_LIMIT`` valuations each (world count times
+    the number of variables); a countermodel on fewer worlds is still
+    found and returned.  Beyond the world bound it
+    samples random class frames and, when ``max_duration > 0``, random
+    stories of at most that duration, with 8 random valuations per frame
+    in one 8-lane pass, drawn as 8 draws one at a time would be.
+    "none-within-bounds" is not a validity claim.
     """
     if isinstance(logic, str):
         logic = LOGICS[logic]
@@ -481,6 +488,11 @@ def _search_exhaustive(phi: Formula, logic: Logic, max_worlds: int) -> SearchRes
     frames = 0
     vals = 0
     for n in range(1, max_worlds + 1):
+        bits = n * len(variables)
+        if bits > EXHAUSTIVE_BITS_LIMIT:
+            raise ValueError(
+                f"exhaustive search needs |worlds|*|vars| <= {EXHAUSTIVE_BITS_LIMIT}, got {bits}"
+            )
         worlds = [f"w{i}" for i in range(n)]
         for succ in _transitive_succs(n):
             if logic.serial and not all(succ):

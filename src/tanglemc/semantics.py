@@ -10,14 +10,16 @@ characterisation through reflexive clusters meeting every S_i.
 Formulas are compiled once per frame into closures that evaluate a block
 of ``lanes`` models at once.  A truth set is one int of ``n * lanes`` bits
 grouped by world: world w owns bits ``[w*lanes, (w+1)*lanes)``, one bit
-per lane.  With one lane this is the plain world mask, and <d> runs on the
-frame's sparse predecessor masks.  With more lanes, <d> ORs the lane
-groups of each world's successors, and O takes each world's bits from the
-group of its image.  The lanes fall into map slots of equal width, each
-with its own map on the frame's relation; by default one slot holds the
-frame's own map.  The Boolean connectives stay single int operations, and
-the tangle is the same fixed-point loop run on the packed ints, where every
-lane converges on its own.
+per lane.  With one lane this is the plain world mask, and <d> is the
+frame's ``down_mask``: an OR of predecessor masks or of row-class member
+masks, whichever loop is shorter.  With more lanes, <d> ORs the lane
+groups of each row class's successors once and gives the result to every
+world of the class, and O takes each world's bits from the group of its
+image.  The lanes fall into map slots of equal width, each with its own
+map on the frame's relation; by default one slot holds the frame's own
+map.  The Boolean connectives stay single int operations, and the tangle
+is the same fixed-point loop run on the packed ints, where every lane
+converges on its own.
 
 Validity sweeps run in blocks of lanes and keep the canonical order of a
 one-valuation-at-a-time loop: exhaustive mode counts valuation codes
@@ -133,7 +135,11 @@ class Evaluator:
             self.down = frame.down_mask
             self.preimage = self._preimage_sparse
         else:
-            self._succ = [tuple(_bits(frame.succ_mask(w))) for w in range(n)]
+            classes = frame.row_classes()
+            self._rows = [tuple(_bits(row)) for row, _ in classes]
+            number = {row: c for c, (row, _) in enumerate(classes)}
+            # last world first, as the fold in _down_lanes runs
+            self._class_of = [number[frame.succ_mask(w)] for w in reversed(range(n))]
             self.down = self._down_lanes
             self.preimage = self._preimage_lanes
             self.place_maps([self._func])
@@ -163,15 +169,19 @@ class Evaluator:
         return [(mask >> (w * lanes)) & group for w in range(self.frame.n)]
 
     def _down_lanes(self, mask: int) -> int:
-        """Each world gets the OR of its successors' lane groups."""
+        """Each world gets the OR of its successors' lane groups, computed
+        once per row class."""
         groups = self._groups(mask)
         lanes = self.lanes
-        out = 0
-        for succ in reversed(self._succ):
+        accs = []
+        for row in self._rows:
             acc = 0
-            for v in succ:
+            for v in row:
                 acc |= groups[v]
-            out = (out << lanes) | acc
+            accs.append(acc)
+        out = 0
+        for c in self._class_of:
+            out = (out << lanes) | accs[c]
         return out
 
     def _preimage_lanes(self, mask: int) -> int:
@@ -421,9 +431,11 @@ def sampled_sweep(
     """Evaluate phi under `samples` valuations drawn from `rng`, each one
     ``rng.getrandbits(n)`` per variable of `variables` in order.  A block
     holds as many lanes as have been checked so far, at least 64 and at
-    most 4096.  A packed <d> takes a step per relation pair and a one-lane
-    <d> about one per world, so a block whose lanes times twice the worlds
-    fall short of the relation pairs is evaluated one lane per pass.
+    most 4096.  A block whose lanes times twice the worlds fall short of
+    the relation pairs is evaluated one lane per pass.  The rule was set
+    when a packed <d> took a step per relation pair and a one-lane <d> one
+    per world of its argument; on frames with shared rows, row classes make
+    both cheaper, and the rule has not been measured again since.
     Returns what :func:`exhaustive_sweep` returns."""
     n = frame.n
     pairs = sum(frame.succ_mask(w).bit_count() for w in range(n))

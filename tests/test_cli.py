@@ -182,6 +182,30 @@ def test_sample_counts_below_one_exit_2(capsys):
     assert code == 2 and "samples" in report["error"]
 
 
+def test_axioms_world_bound_below_one_exits_2(capsys):
+    code, report = run(capsys, "axioms", "--logic", "K4C", "--max-worlds", "0")
+    assert code == 2 and report["error"] == "max_worlds must be >= 1"
+
+
+def test_search_over_the_valuation_bit_bound_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, report = run(capsys, "search", "--logic", "K4C", "--max-worlds", "3",
+                       "--formula", "p & q & r & s & t & u & v & w & x -> p")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert report["error"] == "exhaustive search needs |worlds|*|vars| <= 24, got 27"
+
+
+@pytest.mark.parametrize("max_worlds", ["3", "8"])
+def test_search_refutes_on_small_frames_below_the_valuation_bit_bound(capsys, max_worlds):
+    # 27 bits (or 72) at the bound, but the 1-world frame of 9 bits refutes.
+    code, report = run(capsys, "search", "--logic", "K4C", "--max-worlds", max_worlds,
+                       "--formula", "a | b | c | d | e | f | g | h | i")
+    assert code == 1 and report["verdict"] == "countermodel"
+    assert report["frames_checked"] == 1 and report["valuations_checked"] == 1
+    assert report["countermodel"]["world"] == "w0"
+
+
 def test_exhaustive_mode_ignores_sample_count(capsys):
     code, report = run(capsys, "validity", "--frame", str(DEMOS / "f1.frame.json"),
                        "--formula", "p -> p", "--mode", "exhaustive", "--samples", "0")

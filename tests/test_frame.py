@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from tanglemc.frame import (
     Frame,
     FrameError,
+    _transitivity_witness,
     check_frame_pmorphism,
     duplicate_reflexive,
     frame_from_dict,
@@ -206,3 +207,94 @@ def test_random_transitive_frame_is_transitive_and_big():
     f = random_transitive_frame(500, seed=1)
     assert f.n == 500
     assert f.classify().transitive
+
+
+def _brute_down(f, mask):
+    return sum(1 << w for w in range(f.n) if f.succ_mask(w) & mask)
+
+
+def _brute_witness(succ):
+    """First (w, u) over every pair w R v in world then successor order."""
+    for w in range(len(succ)):
+        for v in range(len(succ)):
+            if succ[w] >> v & 1:
+                missing = succ[v] & ~succ[w]
+                if missing:
+                    return w, (missing & -missing).bit_length() - 1
+    return None
+
+
+def _chain(n, broken=False):
+    """Strict chain: world i sees every later world; all rows distinct.
+    Broken: 5 R 6 R 30 but not 5 R 30 (4 R 5 keeps 4 R 30)."""
+    full = (1 << n) - 1
+    succ = [full & ~((2 << i) - 1) for i in range(n)]
+    if broken:
+        succ[5] &= ~(1 << 30)
+    return Frame([f"w{i}" for i in range(n)], succ, range(n))
+
+
+def _row_class_frames():
+    rng = random.Random(6)
+    for n, seed in ((40, 1), (120, 2), (300, 3)):
+        yield random_transitive_frame(n, seed)
+    for n in (40, 80, 300):
+        yield _chain(n)
+    for n in (40, 300):
+        yield _chain(n, broken=True)
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        pool = [rng.getrandbits(n) for _ in range(rng.randint(1, n))]
+        succ = [rng.choice(pool) for _ in range(n)]
+        yield Frame([f"w{i}" for i in range(n)], succ, [rng.randrange(n) for _ in range(n)])
+
+
+def test_row_classes_match_brute_force():
+    rng = random.Random(7)
+    loops = set()
+    witnesses = 0
+    for f in _row_class_frames():
+        succ = [f.succ_mask(w) for w in range(f.n)]
+        classes = f.row_classes()
+        assert [row for row, _ in classes] == list(dict.fromkeys(succ))
+        covered = 0
+        for row, members in classes:
+            assert covered & members == 0
+            covered |= members
+            assert all(succ[w] == row for w in range(f.n) if members >> w & 1)
+        assert covered == f.full_mask
+        for v in range(f.n):
+            assert f.pred_mask(v) == sum(1 << w for w in range(f.n) if succ[w] >> v & 1)
+        for density in (0.0, 0.02, 0.1, 0.5, 1.0):
+            for _ in range(3):
+                mask = sum(1 << w for w in range(f.n) if rng.random() < density)
+                loops.add(mask.bit_count() < len(classes))
+                assert f.down_mask(mask) == _brute_down(f, mask)
+        witness = _transitivity_witness(succ)
+        assert witness == _brute_witness(succ)
+        witnesses += witness is not None
+    assert loops == {True, False}
+    assert witnesses > 50
+    broken = _chain(300, broken=True)
+    assert _transitivity_witness([broken.succ_mask(w) for w in range(300)]) == (5, 30)
+
+
+@pytest.mark.parametrize("entry, message", [
+    (["a", "b", "c"], "relation entry ['a', 'b', 'c'] is not a pair"),
+    ([], "relation entry [] is not a pair"),
+    (5, "relation entries must be pairs of world names"),
+    (None, "relation entries must be pairs of world names"),
+    ([["x"], "b"], "relation entries must be pairs of world names"),
+    (["z", "a"], "unknown world 'z' in relation"),
+    (["a", "z"], "unknown world 'z' in relation"),
+    (["z", ["x"]], "unknown world 'z' in relation"),
+])
+def test_relation_entry_errors(entry, message):
+    with pytest.raises(FrameError) as info:
+        validate_frame(["a", "b"], [["a", "a"], entry], {"a": "a", "b": "b"})
+    assert str(info.value) == message
+
+
+def test_two_letter_string_is_read_as_a_pair():
+    f = validate_frame(["a", "b"], ["ab", ["b", "b"]], {"a": "a", "b": "b"})
+    assert f.rel_pairs() == [("a", "b"), ("b", "b")]
