@@ -10,6 +10,7 @@ inputs and seed produce byte-identical reports.  The environment variable
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -37,18 +38,36 @@ def _report(command: str, **fields) -> dict:
     return {"schema_version": SCHEMA_VERSION, "command": command, **fields}
 
 
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _load(path: str, convert):
+    """Decode a JSON file and convert it with the cycle collector paused.
+
+    ``json.load`` builds a list per relation pair, and a frame file can
+    hold hundreds of thousands of them; each list counts towards the
+    collector's thresholds, so one such file would set off hundreds of
+    collections, full ones among them, which walk every object in the
+    process.  The pause is safe: decoded JSON is acyclic, so a collection
+    could free none of it, and reference counting frees it once it is
+    dropped; a cycle the converter might leave behind waits for the next
+    collection after the pause.  The collector is switched back on only if
+    it was on before.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return convert(json.load(fh))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _load_frame(args) -> tuple[Frame, dict]:
-    data = _load_json(args.frame)
-    return frame_from_dict(data, close_transitively=args.close_transitively)
+    return _load(args.frame, lambda data: frame_from_dict(
+        data, close_transitively=args.close_transitively))
 
 
 def _load_story(path: str) -> story_mod.Story:
-    return story_mod.validate_story(_load_json(path))
+    return _load(path, story_mod.validate_story)
 
 
 def _default_seed(args) -> int:

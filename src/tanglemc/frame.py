@@ -278,13 +278,14 @@ def _relation(
     if not isinstance(rel, (list, tuple)):
         raise FrameError("rel must be a list of pairs")
     index = {w: i for i, w in enumerate(ws)}
+    bit = {w: 1 << i for i, w in enumerate(ws)}
     succ = [0] * len(ws)
     # the exception that stops the loop names the fault; the source name is
     # looked up before the target, so it is the one reported when both miss
     try:
         for pair in rel:
             a, b = pair
-            succ[index[a]] |= 1 << index[b]
+            succ[index[a]] |= bit[b]
     except ValueError:  # an entry of another length
         raise FrameError(f"relation entry {pair!r} is not a pair") from None
     except KeyError as e:

@@ -474,12 +474,18 @@ def countermodel_search(
     samples random class frames and, when ``max_duration > 0``, random
     stories of at most that duration, with 8 random valuations per frame
     in one 8-lane pass, drawn as 8 draws one at a time would be.
-    "none-within-bounds" is not a validity claim.
+    "none-within-bounds" is not a validity claim, and a search that could
+    check no frame raises ``ValueError`` instead: ``max_worlds < 1``, or
+    ``samples < 1`` past the world bound.
     """
     if isinstance(logic, str):
         logic = LOGICS[logic]
+    if max_worlds < 1:
+        raise ValueError("max_worlds must be >= 1")
     if max_worlds <= EXHAUSTIVE_SEARCH_LIMIT:
         return _search_exhaustive(phi, logic, max_worlds)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     return _search_random(phi, logic, max_worlds, max_duration, seed, samples)
 
 

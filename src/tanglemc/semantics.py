@@ -132,17 +132,25 @@ class Evaluator:
             for w, fw in enumerate(self._func):
                 inv[fw] |= 1 << w
             self._inv = inv
-            self.down = frame.down_mask
-            self.preimage = self._preimage_sparse
         else:
             classes = frame.row_classes()
             self._rows = [tuple(_bits(row)) for row, _ in classes]
             number = {row: c for c, (row, _) in enumerate(classes)}
             # last world first, as the fold in _down_lanes runs
             self._class_of = [number[frame.succ_mask(w)] for w in reversed(range(n))]
-            self.down = self._down_lanes
-            self.preimage = self._preimage_lanes
             self.place_maps([self._func])
+
+    # chosen per call, not stored: a bound method of itself kept on the
+    # evaluator would make it a reference cycle, alive until a collection
+    @property
+    def down(self) -> Callable[[int], int]:
+        """`<d>` on truth sets."""
+        return self.frame.down_mask if self.lanes == 1 else self._down_lanes
+
+    @property
+    def preimage(self) -> Callable[[int], int]:
+        """O on truth sets: the worlds whose image is in the set."""
+        return self._preimage_sparse if self.lanes == 1 else self._preimage_lanes
 
     def place_maps(self, maps: Sequence[Sequence[int]]) -> None:
         """Split the lanes into ``len(maps)`` equal runs, the map slots, and

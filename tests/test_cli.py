@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import tempfile
@@ -187,6 +188,16 @@ def test_axioms_world_bound_below_one_exits_2(capsys):
     assert code == 2 and report["error"] == "max_worlds must be >= 1"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--max-worlds", "0"], "max_worlds must be >= 1"),
+    (["--max-worlds", "-1"], "max_worlds must be >= 1"),
+    (["--max-worlds", "9", "--samples", "0"], "samples must be >= 1"),
+])
+def test_search_that_could_check_no_frame_exits_2(capsys, argv, error):
+    code, report = run(capsys, "search", "--logic", "K4C", "--formula", "p", *argv)
+    assert code == 2 and report["error"] == error
+
+
 def test_search_over_the_valuation_bit_bound_exits_2_at_once(capsys):
     start = time.perf_counter()
     code, report = run(capsys, "search", "--logic", "K4C", "--max-worlds", "3",
@@ -204,6 +215,33 @@ def test_search_refutes_on_small_frames_below_the_valuation_bit_bound(capsys, ma
     assert code == 1 and report["verdict"] == "countermodel"
     assert report["frames_checked"] == 1 and report["valuations_checked"] == 1
     assert report["countermodel"]["world"] == "w0"
+
+
+@pytest.mark.parametrize("enabled, target, code", [
+    (True, "a", 0),
+    (False, "a", 0),
+    (True, "z", 2),  # an unknown world: the conversion raises
+])
+def test_frame_is_converted_with_the_collector_paused(capsys, monkeypatch, tmp_path,
+                                                      enabled, target, code):
+    frame = tmp_path / "f.frame.json"
+    frame.write_text(json.dumps({"worlds": ["a"], "rel": [["a", target]], "func": {"a": "a"}}))
+    seen = []
+
+    def convert(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return frame_from_dict(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "frame_from_dict", convert)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        got, report = run(capsys, "check", "--frame", str(frame), "--formula", "p")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert got == code and ("error" in report) == (code == 2)
+    assert seen == [False]
 
 
 def test_exhaustive_mode_ignores_sample_count(capsys):

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from tanglemc.formula import Box, Diamond, Neg, parse
 from tanglemc.frame import Frame, transitive_closure, validate_frame
 from tanglemc.semantics import (
+    Evaluator,
     Model,
     tangle_iterations,
     tangled_derivative,
@@ -183,3 +186,20 @@ def test_next_axioms_semantics():
         m = Model(f, val)
         assert truth_set(m, parse("~O p")) == truth_set(m, parse("O ~p"))
         assert truth_set(m, parse("O (p & q)")) == truth_set(m, parse("O p & O q"))
+
+
+@pytest.mark.parametrize("lanes", [1, 8])
+def test_evaluator_is_freed_without_the_cycle_collector(lanes):
+    # an evaluator that kept a bound method of itself would be a reference
+    # cycle and outlive `del` until the collector ran
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ev = Evaluator(frame_f2(), lanes)
+        ev.compile(parse("<d>p & O q | <t>{p, [d]q}"))({"p": 1, "q": ev.full})
+        ref = weakref.ref(ev)
+        del ev
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
