@@ -417,30 +417,22 @@ def _monotone_maps(succ: Sequence[int], strict: bool) -> list[tuple[int, ...]]:
         for b in _bits(r):
             covers[b] |= 1 << a
     own = sum(1 << a for a in range(n) if ranges[a] >> a & 1)
-    start = []  # images world k may take before the pairs with earlier worlds
-    earlier_pred = []
-    earlier_succ = []
+    level = [()]  # the admissible image prefixes of one length, in order
     for k in range(n):
-        start.append(own if succ[k] >> k & 1 else (1 << n) - 1)
-        earlier_pred.append([w for w in range(k) if succ[w] >> k & 1])
-        earlier_succ.append([v for v in range(k) if succ[k] >> v & 1])
-    maps = []
-
-    def extend(prefix):
-        k = len(prefix)
-        allowed = start[k]
-        for w in earlier_pred[k]:
-            allowed &= ranges[prefix[w]]
-        for v in earlier_succ[k]:
-            allowed &= covers[prefix[v]]
-        if k + 1 < n:
-            for a in _bits(allowed):
-                extend(prefix + (a,))
-        else:
-            maps.extend([prefix + (a,) for a in _bits(allowed)])
-
-    extend(())
-    return maps
+        # the images world k may take before the pairs with earlier worlds
+        start = own if succ[k] >> k & 1 else (1 << n) - 1
+        earlier_pred = [w for w in range(k) if succ[w] >> k & 1]
+        earlier_succ = [v for v in range(k) if succ[k] >> v & 1]
+        longer = []
+        for prefix in level:
+            allowed = start
+            for w in earlier_pred:
+                allowed &= ranges[prefix[w]]
+            for v in earlier_succ:
+                allowed &= covers[prefix[v]]
+            longer.extend([prefix + (a,) for a in _bits(allowed)])
+        level = longer
+    return level
 
 
 def countermodel_search(

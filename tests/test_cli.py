@@ -366,6 +366,14 @@ def test_pathspace_verify_story(capsys):
     assert code == 2 and "duplication" in report["error"]
 
 
+def test_pathspace_verify_negative_resolution_exits_2(capsys):
+    code, report = run(
+        capsys, "pathspace-verify", "--frame", str(DEMOS / "f1_oplus.frame.json"),
+        "--resolution", "-1",
+    )
+    assert code == 2 and report["error"] == "resolution must be >= 0"
+
+
 def test_demo_frames_all_load(capsys):
     for name in ("f1", "f2", "f3", "f1_oplus", "wheel"):
         code, _ = run(capsys, "check", "--frame", str(DEMOS / f"{name}.frame.json"),

@@ -7,6 +7,7 @@ import pytest
 from tanglemc.frame import Frame, duplicate_reflexive
 from tanglemc.pathspace import (
     Path,
+    _thin_reflexive_cluster,
     build_limit_assignment,
     cantor_preconditions,
     enumerate_paths,
@@ -347,6 +348,89 @@ def test_truth_pullback_through_limit():
         ts = truth_set(Model(frame, val), phi)
         preimage = [p for p in paths if limit(p) in ts]
         assert {limit(p) for p in preimage} == ts
+
+
+def brute_back_misses(frame, res):
+    """The (path, successor, k) triples that fail back at resolution res:
+    p enumerated, v a successor of p's limit, k <= res, and no path q
+    enumerated at res + 2 with limit v and 0 < d(p, q) < 2^-k.  A q within
+    2^-k agrees with p on the indices 0..k, so the candidates are looked
+    up by limit and that stretch of the sequence."""
+    near = {}
+    for q in enumerate_paths(frame, res + 2):
+        for k in range(res + 1):
+            key = (limit(q), tuple(q.value(i) for i in range(k + 1)))
+            near.setdefault(key, []).append(q)
+    misses = []
+    for p in enumerate_paths(frame, res):
+        for v in frame.names(frame.succ_mask(frame.index(limit(p)))):
+            for k in range(res + 1):
+                stem = tuple(p.value(i) for i in range(k + 1))
+                if not any(0 < path_metric(p, q) < Fraction(1, 2 ** k)
+                           for q in near.get((v, stem), ())):
+                    misses.append((format_path(p), v, k))
+    return misses
+
+
+def fat_non_transitive_frame():
+    # r -> a, a and b reflexive and mutually related, b -> c, c <-> d
+    # irreflexive; r does not see b, a does not see c: validation would
+    # refuse it
+    worlds = ["r", "a", "b", "c", "d"]
+    rel = {"r": "a", "a": "ab", "b": "abc", "c": "d", "d": "c"}
+    succ = [sum(1 << worlds.index(v) for v in rel[w]) for w in worlds]
+    return Frame(worlds, succ, list(range(5)))
+
+
+def test_back_holds_by_brute_force_on_fat_cluster_frames():
+    frames = [fat_non_transitive_frame(), f1_oplus()]
+    rng = random.Random(79)
+    for clusters in (False, True):
+        for _ in range(4):
+            story = random_story(rng, rng.randint(0, 1), allow_clusters=clusters,
+                                 max_level_worlds=4)
+            lifted, _ = story_oplus(story)
+            frames += [m.frame for m in lifted.levels]
+    assert not fat_non_transitive_frame().classify().transitive
+    for frame in frames:
+        assert _thin_reflexive_cluster(frame) is None  # what verify requires
+        for res in range(4):
+            assert brute_back_misses(frame, res) == []
+
+
+def test_brute_back_check_catches_a_thin_cluster():
+    # b is reflexive and alone in its cluster: no other path has limit b
+    # and starts with b
+    assert (";b", "b", 0) in brute_back_misses(frame_f1(), 1)
+
+
+def test_perfectness_per_world_matches_paths_and_radii():
+    # the definition: every enumerated path p has, for every k <= res, a
+    # distinct path within 2^-k, that is one agreeing with p on 0..k
+    rng = random.Random(22)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        succ = [sum(1 << j for j in range(n) if rng.random() < 0.4) for _ in range(n)]
+        frame = Frame([f"w{i}" for i in range(n)], succ, list(range(n)))
+        for res in range(4):
+            pool = enumerate_paths(frame, res + 1)
+            agree = [{} for _ in range(res + 1)]
+            for q in pool:
+                for k in range(res + 1):
+                    key = tuple(q.value(i) for i in range(k + 1))
+                    agree[k][key] = agree[k].get(key, 0) + 1
+            perfect = all(agree[k][tuple(p.value(i) for i in range(k + 1))] > 1
+                          for p in enumerate_paths(frame, res)
+                          for k in range(res + 1))
+            assert cantor_preconditions(frame, res).perfect_at_resolution == perfect
+
+
+def test_negative_resolution_is_named():
+    story = single_level(f1_oplus())
+    with pytest.raises(ValueError, match="^resolution must be >= 0$"):
+        verify_lim_pmorphism(story, build_limit_assignment(story), -1)
+    with pytest.raises(ValueError, match="^resolution must be >= 0$"):
+        cantor_preconditions(f1_oplus(), -1)
 
 
 def test_cantor_preconditions():

@@ -6,6 +6,7 @@ exhaustive mode, one ``getrandbits(n)`` per sorted variable and sample in
 sampled mode, and for the search the frames in the enumeration order.
 """
 
+import gc
 import itertools
 import random
 
@@ -186,6 +187,19 @@ def test_monotone_maps_match_brute_force():
         for succ in relations if n < 4 else relations[::7]:
             for strict in (False, True):
                 assert _monotone_maps(succ, strict) == brute_monotone_maps(succ, strict)
+
+
+def test_monotone_maps_leave_no_reference_cycles():
+    succ = [0, 0b1011, 0b1101, 0b0001]  # transitive, 40 monotone maps
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert _monotone_maps(succ, False)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def oracle_search(phi, logic, max_worlds):
