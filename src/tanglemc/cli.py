@@ -228,7 +228,8 @@ def _cmd_pathspace_verify(args) -> int:
     report = pathspace.verify_lim_pmorphism(st, assignment, args.resolution)
     out = _report("pathspace-verify", input=source, **report.to_dict())
     if args.dump_paths:
-        out["paths"] = [pathspace.format_path(p) for p in report.paths]
+        out["paths"] = [pathspace.format_path(p) for m in st.levels
+                        for p in pathspace.enumerate_paths(m.frame, args.resolution)]
     _emit(out)
     return 0 if report.ok else 1
 
@@ -307,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
                                        "(its map is replaced by the identity)")
     p.add_argument("--close-transitively", action="store_true")
     p.add_argument("--resolution", type=int, default=4)
-    p.add_argument("--dump-paths", action="store_true")
+    p.add_argument("--dump-paths", action="store_true", help="also list every "
+                   "path; their number grows exponentially with --resolution")
     p.set_defaults(fn=_cmd_pathspace_verify)
 
     return top

@@ -9,32 +9,28 @@ differ, computed exactly.
 The limit of a canonical eventually-constant path is its tail, the only
 world that recurs in it.  A limit assignment ranks the worlds of every
 story level injectively; the rank of an image is the minimum rank over
-its preimages, and worlds outside the image get fresh ranks on top.  Only
-the recurrence-set check uses the ranks: a path that is not eventually
-constant may cycle forever through any nonempty subset D of a reflexive
-cluster, and its limit is the rank-least world of D.  The verifier checks,
-for every such D, that the rank-least world of the image of D is the
-image of the rank-least world of D, and the forth condition (continuity)
-relating the metric to the frame order.  The back condition (openness)
-holds by construction on fat-cluster frames, and the limit commutes with
-the level maps on eventually-constant paths by definition; the
-verifier's docstring gives the argument, and neither is re-checked.
+its preimages, and worlds outside the image get fresh ranks on top.  A
+path that is not eventually constant may cycle forever through any
+nonempty subset D of a reflexive cluster, and its limit is the rank-least
+world of D.  The verifier checks that the limit commutes with the level
+maps on these recurrence sets, pair by pair.  Forth, back and commuting
+on eventually-constant paths hold by construction on the transitive
+fat-cluster levels it requires (its docstring gives the arguments), so
+it counts the paths and builds none.
 
 Paths are enumerated by prefix length, each prefix extended in ascending
-world order, which yields the documented order without a sort; a prefix
-is extended only by a world with a successor other than itself, as no
-other prefix reaches a tail.  Inside the verifier a path is the tuple of
-its world indices up to index resolution + 1, whose last entry is the
-tail; names appear only in `Path` objects and in messages.
+world order, which yields the documented order without a sort;
+`_steps` holds the step rule that the enumeration and the count share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Mapping
 
-from .frame import Frame, _bits
+from .frame import Frame, _bits, _transitivity_witness
 from .story import Story
 
 
@@ -85,6 +81,17 @@ def next_path(p: Path, func: Mapping[str, str]) -> Path:
     return Path(tuple(prefix), tail)
 
 
+def _steps(frame: Frame) -> tuple[list[int], list[int], int]:
+    """The step rule of `enumerate_paths` and `_count_paths`: per world,
+    its strict successors, the tails after a prefix ending there; per
+    world w, the worlds that may follow it in a prefix, w itself and its
+    strict successors, if live; and the mask of the live worlds, those
+    with a strict successor, as no other prefix reaches a tail."""
+    strict = [frame.succ_mask(i) & ~(1 << i) for i in range(frame.n)]
+    live = sum(1 << i for i, m in enumerate(strict) if m)
+    return strict, [(m | 1 << w) & live for w, m in enumerate(strict)], live
+
+
 def enumerate_paths(frame: Frame, max_prefix: int) -> list[Path]:
     """All canonical eventually-constant paths with prefix length <= max_prefix.
 
@@ -93,8 +100,7 @@ def enumerate_paths(frame: Frame, max_prefix: int) -> list[Path]:
     """
     if max_prefix < 0:
         raise ValueError("max_prefix must be >= 0")
-    strict = [frame.succ_mask(i) & ~(1 << i) for i in range(frame.n)]
-    live = sum(1 << i for i, m in enumerate(strict) if m)
+    strict, follow, live = _steps(frame)
     out = [((), t) for t in range(frame.n)]
     level = [((), live)]  # the prefixes of one length, with their extensions
     for _ in range(max_prefix):
@@ -102,11 +108,26 @@ def enumerate_paths(frame: Frame, max_prefix: int) -> list[Path]:
         for prefix, nxt in level:
             for w in _bits(nxt):
                 grown = prefix + (w,)
-                longer.append((grown, (strict[w] | 1 << w) & live))
+                longer.append((grown, follow[w]))
                 out.extend((grown, t) for t in _bits(strict[w]))
         level = longer
     worlds = frame.worlds
     return [Path(tuple(worlds[i] for i in prefix), worlds[t]) for prefix, t in out]
+
+
+def _count_paths(frame: Frame, max_prefix: int) -> int:
+    """``len(enumerate_paths(frame, max_prefix))`` without the paths: per
+    prefix length, the number of prefixes ending in each world, each
+    followed by its strict successors as tails."""
+    strict, follow, live = _steps(frame)
+    tails = [m.bit_count() for m in strict]
+    into = [[w for w in range(frame.n) if follow[w] >> v & 1] for v in range(frame.n)]
+    ends = [live >> w & 1 for w in range(frame.n)]  # the prefixes of length 1
+    total = frame.n
+    for _ in range(max_prefix):
+        total += sum(map(mul, ends, tails))
+        ends = [sum(map(ends.__getitem__, ws)) for ws in into]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +175,7 @@ def limit(p: Path) -> str:
 
 @dataclass(frozen=True)
 class PathViolation:
-    kind: str  # "forth" | "commuting"; back cannot fail (verify_lim_pmorphism)
+    kind: str  # "commuting"; forth and back cannot fail (verify_lim_pmorphism)
     level: int
     message: str
 
@@ -163,12 +184,8 @@ class PathViolation:
 class PathVerifyReport:
     resolution: int
     levels: int
-    paths: tuple[Path, ...]  # every level's enumerated paths, level by level
+    paths_checked: int
     violations: tuple[PathViolation, ...]
-
-    @property
-    def paths_checked(self) -> int:
-        return len(self.paths)
 
     @property
     def ok(self) -> bool:
@@ -195,8 +212,12 @@ def _thin_reflexive_cluster(frame: Frame) -> int | None:
     return None
 
 
-def _require_fat_clusters(story: Story):
+def _require_transitive_fat_levels(story: Story):
     for i, m in enumerate(story.levels):
+        witness = _transitivity_witness(m.frame._succ)
+        if witness is not None:
+            a, b = (m.worlds[w] for w in witness)
+            raise ValueError(f"level {i}: relation is not transitive: missing ({a}, {b})")
         rep = _thin_reflexive_cluster(m.frame)
         if rep is not None:
             raise ValueError(
@@ -208,71 +229,49 @@ def _require_fat_clusters(story: Story):
 def verify_lim_pmorphism(
     story: Story, assignment: LimitAssignment, resolution: int
 ) -> PathVerifyReport:
-    """Check the limit map against the frame order at a finite resolution.
+    """Check the limit map against the level maps at a finite resolution.
 
-    forth: around each path, inside the ball of radius 2^-(k+1) at the
-    first index k carrying the limit, every other enumerated path has a
-    strictly larger limit.  commuting: on every recurrence set inside a
-    reflexive cluster, the image of the rank-least world is the rank-least
-    world of the image.  These are the checks that can fail.
+    The one check that can fail is commuting on recurrence sets: for every
+    recurrence set D inside a reflexive cluster, the image of the
+    rank-least world m of D is the rank-least world of the image of D.
+    Ranks are injective, so if D fails, some w in D has an image ranked
+    below m's, and the pair {m, w} fails too.  A pair comes no later than
+    any set holding it in the order of subset codes, so the first failing
+    set in that order is the first failing pair, pairs ordered by their
+    later member, then their earlier one; only pairs are checked.
+    ``paths_checked`` counts the paths with prefix length at most the
+    resolution, summed over the levels, without building them.
 
-    Two more conditions hold by construction, so they are not checked.
-    The limit commutes with the level map on eventually-constant paths,
-    because ``next_path(p, f).tail == f[p.tail]`` by definition.  Back
-    (openness) holds on fat-cluster frames, which ``_require_fat_clusters``
-    enforces before any check runs.  Take a path p with tail t,
-    a successor v of t and a radius 2^-k; the path that follows p up to
-    index n0 = max(k, len(p.prefix)) and then goes on as below has limit
-    v and differs from p first at n0 + 1 >= k + 1, where p has t:
+    Three more conditions hold by construction and are not checked; the
+    first two rest on the levels being transitive with no reflexive
+    cluster of a single world, which is required before anything else.
 
-    - v != t: step to v, an edge because v is a successor of t;
-    - v == t: t is reflexive, and a reflexive world alone in its cluster
-      (``Frame.cluster_mask`` reads direct successors) was rejected, so a
-      mate m != t has t -> m -> t; step to m and back to t.
+    - Forth (continuity): take a path x with limit t, first reached at
+      index k, and a path y != x within 2^-(k+1) of x, so y agrees with x
+      at the indices 0..k+1.  Then t R lim(y).  If y moves after index
+      k, its steps from t to lim(y) compose to t R lim(y) by
+      transitivity.  Else y stays at t from index k on, so x leaves t
+      after index k and returns to it, and transitivity gives t R t.
+    - Back (openness): take a path p with tail t, a successor v of t and
+      a radius 2^-k.  Follow p up to index n0 = max(k, len(p.prefix)),
+      then step to v if v != t, an edge; if v == t, t is reflexive and,
+      its cluster being fat (``Frame.cluster_mask`` reads direct
+      successors), has a mate m with t -> m -> t, so step to m and back.
+      The new path has limit v and differs from p first at n0 + 1 > k.
+      This holds on any ``Frame``, transitive or not.
+    - Commuting on eventually-constant paths: ``next_path(p, f).tail ==
+      f[p.tail]`` by definition.
 
-    So back reduces to the fat-cluster check, on any ``Frame``, transitive
-    or not.  The tests check it by brute force over enumerated paths.
+    The tests check forth and back by brute force over enumerated paths.
     """
     if resolution < 0:
         raise ValueError("resolution must be >= 0")
-    _require_fat_clusters(story)
+    _require_transitive_fat_levels(story)
     violations: list[PathViolation] = []
-    checked: list[Path] = []
+    checked = 0
     for lvl, moment in enumerate(story.levels):
         frame = moment.frame
-        succ, pos = frame._succ, {w: i for i, w in enumerate(frame.worlds)}
-        paths = enumerate_paths(frame, resolution)
-        checked += paths
-        seqs = [tuple(pos[w] for w in p.prefix)
-                + (pos[p.tail],) * (resolution + 2 - len(p.prefix)) for p in paths]
-
-        # forth: a path y is within 2^-(k+1) of x iff the two sequences
-        # agree on the first k+2 values, so x's ball is keyed by that
-        # stretch of its sequence, and every path with the key K has its
-        # limit at K[-2].  One pass over the paths and the key lengths
-        # collects, per key, the members whose limit is not strictly above.
-        keys = [xs[: xs.index(xs[-1]) + 2] for xs in seqs]
-        offenders: dict[tuple[int, ...], list[int]] = {k: [] for k in keys}
-        lengths = {len(k) for k in offenders}
-        for jdx, ys in enumerate(seqs):
-            for length in lengths:
-                key = ys[:length]
-                if key in offenders and not (succ[key[-2]] >> ys[-1]) & 1:
-                    offenders[key].append(jdx)
-        for idx, p in enumerate(paths):
-            key = keys[idx]
-            for jdx in offenders[key]:
-                if jdx != idx:
-                    violations.append(PathViolation(
-                        "forth", lvl,
-                        f"{format_path(p)} and {format_path(paths[jdx])} are "
-                        f"2^-{len(key)}-close but {limit(p)!r} is not strictly "
-                        f"below {limit(paths[jdx])!r}",
-                    ))
-
-        # commuting on every recurrence set inside a reflexive cluster: a
-        # path may cycle forever through any nonempty subset D, whose limit
-        # is the rank-least member, so images of minima must be minima.
+        checked += _count_paths(frame, resolution)
         fmap = story.level_map(lvl)
         nxt_level = min(lvl + 1, story.duration)
         ranks, next_ranks = assignment.ranks[lvl], assignment.ranks[nxt_level]
@@ -281,21 +280,18 @@ def verify_lim_pmorphism(
             if not frame.is_reflexive(rep):
                 continue
             members = [frame.worlds[i] for i in _bits(c)]
-            if len(members) > 12:
-                raise ValueError("cluster too large for recurrence-set check")
-            for subset in range(1, 1 << len(members)):
-                d = [members[i] for i in range(len(members)) if (subset >> i) & 1]
-                least = min(d, key=ranks.__getitem__)
-                image_least = min((fmap[w] for w in d), key=next_ranks.__getitem__)
+            for a, b in ((a, b) for j, b in enumerate(members) for a in members[:j]):
+                least = min(a, b, key=ranks.__getitem__)
+                image_least = min(fmap[a], fmap[b], key=next_ranks.__getitem__)
                 if image_least != fmap[least]:
                     violations.append(PathViolation(
                         "commuting", lvl,
-                        f"recurrence set {sorted(d)}: image of the rank-least world "
-                        f"{least!r} is {fmap[least]!r} but the image's rank-least "
-                        f"world is {image_least!r}",
+                        f"recurrence set {sorted((a, b))}: image of the rank-least "
+                        f"world {least!r} is {fmap[least]!r} but the image's "
+                        f"rank-least world is {image_least!r}",
                     ))
                     break
-    return PathVerifyReport(resolution, len(story.levels), tuple(checked), tuple(violations))
+    return PathVerifyReport(resolution, len(story.levels), checked, tuple(violations))
 
 
 @dataclass(frozen=True)

@@ -88,18 +88,16 @@ def validate_moment(
     if reach != (1 << n) - 1:
         missing = ws[next(_bits(((1 << n) - 1) & ~reach))]
         raise StoryError("structure", f"root does not reach {missing!r}")
+    frame = Frame(ws, succ, range(n))
+    pred = frame._pred
     # tree-like: common upper bounds force comparability
     for c in range(n):
-        below = [a for a in range(n) if a == c or (succ[a] >> c) & 1]
-        for a in below:
-            for b in below:
-                if a == b:
-                    continue
-                if not ((succ[a] >> b) & 1 or (succ[b] >> a) & 1):
-                    raise StoryError(
-                        "structure",
-                        f"not tree-like: {ws[a]!r} and {ws[b]!r} both below {ws[c]!r}",
-                    )
+        below = pred[c] | 1 << c
+        for a in _bits(below):
+            bad = below & ~succ[a] & ~pred[a] & ~(1 << a)
+            if bad:
+                raise StoryError("structure", f"not tree-like: {ws[a]!r} and "
+                                 f"{ws[next(_bits(bad))]!r} both below {ws[c]!r}")
     if valuation is None:
         valuation = {}
     if not isinstance(valuation, Mapping):
@@ -112,7 +110,7 @@ def validate_moment(
             if not isinstance(w, str) or w not in index:
                 raise StoryError("structure", f"valuation of {p!r} mentions {w!r}")
         val[p] = frozenset(names)
-    return Moment(Frame(ws, succ, range(n)), root, val)
+    return Moment(frame, root, val)
 
 
 def moment_from_frame(frame: Frame, valuation: Mapping[str, Iterable[str]] | None = None,

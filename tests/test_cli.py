@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from tanglemc import cli
 from tanglemc.cli import main
 from tanglemc.frame import frame_from_dict
+from tanglemc.pathspace import enumerate_paths
 from tanglemc.semantics import Model, truth_set
 from tanglemc.formula import parse
 
@@ -364,6 +365,21 @@ def test_pathspace_verify_story(capsys):
     )
     # the demo story has lone reflexive worlds, so the precondition trips
     assert code == 2 and "duplication" in report["error"]
+
+
+def test_pathspace_verify_large_reflexive_cluster(capsys, tmp_path):
+    # a root below 13 mutually related reflexive worlds
+    cluster = [f"c{i:02d}" for i in range(13)]
+    data = {"worlds": ["r", *cluster],
+            "rel": [[a, b] for a in ["r", *cluster] for b in cluster],
+            "func": {w: w for w in ["r", *cluster]}}
+    path = tmp_path / "cluster.frame.json"
+    path.write_text(json.dumps(data))
+    code, report = run(capsys, "pathspace-verify", "--frame", str(path),
+                       "--resolution", "2")
+    assert code == 0 and report["violations"] == []
+    frame, _ = frame_from_dict(data)
+    assert report["paths_checked"] == len(enumerate_paths(frame, 2))
 
 
 def test_pathspace_verify_negative_resolution_exits_2(capsys):

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from tanglemc.frame import Frame, duplicate_reflexive
+from tanglemc.frame import Frame, duplicate_reflexive, transitive_closure
 from tanglemc.pathspace import (
+    LimitAssignment,
     Path,
     _thin_reflexive_cluster,
     build_limit_assignment,
@@ -117,8 +118,12 @@ def test_enumerate_paths_matches_brute_force():
         n = rng.randint(1, 4)
         succ = [sum(1 << j for j in range(n) if rng.random() < 0.4) for _ in range(n)]
         frame = Frame([f"w{i}" for i in range(n)], succ, list(range(n)))
+        closed, _ = duplicate_reflexive(Frame(frame.worlds, transitive_closure(succ), range(n)))
+        story = Story((Moment(closed, "w0", {}),), (), immersive=True)
         for bound in range(4):
             assert enumerate_paths(frame, bound) == brute_force_paths(frame, bound)
+            report = verify_lim_pmorphism(story, build_limit_assignment(story), bound)
+            assert report.paths_checked == len(enumerate_paths(closed, bound))
 
 
 def test_enumerate_paths_on_a_long_chain():
@@ -128,14 +133,16 @@ def test_enumerate_paths_on_a_long_chain():
     assert paths[-1] == Path(("a",) * 3000, "b")
 
 
-def test_verify_reports_forth_on_a_non_transitive_frame():
+def non_transitive_chain():
     # r -> u -> v without r -> v, built directly: validation would refuse it
-    frame = Frame(["r", "u", "v"], [0b010, 0b100, 0], [0, 1, 2])
-    story = Story((Moment(frame, "r", {}),), (), immersive=True)
-    report = verify_lim_pmorphism(story, build_limit_assignment(story), 3)
-    assert [(v.kind, v.level, v.message) for v in report.violations] == [
-        ("forth", 0, ";r and r,r,u;v are 2^-2-close but 'r' is not strictly below 'v'"),
-    ]
+    return Frame(["r", "u", "v"], [0b010, 0b100, 0], [0, 1, 2])
+
+
+def test_verify_requires_a_transitive_relation():
+    story = Story((Moment(non_transitive_chain(), "r", {}),), (), immersive=True)
+    with pytest.raises(ValueError, match=r"^level 0: relation is not transitive: "
+                                         r"missing \(r, v\)$"):
+        verify_lim_pmorphism(story, build_limit_assignment(story), 3)
 
 
 def _metric_axioms(frame, bound):
@@ -233,6 +240,13 @@ def test_verify_f1_oplus_single_level():
     assert report.paths_checked > 0
 
 
+def test_paths_checked_closed_form_without_enumeration():
+    # F1-oplus has 2^(r+2) - 1 paths with prefix length <= r
+    story = single_level(f1_oplus())
+    report = verify_lim_pmorphism(story, build_limit_assignment(story), 60)
+    assert report.ok and report.paths_checked == 2 ** 62 - 1
+
+
 def test_verify_f2_vacuous():
     story = single_level(frame_f2())
     la = build_limit_assignment(story)
@@ -277,8 +291,6 @@ def test_verify_two_level_cluster_story_passes():
 
 
 def test_corrupted_assignment_fails_commuting():
-    from tanglemc.pathspace import LimitAssignment
-
     story = two_cluster_story()
     la = build_limit_assignment(story)
     ranks0 = dict(la.ranks[0])
@@ -402,6 +414,109 @@ def test_brute_back_check_catches_a_thin_cluster():
     # b is reflexive and alone in its cluster: no other path has limit b
     # and starts with b
     assert (";b", "b", 0) in brute_back_misses(frame_f1(), 1)
+
+
+def brute_forth_misses(frame, res):
+    """The path pairs (x, y) that fail forth at resolution res: both
+    enumerated, x's limit t first reached at index k, y != x within
+    2^-(k+1) of x, and not t R lim(y).  A y within 2^-(k+1) agrees with x
+    on the indices 0..k+1, so the candidates are looked up by that stretch
+    of the sequence."""
+    paths = enumerate_paths(frame, res)
+    near = {}
+    for y in paths:
+        for m in range(1, res + 3):
+            near.setdefault(tuple(y.value(i) for i in range(m)), []).append(y)
+    misses = []
+    for x in paths:
+        t = limit(x)
+        k = (x.prefix + (t,)).index(t)
+        for y in near[tuple(x.value(i) for i in range(k + 2))]:
+            if y != x and not (frame.succ_mask(frame.index(t)) >> frame.index(limit(y))) & 1:
+                misses.append((format_path(x), format_path(y)))
+    return misses
+
+
+def test_forth_holds_by_brute_force_on_transitive_frames():
+    rng = random.Random(80)
+    frames = []
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        succ = [sum(1 << j for j in range(n) if rng.random() < 0.4) for _ in range(n)]
+        frames.append(Frame([f"w{i}" for i in range(n)], transitive_closure(succ), range(n)))
+    for clusters in (False, True):
+        for _ in range(4):
+            story = random_story(rng, rng.randint(0, 1), allow_clusters=clusters,
+                                 max_level_worlds=4)
+            lifted, _ = story_oplus(story)
+            frames += [m.frame for m in lifted.levels]
+    for frame in frames:
+        assert frame.classify().transitive  # what verify requires
+        for res in range(4):
+            assert brute_forth_misses(frame, res) == []
+
+
+def test_brute_forth_check_catches_a_missing_pair():
+    # ;r and r,r,u;v agree on the indices 0 and 1, but r does not see v
+    assert (";r", "r,r,u;v") in brute_forth_misses(non_transitive_chain(), 3)
+
+
+def subset_commuting_messages(story, assignment):
+    """Per level and reflexive cluster, the first recurrence set, in order
+    of subset codes, whose rank-least world's image is not the rank-least
+    world of its image."""
+    out = []
+    for lvl, moment in enumerate(story.levels):
+        frame, fmap = moment.frame, story.level_map(lvl)
+        ranks = assignment.ranks[lvl]
+        next_ranks = assignment.ranks[min(lvl + 1, story.duration)]
+        for c in frame.cluster_masks():
+            members = frame.sorted_names(c)
+            if not frame.is_reflexive(frame.index(members[0])):
+                continue
+            for code in range(1, 1 << len(members)):
+                d = [w for i, w in enumerate(members) if code >> i & 1]
+                least = min(d, key=ranks.__getitem__)
+                image_least = min((fmap[w] for w in d), key=next_ranks.__getitem__)
+                if image_least != fmap[least]:
+                    out.append(
+                        f"recurrence set {sorted(d)}: image of the rank-least world "
+                        f"{least!r} is {fmap[least]!r} but the image's rank-least "
+                        f"world is {image_least!r}")
+                    break
+    return out
+
+
+def cluster_chain(names, sizes):
+    """Reflexive clusters of the given sizes, each seeing all later ones;
+    the worlds take the names in order."""
+    succ, start = [], 0
+    for size in sizes:
+        start += size
+        succ += [((1 << len(names)) - 1) & ~((1 << (start - size)) - 1)] * size
+    return Frame(names, succ, range(len(names)))
+
+
+def test_pair_check_reports_the_first_failing_recurrence_set():
+    rng = random.Random(81)
+    failing = 0
+    for _ in range(300):
+        sizes = [rng.randint(2, 6) for _ in range(rng.randint(1, 2))]
+        names = rng.sample("abcdefghijklmnopqrstuvwxyz", sum(sizes))
+        level0 = cluster_chain(names, sizes)
+        level1 = cluster_chain(["x", "y", "z"], [3])
+        fmap = {w: rng.choice("xyz") for w in names}
+        story = Story((Moment(level0, names[0], {}), Moment(level1, "x", {})),
+                      (fmap,), immersive=False)
+        ranks = [dict(zip(names, rng.sample(range(len(names)), len(names)))),
+                 dict(zip("xyz", rng.sample(range(3), 3)))]
+        assignment = LimitAssignment(tuple(ranks))
+        report = verify_lim_pmorphism(story, assignment, 1)
+        want = subset_commuting_messages(story, assignment)
+        assert [v.message for v in report.violations] == want
+        assert all((v.kind, v.level) == ("commuting", 0) for v in report.violations)
+        failing += bool(want)
+    assert failing > 100
 
 
 def test_perfectness_per_world_matches_paths_and_radii():

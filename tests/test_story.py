@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tanglemc import story as story_mod
-from tanglemc.frame import check_frame_pmorphism, duplicate_reflexive
+from tanglemc.frame import check_frame_pmorphism, duplicate_reflexive, transitive_closure
 from tanglemc.story import (
     StoryError,
     compose_moment,
@@ -170,6 +170,40 @@ def test_structure_errors():
         validate_moment(["r", "x", "y", "z"],
                         [["r", "x"], ["r", "y"], ["r", "z"], ["x", "z"], ["y", "z"]],
                         "r")
+
+
+def test_tree_like_witness_matches_the_triple_loop():
+    # the first (c, a, b) in index order with a and b both below c (or c
+    # itself) and incomparable, found by the plain triple loop
+    def first_bad(ws, succ):
+        n = len(ws)
+        for c in range(n):
+            below = [a for a in range(n) if a == c or succ[a] >> c & 1]
+            for a in below:
+                for b in below:
+                    if a != b and not (succ[a] >> b & 1 or succ[b] >> a & 1):
+                        return (f"structure: not tree-like: {ws[a]!r} and "
+                                f"{ws[b]!r} both below {ws[c]!r}")
+        return None
+
+    rng = random.Random(31)
+    bad = 0
+    for _ in range(600):
+        n = rng.randint(3, 6)
+        succ = [sum(1 << j for j in range(1, n) if rng.random() < 0.25) for _ in range(n)]
+        succ[0] |= ((1 << n) - 1) & ~1  # world 0 is the root
+        succ = transitive_closure(succ)
+        ws = rng.sample("abcdefgh", n)
+        rel = [[ws[i], ws[j]] for i in range(n) for j in range(n) if succ[i] >> j & 1]
+        want = first_bad(ws, succ)
+        try:
+            validate_moment(ws, rel, ws[0])
+            got = None
+        except StoryError as e:
+            got = str(e)
+        assert got == want
+        bad += want is not None
+    assert bad > 50
 
 
 def test_compose_moment_examples():
