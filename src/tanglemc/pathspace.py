@@ -18,9 +18,10 @@ on eventually-constant paths hold by construction on the transitive
 fat-cluster levels it requires (its docstring gives the arguments), so
 it counts the paths and builds none.
 
-Paths are enumerated by prefix length, each prefix extended in ascending
-world order, which yields the documented order without a sort;
-`_steps` holds the step rule that the enumeration and the count share.
+Paths are enumerated as `Path` objects, for display and the metric
+helpers, by prefix length, each prefix extended in ascending world order,
+which yields the documented order without a sort; `_steps` holds the
+step rule that the enumeration and the count share.
 """
 
 from __future__ import annotations

@@ -118,7 +118,8 @@ def test_enumerate_paths_matches_brute_force():
         n = rng.randint(1, 4)
         succ = [sum(1 << j for j in range(n) if rng.random() < 0.4) for _ in range(n)]
         frame = Frame([f"w{i}" for i in range(n)], succ, list(range(n)))
-        closed, _ = duplicate_reflexive(Frame(frame.worlds, transitive_closure(succ), range(n)))
+        closed, _ = duplicate_reflexive(
+            Frame(frame.worlds, transitive_closure(succ), range(n)))
         story = Story((Moment(closed, "w0", {}),), (), immersive=True)
         for bound in range(4):
             assert enumerate_paths(frame, bound) == brute_force_paths(frame, bound)
@@ -431,8 +432,9 @@ def brute_forth_misses(frame, res):
     for x in paths:
         t = limit(x)
         k = (x.prefix + (t,)).index(t)
+        above = frame.succ_mask(frame.index(t))
         for y in near[tuple(x.value(i) for i in range(k + 2))]:
-            if y != x and not (frame.succ_mask(frame.index(t)) >> frame.index(limit(y))) & 1:
+            if y != x and not above >> frame.index(limit(y)) & 1:
                 misses.append((format_path(x), format_path(y)))
     return misses
 
