@@ -80,18 +80,25 @@ def validate_moment(
         raise StoryError(
             "structure", f"moment relation is not transitive at {ws[witness[0]]!r}"
         )
+    return _rooted_tree_moment(Frame(ws, succ, range(len(ws))), root, valuation)
+
+
+def _rooted_tree_moment(frame: Frame, root: str,
+                        valuation: Mapping[str, Iterable[str]] | None) -> Moment:
+    """The checks after transitivity, on the masks of a transitive frame
+    with the identity map: the root reaches every world, the frame is
+    tree-like, and the valuation names its worlds."""
+    ws, index = frame.worlds, frame._index
     if not isinstance(root, str) or root not in index:
         raise StoryError("structure", f"unknown root {root!r}")
-    n = len(ws)
     r = index[root]
+    succ, pred = frame._succ, frame._pred
     reach = succ[r] | (1 << r)
-    if reach != (1 << n) - 1:
-        missing = ws[next(_bits(((1 << n) - 1) & ~reach))]
+    if reach != frame.full_mask:
+        missing = ws[next(_bits(frame.full_mask & ~reach))]
         raise StoryError("structure", f"root does not reach {missing!r}")
-    frame = Frame(ws, succ, range(n))
-    pred = frame._pred
     # tree-like: common upper bounds force comparability
-    for c in range(n):
+    for c in range(frame.n):
         below = pred[c] | 1 << c
         for a in _bits(below):
             bad = below & ~succ[a] & ~pred[a] & ~(1 << a)
@@ -115,7 +122,13 @@ def validate_moment(
 
 def moment_from_frame(frame: Frame, valuation: Mapping[str, Iterable[str]] | None = None,
                       root: str | None = None) -> Moment:
-    """View a frame as a moment, inferring the root when not given."""
+    """View a frame as a moment, inferring the root when not given.
+
+    The frame's relation must be transitive, as that of every frame
+    :func:`~tanglemc.frame.validate_frame` builds is; it is not checked
+    again.  The other checks and their messages are those of
+    :func:`validate_moment`.
+    """
     if root is None:
         full = frame.full_mask
         for i, w in enumerate(frame.worlds):
@@ -124,7 +137,7 @@ def moment_from_frame(frame: Frame, valuation: Mapping[str, Iterable[str]] | Non
                 break
         else:
             raise StoryError("structure", "frame has no root world")
-    return validate_moment(frame.worlds, frame.rel_pairs(), root, valuation)
+    return _rooted_tree_moment(Frame(frame.worlds, frame._succ, range(frame.n)), root, valuation)
 
 
 @dataclass(frozen=True)

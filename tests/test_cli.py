@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 from tanglemc import cli
 from tanglemc.cli import main
 from tanglemc.frame import frame_from_dict
-from tanglemc.pathspace import enumerate_paths
+from tanglemc.pathspace import build_limit_assignment, enumerate_paths, verify_lim_pmorphism
 from tanglemc.semantics import Model, truth_set
+from tanglemc.story import Story, validate_moment
 from tanglemc.formula import parse
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -298,6 +299,16 @@ def test_search_none_within_bounds(capsys):
     assert code == 0 and report["verdict"] == "none-within-bounds"
 
 
+def test_search_counts_one_relation_per_isomorphism_class(capsys):
+    # a theorem is checked on every frame, so the counts do not depend on
+    # the order: the serial classes on 1-4 worlds with all their monotone
+    # maps (every labelled relation would give 60,931 and 968,258)
+    code, report = run(capsys, "search", "--logic", "K4DC",
+                       "--formula", "[d]p -> [d][d]p", "--max-worlds", "4")
+    assert code == 0 and report["verdict"] == "none-within-bounds"
+    assert report["frames_checked"] == 5151 and report["valuations_checked"] == 80418
+
+
 def test_reports_are_byte_identical_for_same_seed(capsys):
     argv = ["axioms", "--logic", "K4DC", "--trials", "10", "--seed", "4"]
     main(argv)
@@ -380,6 +391,21 @@ def test_pathspace_verify_large_reflexive_cluster(capsys, tmp_path):
     assert code == 0 and report["violations"] == []
     frame, _ = frame_from_dict(data)
     assert report["paths_checked"] == len(enumerate_paths(frame, 2))
+
+
+def test_pathspace_verify_on_a_400_world_chain(capsys, tmp_path):
+    # the frame goes to the moment checks as masks, not as name pairs
+    worlds = [f"c{i:03d}" for i in range(400)]
+    rel = [[a, b] for i, a in enumerate(worlds) for b in worlds[i + 1:]]
+    path = tmp_path / "chain.frame.json"
+    path.write_text(json.dumps({"worlds": worlds, "rel": rel,
+                                "func": {w: w for w in worlds}}))
+    code, report = run(capsys, "pathspace-verify", "--frame", str(path),
+                       "--resolution", "4")
+    assert code == 0 and report["violations"] == []
+    by_names = Story((validate_moment(worlds, rel, "c000"),), (), immersive=True)
+    expected = verify_lim_pmorphism(by_names, build_limit_assignment(by_names), 4)
+    assert report["paths_checked"] == expected.paths_checked == 87485400080
 
 
 def test_pathspace_verify_negative_resolution_exits_2(capsys):

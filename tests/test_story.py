@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tanglemc import story as story_mod
-from tanglemc.frame import check_frame_pmorphism, duplicate_reflexive, transitive_closure
+from tanglemc.frame import Frame, check_frame_pmorphism, duplicate_reflexive, transitive_closure
 from tanglemc.story import (
     StoryError,
     compose_moment,
@@ -370,6 +370,38 @@ def test_story_oplus_rejects_irreflexive_to_reflexive():
 def test_moment_from_frame_infers_root():
     m = moment_from_frame(frame_f1())
     assert m.root == "a"
+
+
+def chain_frame(n):
+    full = (1 << n) - 1
+    return Frame([f"c{i}" for i in range(n)], [full ^ ((2 << i) - 1) for i in range(n)],
+                 range(n))
+
+
+def test_moment_from_frame_checks_as_validate_moment():
+    # a frame goes to the mask-level checks directly; its relation's name
+    # pairs through validate_moment must give the same moment or message
+    chain = chain_frame(6)
+    vee = Frame(["r", "a", "b", "c"], [0b1110, 0b1000, 0b1000, 0], [0, 0, 0, 0])
+    for frame, root, valuation in (
+        (chain_frame(400), "c0", {"p": ["c3", "c399"]}),
+        (chain, "c0", None),
+        (chain, "c5", None),
+        (chain, "zz", None),
+        (chain, "c0", {"p": ["zz"]}),
+        (chain, "c0", {"p": "c3"}),
+        (vee, "r", None),
+    ):
+        outcomes = []
+        for build in (lambda: moment_from_frame(frame, valuation, root),
+                      lambda: validate_moment(frame.worlds, frame.rel_pairs(), root, valuation)):
+            try:
+                outcomes.append(build())
+            except StoryError as e:
+                outcomes.append(str(e))
+        assert outcomes[0] == outcomes[1]
+    assert moment_from_frame(chain).root == "c0"
+    assert outcomes[0] == "structure: not tree-like: 'a' and 'b' both below 'c'"
 
 
 def test_random_moment_is_valid():

@@ -3,9 +3,13 @@
 The oracle evaluates one valuation at a time on plain world masks and walks
 the valuations in the canonical order: ascending valuation codes in
 exhaustive mode, one ``getrandbits(n)`` per sorted variable and sample in
-sampled mode, and for the search the frames in the enumeration order.
+sampled mode, and for the search the frames in the search's order: over
+every labelled transitive relation for the verdict, and over the
+generator's class representatives, checked against brute-force canonical
+forms, for the counts.
 """
 
+import functools
 import gc
 import itertools
 import random
@@ -15,9 +19,11 @@ from hypothesis import given, settings, strategies as st
 from tanglemc.formula import (
     And, Box, Diamond, Implies, Neg, Next, Or, Tangle, Var, parse, vars_of,
 )
-from tanglemc.frame import Frame, _monotone_witness, random_transitive_frame
+from tanglemc.frame import (
+    Frame, _monotone_witness, _transitivity_witness, random_transitive_frame,
+)
 from tanglemc.logic import (
-    LOGICS, _monotone_maps, _transitive_succs, countermodel_search,
+    LOGICS, _monotone_maps, _transitive_classes, countermodel_search,
     random_class_frame, random_formula,
 )
 from tanglemc import semantics
@@ -155,17 +161,28 @@ def test_sampled_dense_frame_turns_from_one_lane_to_packed(monkeypatch):
     assert set(widths) >= {1, 75} and all(w == 1 or w >= 75 for w in widths)
 
 
+@functools.cache
 def brute_transitive_succs(n):
     """Every transitive relation on n worlds, from a scan of all 2^(n*n)
     relation codes in ascending order."""
     full = (1 << n) - 1
     out = []
     for code in range(1 << (n * n)):
-        succ = [(code >> (i * n)) & full for i in range(n)]
+        succ = tuple((code >> (i * n)) & full for i in range(n))
         if all(not succ[v] & ~succ[w]
                for w in range(n) for v in range(n) if succ[w] >> v & 1):
             out.append(succ)
-    return out
+    return tuple(out)
+
+
+def brute_canonical_form(succ):
+    """The least renamed relation over all n! renamings of the worlds."""
+    n = len(succ)
+    return min(
+        tuple(sum(1 << perm[v] for v in range(n) if succ[w] >> v & 1)
+              for w in sorted(range(n), key=perm.__getitem__))
+        for perm in itertools.permutations(range(n))
+    )
 
 
 def brute_monotone_maps(succ, strict):
@@ -174,11 +191,24 @@ def brute_monotone_maps(succ, strict):
             if _monotone_witness(succ, succ, func, strict) is None]
 
 
+def classes_by_size(max_worlds):
+    """The generator's relations on at most max_worlds worlds, by size."""
+    by_size = [[] for _ in range(max_worlds + 1)]
+    for succ in _transitive_classes():
+        if len(succ) > max_worlds:
+            return by_size
+        by_size[len(succ)].append(succ)
+
+
 def test_transitive_relations_match_brute_force():
-    for n, count in enumerate((1, 2, 13, 171, 3994)):
-        relations = list(_transitive_succs(n))
-        assert len(relations) == count
-        assert relations == brute_transitive_succs(n)
+    # one relation per isomorphism class: transitive, pairwise non-isomorphic,
+    # and every labelled transitive relation is isomorphic to one of them
+    for n, relations in enumerate(classes_by_size(4)):
+        assert len(relations) == (1, 2, 8, 39, 242)[n]
+        assert all(_transitivity_witness(succ) is None for succ in relations)
+        forms = [brute_canonical_form(succ) for succ in relations]
+        assert len(set(forms)) == len(forms)
+        assert set(forms) == {brute_canonical_form(succ) for succ in brute_transitive_succs(n)}
 
 
 def test_monotone_maps_match_brute_force():
@@ -202,11 +232,14 @@ def test_monotone_maps_leave_no_reference_cycles():
             gc.enable()
 
 
-def oracle_search(phi, logic, max_worlds):
+def oracle_search(phi, logic, max_worlds, relations_by_size=None):
+    """The first refutation, one frame and valuation at a time, over every
+    labelled transitive relation (or over the given relations per size)."""
     frames = vals = 0
     for n in range(1, max_worlds + 1):
         worlds = [f"w{i}" for i in range(n)]
-        for succ in brute_transitive_succs(n):
+        relations = brute_transitive_succs(n) if relations_by_size is None else relations_by_size[n]
+        for succ in relations:
             if logic.serial and not all(succ):
                 continue
             for func in brute_monotone_maps(succ, logic.strict):
@@ -223,10 +256,12 @@ def test_exhaustive_search_matches_oracle_at_three_worlds():
     # A relation's maps share passes of 2^12 lanes, 2^(worlds * variables)
     # lanes each.  "O p -> O O O p" holds under every map of at most two
     # worlds and first fails under the second map, (0, 0, 1), of the empty
-    # relation on three worlds; with 2, 3 and 4 variables that map sits in
-    # a pass of 27, 8 and 1 maps.  The last case searches two worlds only:
-    # at 14 bits a map takes four passes, and it first fails under the
-    # swap, the third map of the empty relation, in its second pass.
+    # relation on three worlds, the first class on three worlds; with 2, 3
+    # and 4 variables that map sits in a pass of 27, 8 and 1 maps.  The
+    # last case searches two worlds only: at 14 bits a map takes four
+    # passes, and it first fails under the swap, the third map of the empty
+    # relation, in its second pass.
+    classes = classes_by_size(3)
     for logic, text, worlds in (
         ("K4C", "[d]p -> [d][d]p", 3), ("K4DC", "<t>{O p} -> O <t>{p}", 3),
         ("K4C", "<d>O p -> O <d>p", 3), ("K4I", "<t>{O p} -> O <t>{p}", 3),
@@ -239,5 +274,15 @@ def test_exhaustive_search_matches_oracle_at_three_worlds():
     ):
         phi = parse(text)
         result = countermodel_search(phi, logic, max_worlds=worlds)
+        # the verdict of the search over every labelled frame
+        assert result.found == (oracle_search(phi, LOGICS[logic], worlds)[2] is not None)
+        # the counts and the countermodel of a frame-by-frame pass over the classes
         assert (result.frames_checked, result.valuations_checked, result.frame,
-                result.valuation, result.world) == oracle_search(phi, LOGICS[logic], worlds)
+                result.valuation, result.world) == oracle_search(
+                    phi, LOGICS[logic], worlds, classes)
+        if result.found:
+            frame = result.frame
+            assert LOGICS[logic].admits(frame.classify())
+            env = {v: frame.mask(ws) for v, ws in result.valuation.items()}
+            assert oracle_sweep(frame, phi, [env]) == (
+                1, Countermodel(result.valuation, result.world))
