@@ -434,9 +434,9 @@ def _transitive_classes():
     in-degree) key of its worlds, since every class has such an
     extension (delete a world of greatest key), and when its
     :func:`_canonical_code` is new.  Parents go in their own order, then
-    S, then C ascending, then the loop off before on.  The counts are
-    1, 2, 8, 39, 242, 1895, 19051 (OEIS A091073); the classes on up to
-    5 worlds take about 0.07 s, on 6 worlds 0.7 s.
+    S, then C ascending, then the loop off before on.  The counts on
+    0-6 worlds are 1, 2, 8, 39, 242, 1895 and 19051; on a 2-vCPU host
+    the classes on up to 5 worlds take about 0.07 s, on 6 worlds 0.7 s.
     """
     level = [()]
     yield ()
@@ -463,7 +463,8 @@ def _transitive_classes():
                             for w, row in enumerate(rows)]
                     most = max(keys, default=0)
                     for loop in ((1,) if s & c else (0, 1)):
-                        key = (loop << shift | s.bit_count() + loop) << shift | c.bit_count() + loop
+                        key = ((loop << shift | s.bit_count() + loop) << shift
+                               | c.bit_count() + loop)
                         if key < most:
                             continue
                         cand = (*rows, s | new * loop)
@@ -522,23 +523,22 @@ def countermodel_search(
     valuation code) and returns the first refutation.  Validity does not
     change when worlds are renamed, and a renaming that carries one
     relation onto another carries its (strictly) monotone maps onto the
-    other's, so it takes one relation per isomorphism class with all of
-    its maps: every frame of the class is isomorphic to one of these, and
-    ``frames_checked`` counts them (frames of the class up to isomorphism;
-    a relation with automorphisms still has isomorphic maps among its
-    own).  All maps of one relation go through one evaluator, as map
+    other's, so the search takes one relation per isomorphism class with
+    all of its maps: every frame of the class is isomorphic to one of
+    these, and ``frames_checked`` counts them (frames of the class up to
+    isomorphism; a relation with automorphisms still has isomorphic maps
+    among its own).  All maps of one relation go through one evaluator, as map
     slots of lanes next to the valuation codes: as many maps per pass as
     fit in 2^12 lanes, one map per pass of 2^12 codes past 12 bits.  That
     keeps the order and the counts of one frame and one valuation at a
     time.  The bound is not what finishes: on a 2-vCPU host ``[d]p ->
-    [d][d]p`` takes about 0.035 s in K4DC at 4 worlds (5,151 frames;
-    every labelled relation gave 60,931 in 0.3 s), 1.5 s in K4C at 5
-    worlds (409,952 frames; labelled, 26,567,054 in 127 s) and 73 s in
-    K4C at 6 worlds (16,293,935 frames).  Like exhaustive validity it
-    raises ``ValueError`` before the first world count whose frames would
-    need more than 2^``EXHAUSTIVE_BITS_LIMIT`` valuations each (world
-    count times the number of variables); a countermodel on fewer worlds
-    is still found and returned.  Beyond the world bound it samples
+    [d][d]p`` takes about 0.035 s in K4DC at 4 worlds (5,151 frames),
+    1.5-2 s in K4C at 5 worlds (409,952 frames) and 73 s in K4C at 6
+    worlds (16,293,935 frames).  Like exhaustive validity it raises
+    ``ValueError`` before the first world count whose frames would need
+    more than 2^``EXHAUSTIVE_BITS_LIMIT`` valuations each (world count
+    times the number of variables); a countermodel on fewer worlds is
+    still found and returned.  Beyond the world bound it samples
     random class frames and, when ``max_duration > 0``, random
     stories of at most that duration, with 8 random valuations per frame
     in one 8-lane pass, drawn as 8 draws one at a time would be.

@@ -238,7 +238,10 @@ def oracle_search(phi, logic, max_worlds, relations_by_size=None):
     frames = vals = 0
     for n in range(1, max_worlds + 1):
         worlds = [f"w{i}" for i in range(n)]
-        relations = brute_transitive_succs(n) if relations_by_size is None else relations_by_size[n]
+        if relations_by_size is None:
+            relations = brute_transitive_succs(n)
+        else:
+            relations = relations_by_size[n]
         for succ in relations:
             if logic.serial and not all(succ):
                 continue
