@@ -30,7 +30,6 @@ from .frame import (
     duplicate_reflexive,
     frame_from_dict,
     pullback_valuation,
-    random_transitive_frame,
     validate_frame,
 )
 from .logic import (
@@ -73,8 +72,6 @@ from .story import (
     StoryError,
     compose_moment,
     moment_from_frame,
-    moment_height,
-    random_story,
     story_class,
     story_oplus,
     validate_moment,

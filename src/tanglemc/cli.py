@@ -23,7 +23,7 @@ from .frame import (
     frame_from_dict,
     pullback_valuation,
 )
-from .logic import LOGICS, countermodel_search, soundness_suite
+from .logic import EXHAUSTIVE_SEARCH_LIMIT, LOGICS, countermodel_search, soundness_suite
 from .semantics import Model, truth_set, valid_on_frame
 from .story import StoryError
 
@@ -145,15 +145,13 @@ def _cmd_search(args) -> int:
     phi = parse(args.formula)
     seed = _default_seed(args)
     result = countermodel_search(
-        phi, args.logic, max_worlds=args.max_worlds,
-        max_duration=args.max_duration, seed=seed, samples=args.samples,
+        phi, args.logic, max_worlds=args.max_worlds, seed=seed, samples=args.samples,
     )
     report = _report(
         "search",
         formula=pretty(phi),
         logic=args.logic,
         max_worlds=args.max_worlds,
-        max_duration=args.max_duration,
         seed=seed,
         verdict=result.verdict,
         frames_checked=result.frames_checked,
@@ -164,8 +162,6 @@ def _cmd_search(args) -> int:
             "frame": result.frame.to_dict(result.valuation),
             "world": result.world,
         }
-        if result.story is not None:
-            report["countermodel"]["story"] = result.story.to_dict()
     _emit(report)
     return 1 if result.found else 0
 
@@ -274,12 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_axioms)
 
-    p = sub.add_parser("search", help="search for a countermodel in a logic's frame class")
+    p = sub.add_parser("search", help="search a logic's frame class for a countermodel: "
+                       f"all frames up to {EXHAUSTIVE_SEARCH_LIMIT} worlds, random "
+                       "class frames past that")
     p.add_argument("--logic", choices=sorted(LOGICS), required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--max-worlds", type=int, default=3)
-    p.add_argument("--max-duration", type=int, default=0)
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=int, default=2000,
+                   help="random frames drawn when --max-worlds is over "
+                   f"{EXHAUSTIVE_SEARCH_LIMIT}")
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_search)
 

@@ -448,45 +448,3 @@ def pullback_valuation(
         names = set(names)
         out[p] = frozenset(w for w, o in projection.items() if o in names)
     return out
-
-
-def random_transitive_frame(
-    n: int, seed: int, levels: int | None = None, cluster_prob: float = 0.5
-) -> Frame:
-    """Random layered frame, transitive by construction; scales to 10^4 worlds.
-
-    Worlds are assigned random layers; every world sees all worlds in
-    strictly higher layers, and a layer is either a reflexive cluster or an
-    antichain of irreflexive points.  The map is sampled layer-monotone.
-    """
-    import random
-
-    rng = random.Random(seed)
-    if n < 1:
-        raise FrameError("need at least one world")
-    if levels is None:
-        levels = max(2, min(20, n // 4 + 2))
-    layer = [rng.randrange(levels) for _ in range(n)]
-    layer_mask = [0] * levels
-    for w, l in enumerate(layer):
-        layer_mask[l] |= 1 << w
-    is_cluster = [rng.random() < cluster_prob for _ in range(levels)]
-    above = [0] * levels  # union of strictly higher layers
-    acc = 0
-    for l in range(levels - 1, -1, -1):
-        above[l] = acc
-        acc |= layer_mask[l]
-    succ = []
-    for w in range(n):
-        l = layer[w]
-        own = layer_mask[l] if is_cluster[l] else 0
-        succ.append(above[l] | own)
-    worlds = [f"w{i}" for i in range(n)]
-    # layer-respecting map keeps the frame's structure plausible; any total
-    # map would do for evaluation purposes
-    candidates_by_layer = [sorted(_bits(layer_mask[l])) for l in range(levels)]
-    func = []
-    for w in range(n):
-        pool = candidates_by_layer[layer[w]]
-        func.append(pool[rng.randrange(len(pool))])
-    return Frame(worlds, succ, func)

@@ -54,7 +54,6 @@ from .frame import (
     transitive_closure,
 )
 from .semantics import EXHAUSTIVE_BITS_LIMIT, exhaustive_sweep, sampled_sweep, valid_on_frame
-from . import story as story_mod
 
 
 def _iff(a: Formula, b: Formula) -> Formula:
@@ -357,7 +356,6 @@ def soundness_suite(
 class SearchResult:
     verdict: str  # "countermodel" | "none-within-bounds"
     frame: Frame | None = None
-    story: "story_mod.Story | None" = None
     valuation: dict[str, tuple[str, ...]] | None = None
     world: str | None = None
     frames_checked: int = 0
@@ -511,7 +509,6 @@ def countermodel_search(
     phi: Formula,
     logic: Logic | str,
     max_worlds: int = 3,
-    max_duration: int = 0,
     seed: int = 0,
     samples: int = 2000,
 ) -> SearchResult:
@@ -539,9 +536,9 @@ def countermodel_search(
     more than 2^``EXHAUSTIVE_BITS_LIMIT`` valuations each (world count
     times the number of variables); a countermodel on fewer worlds is
     still found and returned.  Beyond the world bound it samples
-    random class frames and, when ``max_duration > 0``, random
-    stories of at most that duration, with 8 random valuations per frame
-    in one 8-lane pass, drawn as 8 draws one at a time would be.
+    ``samples`` random class frames of at most ``max_worlds`` worlds
+    (:func:`random_class_frame`), with 8 random valuations per frame in
+    one 8-lane pass, drawn as 8 draws one at a time would be.
     "none-within-bounds" is not a validity claim, and a search that could
     check no frame raises ``ValueError`` instead: ``max_worlds < 1``, or
     ``samples < 1`` past the world bound.
@@ -554,7 +551,7 @@ def countermodel_search(
         return _search_exhaustive(phi, logic, max_worlds)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    return _search_random(phi, logic, max_worlds, max_duration, seed, samples)
+    return _search_random(phi, logic, max_worlds, seed, samples)
 
 
 def _search_exhaustive(phi: Formula, logic: Logic, max_worlds: int) -> SearchResult:
@@ -593,28 +590,20 @@ def _search_exhaustive(phi: Formula, logic: Logic, max_worlds: int) -> SearchRes
 
 
 def _search_random(
-    phi: Formula, logic: Logic, max_worlds: int, max_duration: int, seed: int, samples: int
+    phi: Formula, logic: Logic, max_worlds: int, seed: int, samples: int
 ) -> SearchResult:
     variables = sorted(vars_of(phi))
     rng = random.Random(seed)
     frames = 0
     vals = 0
     for _ in range(samples):
-        story = None
-        if max_duration > 0 and rng.random() < 0.3:
-            story = story_mod.random_story(rng, rng.randint(0, max_duration),
-                                           serial=logic.serial, immersive=logic.strict)
-            frame, _ = story.assembled()
-            if not logic.admits(frame.classify()):
-                continue
-        else:
-            frame = random_class_frame(rng, max_worlds, logic)
+        frame = random_class_frame(rng, max_worlds, logic)
         frames += 1
         checked, cm = sampled_sweep(frame, phi, variables, rng, 8)
         vals += checked
         if cm is not None:
             return SearchResult(
-                "countermodel", frame=frame, story=story, valuation=cm.valuation,
+                "countermodel", frame=frame, valuation=cm.valuation,
                 world=cm.world, frames_checked=frames, valuations_checked=vals,
             )
     return SearchResult("none-within-bounds", frames_checked=frames, valuations_checked=vals)

@@ -272,14 +272,9 @@ class Evaluator:
         raise TypeError(f"not a formula: {phi!r}")
 
 
-def truth_mask(model: Model, phi: Formula) -> int:
-    ev = Evaluator(model.frame)
-    return ev.compile(phi)(model._masks)
-
-
 def truth_set(model: Model, phi: Formula) -> frozenset[str]:
     """Worlds where phi holds in the model."""
-    return model.frame.names(truth_mask(model, phi))
+    return model.frame.names(Evaluator(model.frame).compile(phi)(model._masks))
 
 
 def _set_masks(frame: Frame, sets: Sequence[Iterable[str]]) -> list[int]:

@@ -16,11 +16,14 @@ A story file may list either I maps (identity on the last level implied)
 or I+1 maps, in which case the last one is checked by the stabilising
 condition.  Malformed files (wrong JSON shapes, unknown worlds) fail the
 "structure" condition.
+
+`Story.assembled` glues the levels into one flat dynamic frame, a frame of
+every logic that `story_class` names.  Countermodel search samples those
+frame classes directly with `logic.random_class_frame`.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -326,6 +329,10 @@ def validate_story(data: Mapping) -> Story:
     return Story(tuple(levels), tuple(maps), immersive)
 
 
+def _moment_serial(m: Moment) -> bool:
+    return all(m.frame._succ)
+
+
 def story_class(story: Story) -> frozenset[str]:
     """Logic names whose story conditions this story satisfies."""
     serial = all(_moment_serial(m) for m in story.levels)
@@ -379,20 +386,6 @@ def compose_moment(
     return validate_moment(worlds, rel, x, {p: frozenset(s) for p, s in val.items()})
 
 
-def moment_height(m: Moment) -> int:
-    """Length of the longest strictly ascending chain of clusters."""
-    f = m.frame
-    memo: dict[int, int] = {}
-
-    def h(i: int) -> int:
-        if i not in memo:
-            strict = f.succ_mask(i) & ~f.cluster_mask(i)
-            memo[i] = 1 + max((h(j) for j in _bits(strict)), default=0)
-        return memo[i]
-
-    return h(f.index(m.root))
-
-
 def story_oplus(story: Story) -> tuple[Story, list[dict[str, str]]]:
     """Level-wise reflexive duplication of a story.
 
@@ -418,161 +411,3 @@ def story_oplus(story: Story) -> tuple[Story, list[dict[str, str]]]:
         })
     unchecked = Story(levels, tuple(maps), immersive=False)
     return validate_story(unchecked.to_dict()), projections
-
-
-# ---------------------------------------------------------------------------
-# random stories (soundness suites, search, and the path-space tests)
-
-def random_moment(
-    rng: random.Random,
-    depth: int = 2,
-    variables: Sequence[str] = ("p", "q"),
-    prefix: str = "m",
-    allow_clusters: bool = True,
-) -> Moment:
-    counter = [0]
-
-    def fresh() -> str:
-        counter[0] += 1
-        return f"{prefix}{counter[0]}"
-
-    def build(d: int) -> Moment:
-        k = rng.choice((1, 1, 2)) if (allow_clusters and rng.random() < 0.4) else 1
-        cluster = [fresh() for _ in range(k)]
-        q = "reflexive" if (k > 1 or rng.random() < 0.5) else "irreflexive"
-        subs = []
-        if d > 0:
-            for _ in range(rng.randint(0, 2)):
-                subs.append(build(d - 1))
-        val = {v: [w for w in cluster if rng.random() < 0.5] for v in variables}
-        return compose_moment(cluster[0], cluster, q, subs, val)
-
-    return build(depth)
-
-
-def _transform_moment(rng: random.Random, m: Moment, fresh_prefix: str,
-                      allow_clusters: bool = True) -> tuple[Moment, dict[str, str]]:
-    """Build a successor moment and a map satisfying all story conditions.
-
-    Clusters are copied bijectively or collapsed onto an irreflexive point;
-    irreflexive points never gain reflexivity, and fresh subtrees may be
-    grafted outside the image.
-    """
-    f = m.frame
-    counter = [0]
-
-    def fresh() -> str:
-        counter[0] += 1
-        return f"{fresh_prefix}{counter[0]}"
-
-    def go(root: str) -> tuple[Moment, dict[str, str]]:
-        ri = f.index(root)
-        cluster_mask = f.cluster_mask(ri)
-        cluster = [root] + [
-            w for w in m.worlds if w != root and (cluster_mask >> f.index(w)) & 1
-        ]
-        reflexive = f.is_reflexive(ri)
-        child_roots = []
-        seen = 0
-        strict = f.succ_mask(ri) & ~cluster_mask
-        for j in _bits(strict):
-            if (seen >> j) & 1:
-                continue
-            cj = f.cluster_mask(j)
-            # immediate successors: nothing strictly between root cluster and them
-            preds_of_j = f.pred_mask(j) & ~cluster_mask & ~cj & strict
-            if preds_of_j:
-                continue
-            seen |= cj
-            child_roots.append(next(iter(sorted(_bits(cj)))))
-        subs = []
-        mapping: dict[str, str] = {}
-        for j in child_roots:
-            sm, smap = go(m.worlds[j])
-            subs.append(sm)
-            mapping.update(smap)
-        collapse = reflexive and rng.random() < 0.3
-        if collapse:
-            target = [fresh()]
-            q = "irreflexive"
-            for w in cluster:
-                mapping[w] = target[0]
-        else:
-            target = [fresh() for _ in cluster]
-            q = "reflexive" if reflexive else "irreflexive"
-            for w, t in zip(cluster, target):
-                mapping[w] = t
-        if rng.random() < 0.25:
-            subs.append(random_moment(rng, 0, prefix=fresh() + "x",
-                                      allow_clusters=allow_clusters))
-        val = {}
-        out = compose_moment(target[0], target, q, subs, val)
-        return out, mapping
-
-    return go(m.root)
-
-
-LEVEL_TRIES = 10_000  # random levels drawn for one story level before giving up
-
-
-def random_story(
-    rng: random.Random,
-    duration: int,
-    serial: bool = False,
-    immersive: bool = False,
-    variables: Sequence[str] = ("p", "q"),
-    max_level_worlds: int = 7,
-    allow_clusters: bool = False,
-) -> Story:
-    """Random valid story; with `immersive` the maps are bijective copies.
-
-    Defaults keep levels small with singleton clusters, so that path
-    enumeration over the reflexive duplication stays desk-scale; pass
-    `allow_clusters` for proper multi-world clusters.  Each level is drawn
-    until it has at most `max_level_worlds` worlds (and is serial when
-    asked); ValueError when ``LEVEL_TRIES`` draws of one level all fail.
-    """
-
-    def fits(m: Moment) -> bool:
-        return len(m.worlds) <= max_level_worlds and (not serial or _moment_serial(m))
-
-    failed = (f"no {'serial ' if serial else ''}story level of at most "
-              f"{max_level_worlds} worlds in {LEVEL_TRIES} draws")
-    for _ in range(LEVEL_TRIES):
-        first = random_moment(rng, depth=2, variables=variables, prefix="a",
-                              allow_clusters=allow_clusters)
-        if fits(first):
-            break
-    else:
-        raise ValueError(failed)
-    levels = [first]
-    maps = []
-    for i in range(duration):
-        if immersive:
-            nxt, fmap = _copy_moment(levels[-1], f"l{i + 1}_")
-        else:
-            for _ in range(LEVEL_TRIES):
-                nxt, fmap = _transform_moment(rng, levels[-1], f"l{i + 1}_",
-                                              allow_clusters=allow_clusters)
-                if fits(nxt):
-                    break
-            else:
-                raise ValueError(failed)
-        levels.append(nxt)
-        maps.append(fmap)
-    return validate_story(Story(tuple(levels), tuple(maps), immersive=False).to_dict())
-
-
-def _moment_serial(m: Moment) -> bool:
-    return all(m.frame._succ)
-
-
-def _copy_moment(m: Moment, prefix: str) -> tuple[Moment, dict[str, str]]:
-    mapping = {w: prefix + w for w in m.worlds}
-    copied = validate_moment(
-        [mapping[w] for w in m.worlds],
-        [[mapping[a], mapping[b]] for a, b in m.rel],
-        mapping[m.root],
-        {p: [mapping[w] for w in ws] for p, ws in m.valuation.items()},
-    )
-    return copied, mapping

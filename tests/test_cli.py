@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from tanglemc import cli
 from tanglemc.cli import main
 from tanglemc.frame import frame_from_dict
+from tanglemc.logic import LOGICS
 from tanglemc.pathspace import build_limit_assignment, enumerate_paths, verify_lim_pmorphism
 from tanglemc.semantics import Model, truth_set
 from tanglemc.story import Story, validate_moment
@@ -217,6 +218,21 @@ def test_search_refutes_on_small_frames_below_the_valuation_bit_bound(capsys, ma
     assert code == 1 and report["verdict"] == "countermodel"
     assert report["frames_checked"] == 1 and report["valuations_checked"] == 1
     assert report["countermodel"]["world"] == "w0"
+
+
+def test_search_past_the_world_bound_reports_class_frames_within_it(capsys):
+    # 9 worlds is past EXHAUSTIVE_SEARCH_LIMIT, so every frame is sampled
+    for seed in range(1, 9):
+        code, report = run(capsys, "search", "--logic", "K4C", "--formula", "p -> O p",
+                           "--max-worlds", "9", "--samples", "50", "--seed", str(seed))
+        assert code == 1 and "max_duration" not in report
+        frame, valuation = frame_from_dict(report["countermodel"]["frame"])
+        assert frame.n <= 9 and LOGICS["K4C"].admits(frame.classify())
+        assert report["countermodel"]["world"] not in truth_set(Model(frame, valuation),
+                                                                parse("p -> O p"))
+    with pytest.raises(SystemExit) as e:
+        main(["search", "--logic", "K4C", "--formula", "p", "--max-duration", "1"])
+    assert e.value.code == 2
 
 
 @pytest.mark.parametrize("enabled, target, code", [
@@ -498,7 +514,7 @@ def _command(draw, path):
     elif command == "search":
         worlds = draw(st.sampled_from(["-1", "0", "1", "2", "9"]))
         argv = [command, logic, formula, f"--max-worlds={worlds}",
-                f"--max-duration={draw(_SMALL)}", f"--samples={draw(_SMALL)}"]
+                f"--samples={draw(_SMALL)}"]
     elif command == "check":
         argv += [formula] + draw(st.sampled_from([[], [f"--world={draw(_NAMES)}"]]))
     elif command == "validity":

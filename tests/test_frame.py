@@ -11,10 +11,11 @@ from tanglemc.frame import (
     duplicate_reflexive,
     frame_from_dict,
     pullback_valuation,
-    random_transitive_frame,
     transitive_closure,
     validate_frame,
 )
+
+from generators import random_transitive_frame
 
 
 def frame_f1():

@@ -160,11 +160,12 @@ def test_search_canonical_order_is_deterministic():
     assert a.frame.n == 1 and a.valuation == {"p": ()}
 
 
-def test_randomized_search_with_stories():
+def test_randomized_search_refutes_on_class_frames():
+    # past EXHAUSTIVE_SEARCH_LIMIT worlds the search samples class frames
     phi = parse("<t>{O p} -> O <t>{p}")
-    result = countermodel_search(phi, "K4C", max_worlds=10, max_duration=2, seed=4,
-                                 samples=4000)
-    assert result.found
+    result = countermodel_search(phi, "K4C", max_worlds=10, seed=4, samples=4000)
+    assert result.found and result.frames_checked == 24
+    assert result.frame.n <= 10 and LOGICS["K4C"].admits(result.frame.classify())
     model = Model(result.frame, {k: set(v) for k, v in result.valuation.items()})
     assert result.world not in truth_set(model, phi)
 

@@ -25,11 +25,11 @@ from tanglemc.story import (
     Moment,
     Story,
     moment_from_frame,
-    random_story,
     story_oplus,
     validate_story,
 )
 
+from generators import random_story
 from test_frame import frame_f1, frame_f2, frame_f3
 
 

@@ -2,21 +2,19 @@ import random
 
 import pytest
 
-from tanglemc import story as story_mod
 from tanglemc.frame import Frame, check_frame_pmorphism, duplicate_reflexive, transitive_closure
 from tanglemc.story import (
     StoryError,
     compose_moment,
     moment_from_frame,
-    moment_height,
-    random_moment,
-    random_story,
     story_class,
     story_oplus,
     validate_moment,
     validate_story,
 )
 
+import generators
+from generators import random_moment, random_story
 from test_frame import frame_f1
 
 
@@ -234,12 +232,16 @@ def test_compose_moment_preconditions():
 
 
 def test_compose_moment_height():
+    # each composition puts one more cluster below the last: three in a chain
     leaf = compose_moment("l", ["l"], "reflexive", [], {})
-    assert moment_height(leaf) == 1
+    assert leaf.rel == (("l", "l"),)
     mid = compose_moment("m", ["m"], "irreflexive", [leaf], {})
-    assert moment_height(mid) == 2
+    assert mid.worlds == ("m", "l") and mid.rel == (("l", "l"), ("m", "l"))
     top = compose_moment("t", ["t", "u"], "reflexive", [mid], {})
-    assert moment_height(top) == 3
+    assert top.root == "t" and top.worlds == ("t", "u", "m", "l")
+    assert top.rel == tuple(sorted(
+        [(a, b) for a in "tu" for b in "tuml"] + [("m", "l"), ("l", "l")]))
+    assert sorted(top.frame.cluster_masks()) == [0b0011, 0b0100, 0b1000]
 
 
 def test_story_class_examples():
@@ -270,20 +272,20 @@ def test_assembled_frame_is_monotone_and_immersive_when_story_is():
 
 
 def test_random_story_gives_up_after_level_tries(monkeypatch):
-    monkeypatch.setattr(story_mod, "LEVEL_TRIES", 20)
+    monkeypatch.setattr(generators, "LEVEL_TRIES", 20)
     # no level has zero worlds: the first level's draws run out
     with pytest.raises(ValueError, match="at most 0 worlds in 20 draws"):
         random_story(random.Random(0), 1, max_level_worlds=0)
     # with two draws per level, some one-world story runs out at a later level
-    monkeypatch.setattr(story_mod, "LEVEL_TRIES", 2)
+    monkeypatch.setattr(generators, "LEVEL_TRIES", 2)
     prefixes = []
-    transform = story_mod._transform_moment
+    transform = generators._transform_moment
 
     def counted(rng, m, prefix, **kwargs):
         prefixes.append(prefix)
         return transform(rng, m, prefix, **kwargs)
 
-    monkeypatch.setattr(story_mod, "_transform_moment", counted)
+    monkeypatch.setattr(generators, "_transform_moment", counted)
     for seed in range(100):
         prefixes.clear()
         try:

@@ -19,15 +19,15 @@ from hypothesis import given, settings, strategies as st
 from tanglemc.formula import (
     And, Box, Diamond, Implies, Neg, Next, Or, Tangle, Var, parse, vars_of,
 )
-from tanglemc.frame import (
-    Frame, _monotone_witness, _transitivity_witness, random_transitive_frame,
-)
+from tanglemc.frame import Frame, _monotone_witness, _transitivity_witness
 from tanglemc.logic import (
     LOGICS, _monotone_maps, _transitive_classes, countermodel_search,
     random_class_frame, random_formula,
 )
 from tanglemc import semantics
 from tanglemc.semantics import Countermodel, Verdict, valid_on_frame
+
+from generators import random_transitive_frame
 
 
 def oracle_mask(frame, phi, env):
