@@ -38,7 +38,6 @@ from .logic import (
     Logic,
     Schema,
     countermodel_search,
-    instantiate,
     random_class_frame,
     random_formula,
     soundness_suite,
@@ -47,10 +46,8 @@ from .pathspace import (
     LimitAssignment,
     Path,
     build_limit_assignment,
-    cantor_preconditions,
     enumerate_paths,
     format_path,
-    limit,
     next_path,
     parse_path,
     path_metric,

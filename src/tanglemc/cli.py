@@ -1,9 +1,10 @@
 """Batch front-end: every operation on files, reproducible seeds, JSON reports.
 
 Exit codes: 0 success/valid/pass, 1 countermodel-found/check-fail, 2 input
-error, 3 internal error; both errors print a report with an `error`.  Reports
-are printed to stdout with a stable schema version; runs with identical
-inputs and seed produce byte-identical reports.  The environment variable
+error (an unknown option or a bad option value too), 3 internal error; both
+errors print a report with an `error`.  Reports are printed to stdout with
+a stable schema version; runs with identical inputs and seed produce
+byte-identical reports.  The environment variable
 ``TANGLEMC_SEED`` supplies the default seed.
 """
 
@@ -16,7 +17,7 @@ import os
 import sys
 
 from . import pathspace, story as story_mod
-from .formula import Formula, next_depth, parse, pretty, size, vars_of
+from .formula import next_depth, parse, pretty, size, vars_of
 from .frame import (
     Frame,
     duplicate_reflexive,
@@ -230,8 +231,21 @@ def _cmd_pathspace_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+class _UsageError(Exception):
+    """An argparse error: its message and the subcommand, None if none."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's errors for `main` to report, instead of exiting.
+    Subparsers are made of the same class; their prog ends in the name."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(message, self.prog.partition(" ")[2] or None)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="tanglemc",
         description="Model checking and countermodel search for tangled "
                     "derivative logics on finite dynamic Kripke frames.",
@@ -304,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--story")
     group.add_argument("--frame", help="frame treated as a single-level story "
-                                       "(its map is replaced by the identity)")
+                                       "(its map is ignored)")
     p.add_argument("--close-transitively", action="store_true")
     p.add_argument("--resolution", type=int, default=4)
     p.add_argument("--dump-paths", action="store_true", help="also list every "
@@ -316,7 +330,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        # not parse_args: its top parser would reject the extras without
+        # the subcommand's name
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            raise _UsageError(f"unrecognized arguments: {' '.join(extra)}", args.command)
+    except _UsageError as e:
+        message, command = e.args
+        _emit(_report(command, error=message))
+        return 2
     try:
         return args.fn(args)
     except (ValueError, OSError) as e:  # parse, frame, story and JSON errors too

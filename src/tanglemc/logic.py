@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .formula import (
@@ -141,17 +141,6 @@ SCHEMAS: dict[str, Schema] = {
 }
 
 
-def instantiate(
-    schema: str | Schema,
-    formulas: Sequence[Formula] = (),
-    formula_set: Iterable[Formula] | None = None,
-    theta: Formula | None = None,
-) -> Formula:
-    if isinstance(schema, str):
-        schema = SCHEMAS[schema]
-    return schema.instantiate(formulas, formula_set, theta)
-
-
 _BASE = ("K", "4", "Next-neg", "Next-and", "Fix-tan", "Ind-tan")
 
 
@@ -241,16 +230,21 @@ def random_class_frame(rng: random.Random, max_worlds: int, logic: Logic) -> Fra
     return Frame([f"w{i}" for i in range(n)], succ, func)
 
 
-def _random_instance(rng: random.Random, schema: Schema, variables: Sequence[str],
-                     depth: int) -> Formula:
-    formulas = [random_formula(rng, variables, depth) for _ in range(schema.formula_slots)]
+SUITE_VARIABLES = ("p", "q")  # the variables of the suite's schema instances
+SUITE_DEPTH = 1  # the depth of the random formulas filling their slots
+
+
+def _random_instance(rng: random.Random, schema: Schema) -> Formula:
+    def draw():
+        return random_formula(rng, SUITE_VARIABLES, SUITE_DEPTH)
+
+    formulas = [draw() for _ in range(schema.formula_slots)]
     formula_set = None
     theta = None
     if schema.set_slot:
-        formula_set = [random_formula(rng, variables, depth)
-                       for _ in range(rng.choice((1, 2)))]
+        formula_set = [draw() for _ in range(rng.choice((1, 2)))]
     if schema.theta_slot:
-        theta = random_formula(rng, variables, depth)
+        theta = draw()
     return schema.instantiate(formulas, formula_set, theta)
 
 
@@ -305,15 +299,13 @@ def soundness_suite(
     max_worlds: int = 4,
     mode: str = "sampled",
     samples: int = 32,
-    variables: Sequence[str] = ("p", "q"),
-    formula_depth: int = 1,
-    extra_schemas: Sequence[str] = (),
-    frame_source: Callable[[random.Random], Frame] | None = None,
 ) -> SuiteReport:
     """Check every schema of the logic on random frames of its class.
 
-    A sound configuration reports zero violations; `extra_schemas` and
-    `frame_source` exist so tests can misconfigure the suite on purpose.
+    Each trial draws a frame with :func:`random_class_frame`, then for each
+    schema an instance over `SUITE_VARIABLES` of depth `SUITE_DEPTH` and a
+    sampling seed.  A sound logic reports zero violations; a `Logic` whose
+    schemas or class do not match gives a misconfigured suite.
     """
     if isinstance(logic, str):
         logic = LOGICS[logic]
@@ -324,16 +316,12 @@ def soundness_suite(
     if mode == "sampled" and samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
-    schema_names = tuple(logic.schemas) + tuple(extra_schemas)
     violations = []
     instances = 0
     for _ in range(trials):
-        if frame_source is not None:
-            frame = frame_source(rng)
-        else:
-            frame = random_class_frame(rng, max_worlds, logic)
-        for name in schema_names:
-            inst = _random_instance(rng, SCHEMAS[name], variables, formula_depth)
+        frame = random_class_frame(rng, max_worlds, logic)
+        for name in logic.schemas:
+            inst = _random_instance(rng, SCHEMAS[name])
             instances += 1
             verdict = valid_on_frame(
                 frame, inst, mode=mode, samples=samples, seed=rng.getrandbits(32)

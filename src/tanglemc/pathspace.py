@@ -166,11 +166,6 @@ def build_limit_assignment(story: Story) -> LimitAssignment:
     return LimitAssignment(tuple(ranks))
 
 
-def limit(p: Path) -> str:
-    """The world recurring in a canonical eventually-constant path: its tail."""
-    return p.tail
-
-
 # ---------------------------------------------------------------------------
 # verification
 
@@ -293,35 +288,3 @@ def verify_lim_pmorphism(
                     ))
                     break
     return PathVerifyReport(resolution, len(story.levels), checked, tuple(violations))
-
-
-@dataclass(frozen=True)
-class CantorPreconditions:
-    nonempty: bool
-    serial: bool
-    fat_reflexive_clusters: bool
-    perfect_at_resolution: bool
-
-    @property
-    def ok(self) -> bool:
-        return (self.nonempty and self.serial and self.fat_reflexive_clusters
-                and self.perfect_at_resolution)
-
-
-def cantor_preconditions(frame: Frame, resolution: int) -> CantorPreconditions:
-    """Finite checks behind the path-space topology claims: nonempty, serial,
-    reflexive clusters of size >= 2, and perfectness at the given resolution:
-    every path has a distinct path within 2^-k for every k <= resolution.
-    Perfectness is per world and the same at every resolution: every world
-    has a strict successor.  A world w without one is the tail of the path
-    ``((), w)``, and every other path differs from it at index 0.  Else a
-    path that follows p up to index k or its prefix length and then steps
-    from the tail to a strict successor is the close path; a cluster mate
-    is itself a strict successor."""
-    if resolution < 0:
-        raise ValueError("resolution must be >= 0")
-    nonempty = frame.n > 0
-    serial = all(frame.succ_mask(i) for i in range(frame.n))
-    fat = _thin_reflexive_cluster(frame) is None
-    perfect = all(frame.succ_mask(i) & ~(1 << i) for i in range(frame.n))
-    return CantorPreconditions(nonempty, serial, fat, perfect)

@@ -1,9 +1,12 @@
 """Moments and stories: stratified frames with level maps.
 
 A moment is a finite rooted tree-like transitive frame with a valuation;
-it holds its `Frame` (with the identity map), its root and its valuation.
-A story of duration I stacks I+1 moments joined by maps f_0..f_{I-1}; the
-map on the last level is the identity.  The five story conditions are
+it holds its `Frame`, its root and its valuation.  No story or path-space
+code reads the map of a moment's frame; a story's own maps join its
+levels.  (`story_oplus` lifts that map along with each level frame, but
+`Story.to_dict` drops it before `validate_story` rebuilds the levels.)
+A story of duration I stacks I+1 moments joined by maps f_0..f_{I-1};
+the map on the last level is the identity.  The five story conditions are
 checked in a fixed order, each with a concrete witness:
 
     monotonic          w below v   implies f(w) below f(v)
@@ -49,7 +52,10 @@ class StoryError(ValueError):
 
 @dataclass(frozen=True)
 class Moment:
-    """A rooted tree-like frame with the identity map, plus a valuation.
+    """A rooted tree-like frame plus a valuation.
+
+    The frame's map is ignored: `validate_moment` gives it the identity,
+    and `moment_from_frame` keeps the map of the frame it is given.
 
     `worlds` are the frame's worlds in declared order; `rel` lists its
     relation pairs sorted by name.
@@ -123,24 +129,22 @@ def _rooted_tree_moment(frame: Frame, root: str,
     return Moment(frame, root, val)
 
 
-def moment_from_frame(frame: Frame, valuation: Mapping[str, Iterable[str]] | None = None,
-                      root: str | None = None) -> Moment:
-    """View a frame as a moment, inferring the root when not given.
+def moment_from_frame(frame: Frame,
+                      valuation: Mapping[str, Iterable[str]] | None = None) -> Moment:
+    """View a frame as a moment rooted at its first world that reaches
+    every world.
 
-    The frame's relation must be transitive, as that of every frame
+    The moment keeps `frame` itself, whose map no story or path-space code
+    reads.  The relation must be transitive, as that of every frame
     :func:`~tanglemc.frame.validate_frame` builds is; it is not checked
     again.  The other checks and their messages are those of
     :func:`validate_moment`.
     """
-    if root is None:
-        full = frame.full_mask
-        for i, w in enumerate(frame.worlds):
-            if frame.succ_mask(i) | (1 << i) == full:
-                root = w
-                break
-        else:
-            raise StoryError("structure", "frame has no root world")
-    return _rooted_tree_moment(Frame(frame.worlds, frame._succ, range(frame.n)), root, valuation)
+    full = frame.full_mask
+    for i, w in enumerate(frame.worlds):
+        if frame.succ_mask(i) | (1 << i) == full:
+            return _rooted_tree_moment(frame, w, valuation)
+    raise StoryError("structure", "frame has no root world")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from tanglemc import cli
 from tanglemc.cli import main
-from tanglemc.frame import frame_from_dict
+from tanglemc.frame import Frame, frame_from_dict
 from tanglemc.logic import LOGICS
 from tanglemc.pathspace import build_limit_assignment, enumerate_paths, verify_lim_pmorphism
 from tanglemc.semantics import Model, truth_set
@@ -230,9 +230,25 @@ def test_search_past_the_world_bound_reports_class_frames_within_it(capsys):
         assert frame.n <= 9 and LOGICS["K4C"].admits(frame.classify())
         assert report["countermodel"]["world"] not in truth_set(Model(frame, valuation),
                                                                 parse("p -> O p"))
+
+
+@pytest.mark.parametrize("argv, command, error", [
+    (["search", "--logic", "K4C", "--formula", "p", "--max-duration", "1"], "search",
+     "unrecognized arguments: --max-duration 1"),
+    (["search", "--logic", "K4C", "--formula", "p", "--max-worlds", "x"], "search",
+     "argument --max-worlds: invalid int value: 'x'"),
+    ([], None, "the following arguments are required: command"),
+])
+def test_argparse_errors_print_the_error_report(capsys, argv, command, error):
+    code, report = run(capsys, *argv)
+    assert code == 2 and report == {
+        "schema_version": cli.SCHEMA_VERSION, "command": command, "error": error}
+
+
+def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as e:
-        main(["search", "--logic", "K4C", "--formula", "p", "--max-duration", "1"])
-    assert e.value.code == 2
+        main(["search", "--help"])
+    assert e.value.code == 0 and "--max-worlds" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("enabled, target, code", [
@@ -384,6 +400,19 @@ def test_pathspace_verify_frame_and_dump(capsys):
     assert code == 0 and report["violations"] == []
     assert ";a" in report["paths"]
     assert all(";" in line for line in report["paths"])
+
+
+def test_pathspace_verify_frame_builds_the_frame_once(capsys, monkeypatch):
+    builds = []
+    init = Frame.__init__
+
+    def counting_init(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Frame, "__init__", counting_init)
+    code, _ = run(capsys, "pathspace-verify", "--frame", str(DEMOS / "f1_oplus.frame.json"))
+    assert code == 0 and len(builds) == 1
 
 
 def test_pathspace_verify_story(capsys):

@@ -6,8 +6,8 @@ from tanglemc.formula import Var, parse, pretty
 from tanglemc.logic import (
     LOGICS,
     SCHEMAS,
+    Logic,
     countermodel_search,
-    instantiate,
     random_class_frame,
     random_formula,
     soundness_suite,
@@ -20,32 +20,32 @@ p, q = Var("p"), Var("q")
 
 
 def test_instantiate_fix_example():
-    inst = instantiate("Fix-tan", formula_set=[p])
+    inst = SCHEMAS["Fix-tan"].instantiate(formula_set=[p])
     assert inst == parse("<t>{p} -> <d>(p & <t>{p})")
 
 
 def test_instantiate_four_example():
-    assert instantiate("4", [p]) == parse("[d]p -> [d][d]p")
+    assert SCHEMAS["4"].instantiate([p]) == parse("[d]p -> [d][d]p")
 
 
 def test_instantiate_ctan_example():
-    assert instantiate("CTan-dia", formula_set=[p]) == parse("<t>{O p} -> O <t>{p}")
+    assert SCHEMAS["CTan-dia"].instantiate(formula_set=[p]) == parse("<t>{O p} -> O <t>{p}")
 
 
 def test_instantiate_ind_example():
-    inst = instantiate("Ind-tan", formula_set=[p], theta=q)
+    inst = SCHEMAS["Ind-tan"].instantiate(formula_set=[p], theta=q)
     assert inst == parse("[d.](q -> <d>(p & q)) -> (q -> <t>{p})")
 
 
 def test_instantiate_arity_errors():
     with pytest.raises(ValueError):
-        instantiate("K", [p])
+        SCHEMAS["K"].instantiate([p])
     with pytest.raises(ValueError):
-        instantiate("Fix-tan", formula_set=None)
+        SCHEMAS["Fix-tan"].instantiate(formula_set=None)
     with pytest.raises(ValueError):
-        instantiate("Ind-tan", formula_set=[p])
+        SCHEMAS["Ind-tan"].instantiate(formula_set=[p])
     with pytest.raises(ValueError):
-        instantiate("4", [p], theta=q)
+        SCHEMAS["4"].instantiate([p], theta=q)
 
 
 def test_logic_frame_classes():
@@ -77,19 +77,20 @@ def test_dotted_axioms_also_valid_on_strict_frames():
     for _ in range(60):
         frame = random_class_frame(rng, 4, LOGICS["K4I"])
         for schema_name in ("C-dot", "CTan-dot"):
-            inst = instantiate(schema_name, [p] if schema_name == "C-dot" else (),
-                               formula_set=None if schema_name == "C-dot" else [p])
+            inst = SCHEMAS[schema_name].instantiate(
+                [p] if schema_name == "C-dot" else (),
+                formula_set=None if schema_name == "C-dot" else [p])
             assert valid_on_frame(frame, inst).valid
 
 
 def test_ctan_dia_separates_monotone_from_strict():
-    inst = instantiate("CTan-dia", formula_set=[p])
+    inst = SCHEMAS["CTan-dia"].instantiate(formula_set=[p])
     assert not valid_on_frame(frame_f3(), inst).valid
 
 
 def test_d_valid_exactly_on_serial_frames():
     rng = random.Random(23)
-    d = instantiate("D")
+    d = SCHEMAS["D"].instantiate()
     for _ in range(80):
         frame = random_class_frame(rng, 4, LOGICS["K4C"])
         assert valid_on_frame(frame, d).valid == frame.classify().serial
@@ -104,8 +105,10 @@ def test_soundness_suite_clean():
 
 def test_soundness_suite_reports_misconfigured_schema():
     # CTan-dia is not sound for the merely monotone class
-    report = soundness_suite("K4C", trials=200, seed=3, extra_schemas=("CTan-dia",),
-                             mode="exhaustive")
+    k4c = LOGICS["K4C"]
+    misconfigured = Logic("K4C", k4c.schemas + ("CTan-dia",), k4c.serial, k4c.strict)
+    report = soundness_suite(misconfigured, trials=200, seed=3, mode="exhaustive")
+    assert len(report.violations) == 13
     assert not report.ok
     assert {v.schema for v in report.violations} == {"CTan-dia"}
     v = report.violations[0]
@@ -115,15 +118,17 @@ def test_soundness_suite_reports_misconfigured_schema():
     assert v.world not in truth_set(Model(frame, valuation), parse(v.formula))
 
 
-def test_soundness_suite_negative_control_non_serial():
+def test_soundness_suite_negative_control_non_serial(monkeypatch):
+    from tanglemc import logic
     from tanglemc.frame import validate_frame
 
-    def non_serial_source(rng):
+    def non_serial_frame(*_):
         return validate_frame(["a", "b"], [["a", "b"]], {"a": "b", "b": "b"})
 
-    report = soundness_suite("K4DI", trials=5, seed=1, frame_source=non_serial_source,
-                             mode="exhaustive")
+    monkeypatch.setattr(logic, "random_class_frame", non_serial_frame)
+    report = soundness_suite("K4DI", trials=5, seed=1, mode="exhaustive")
     assert any(v.schema == "D" and v.world == "b" for v in report.violations)
+    assert len(report.violations) == 9
 
 
 def test_suite_requires_trials():

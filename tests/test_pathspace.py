@@ -10,10 +10,8 @@ from tanglemc.pathspace import (
     Path,
     _thin_reflexive_cluster,
     build_limit_assignment,
-    cantor_preconditions,
     enumerate_paths,
     format_path,
-    limit,
     next_path,
     parse_path,
     path_metric,
@@ -168,12 +166,6 @@ def test_next_path_is_one_lipschitz():
         paths = enumerate_paths(frame, 3)
         for u, v in itertools.combinations(paths, 2):
             assert path_metric(next_path(u, g), next_path(v, g)) <= path_metric(u, v)
-
-
-def test_limit_examples():
-    assert limit(Path(("a",), "b")) == "b"
-    assert limit(Path((), "a")) == "a"
-    assert limit(Path(("a", "b"), "b'")) == "b'"
 
 
 def test_limit_assignment_first_level_ranks_are_canonical():
@@ -333,7 +325,7 @@ def test_limit_commutes_on_enumerated_paths():
         for i, moment in enumerate(lifted.levels):
             fmap = lifted.level_map(i)
             for p in enumerate_paths(moment.frame, 3):
-                assert limit(next_path(p, fmap)) == fmap[limit(p)]
+                assert next_path(p, fmap).tail == fmap[p.tail]
 
 
 def test_next_path_locally_injective_for_immersive_stories():
@@ -359,8 +351,8 @@ def test_truth_pullback_through_limit():
         phi = random_formula(rng, ["p", "q"], 2)
         val = {v: {w for w in frame.worlds if rng.random() < 0.5} for v in "pq"}
         ts = truth_set(Model(frame, val), phi)
-        preimage = [p for p in paths if limit(p) in ts]
-        assert {limit(p) for p in preimage} == ts
+        preimage = [p for p in paths if p.tail in ts]
+        assert {p.tail for p in preimage} == ts
 
 
 def brute_back_misses(frame, res):
@@ -372,11 +364,11 @@ def brute_back_misses(frame, res):
     near = {}
     for q in enumerate_paths(frame, res + 2):
         for k in range(res + 1):
-            key = (limit(q), tuple(q.value(i) for i in range(k + 1)))
+            key = (q.tail, tuple(q.value(i) for i in range(k + 1)))
             near.setdefault(key, []).append(q)
     misses = []
     for p in enumerate_paths(frame, res):
-        for v in frame.names(frame.succ_mask(frame.index(limit(p)))):
+        for v in frame.names(frame.succ_mask(frame.index(p.tail))):
             for k in range(res + 1):
                 stem = tuple(p.value(i) for i in range(k + 1))
                 if not any(0 < path_metric(p, q) < Fraction(1, 2 ** k)
@@ -430,11 +422,11 @@ def brute_forth_misses(frame, res):
             near.setdefault(tuple(y.value(i) for i in range(m)), []).append(y)
     misses = []
     for x in paths:
-        t = limit(x)
+        t = x.tail
         k = (x.prefix + (t,)).index(t)
         above = frame.succ_mask(frame.index(t))
         for y in near[tuple(x.value(i) for i in range(k + 2))]:
-            if y != x and not above >> frame.index(limit(y)) & 1:
+            if y != x and not above >> frame.index(y.tail) & 1:
                 misses.append((format_path(x), format_path(y)))
     return misses
 
@@ -521,42 +513,7 @@ def test_pair_check_reports_the_first_failing_recurrence_set():
     assert failing > 100
 
 
-def test_perfectness_per_world_matches_paths_and_radii():
-    # the definition: every enumerated path p has, for every k <= res, a
-    # distinct path within 2^-k, that is one agreeing with p on 0..k
-    rng = random.Random(22)
-    for _ in range(150):
-        n = rng.randint(1, 4)
-        succ = [sum(1 << j for j in range(n) if rng.random() < 0.4) for _ in range(n)]
-        frame = Frame([f"w{i}" for i in range(n)], succ, list(range(n)))
-        for res in range(4):
-            pool = enumerate_paths(frame, res + 1)
-            agree = [{} for _ in range(res + 1)]
-            for q in pool:
-                for k in range(res + 1):
-                    key = tuple(q.value(i) for i in range(k + 1))
-                    agree[k][key] = agree[k].get(key, 0) + 1
-            perfect = all(agree[k][tuple(p.value(i) for i in range(k + 1))] > 1
-                          for p in enumerate_paths(frame, res)
-                          for k in range(res + 1))
-            assert cantor_preconditions(frame, res).perfect_at_resolution == perfect
-
-
 def test_negative_resolution_is_named():
     story = single_level(f1_oplus())
     with pytest.raises(ValueError, match="^resolution must be >= 0$"):
         verify_lim_pmorphism(story, build_limit_assignment(story), -1)
-    with pytest.raises(ValueError, match="^resolution must be >= 0$"):
-        cantor_preconditions(f1_oplus(), -1)
-
-
-def test_cantor_preconditions():
-    ok = cantor_preconditions(f1_oplus(), 4)
-    # F1-oplus is not serial at the irreflexive bottom? a sees b copies, b
-    # copies see each other: every world has a successor
-    assert ok.nonempty and ok.serial and ok.fat_reflexive_clusters
-    assert ok.perfect_at_resolution and ok.ok
-    bad = cantor_preconditions(frame_f2(), 3)
-    assert not bad.serial and not bad.perfect_at_resolution
-    thin = cantor_preconditions(frame_f1(), 3)
-    assert not thin.fat_reflexive_clusters

@@ -388,14 +388,12 @@ def test_moment_from_frame_checks_as_validate_moment():
     for frame, root, valuation in (
         (chain_frame(400), "c0", {"p": ["c3", "c399"]}),
         (chain, "c0", None),
-        (chain, "c5", None),
-        (chain, "zz", None),
         (chain, "c0", {"p": ["zz"]}),
         (chain, "c0", {"p": "c3"}),
         (vee, "r", None),
     ):
         outcomes = []
-        for build in (lambda: moment_from_frame(frame, valuation, root),
+        for build in (lambda: moment_from_frame(frame, valuation),
                       lambda: validate_moment(frame.worlds, frame.rel_pairs(), root, valuation)):
             try:
                 outcomes.append(build())
@@ -404,6 +402,15 @@ def test_moment_from_frame_checks_as_validate_moment():
         assert outcomes[0] == outcomes[1]
     assert moment_from_frame(chain).root == "c0"
     assert outcomes[0] == "structure: not tree-like: 'a' and 'b' both below 'c'"
+    for root, message in (("c5", "root does not reach 'c0'"), ("zz", "unknown root 'zz'")):
+        with pytest.raises(StoryError, match=f"^structure: {message}$"):
+            validate_moment(chain.worlds, chain.rel_pairs(), root)
+
+
+def test_moment_from_frame_keeps_the_frame():
+    frame = Frame(["r", "x"], [0b10, 0b10], [1, 1])
+    m = moment_from_frame(frame)
+    assert m.frame is frame and m.root == "r"
 
 
 def test_random_moment_is_valid():
