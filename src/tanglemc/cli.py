@@ -6,11 +6,17 @@ errors print a report with an `error`.  Reports are printed to stdout with
 a stable schema version; runs with identical inputs and seed produce
 byte-identical reports.  The environment variable
 ``TANGLEMC_SEED`` supplies the default seed.
+
+`main` reuses one argument parser per process: `build_parser` builds it
+at its first call and returns the same parser afterwards, so a program
+that calls `main` many times pays for building it once.  A fresh
+``python -m tanglemc`` process builds it once, as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -244,7 +250,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self.prog.partition(" ")[2] or None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and returned by
+    every later one, so `main` builds it once per process.
+
+    Reuse is safe because parsing does not change the parser, no option
+    has a mutable default, and `_Parser` looks up ``sys.stdout`` and
+    ``sys.stderr`` when it prints.  Callers must not change the returned
+    parser.  Each subcommand's handler (``set_defaults(fn=_cmd_...)``) is
+    bound at the first call.
+    """
     top = _Parser(
         prog="tanglemc",
         description="Model checking and countermodel search for tangled "

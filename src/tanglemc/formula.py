@@ -45,50 +45,73 @@ class Formula:
         return pretty(self)
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass node whose hash is computed once and kept.
+
+    The value is the dataclass's own hash of the fields, so sets of nodes
+    iterate in the same order as without the cache.  Without it, hashing a
+    node would rehash its whole tree, which is exponential in the nesting
+    of dotted operators: each one shares its argument twice.
+    """
+    cls = dataclass(frozen=True)(cls)
+    fields_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = fields_hash(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Diamond(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Box(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Next(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Tangle(Formula):
     """Polyadic tangle operator; arguments behave as a nonempty set.
 
@@ -417,12 +440,16 @@ class _Parser:
             self.advance()
             args, depth, counts = self.tangle_args()
             n = sum(counts.values())  # equal arguments merge, so each counts once
+            # bounds first: building a tangle sorts its arguments by their
+            # printed form, which is as long as the expanded tree
             if kind == "TANGLE":
-                return Tangle(tuple(args)), self.nested(depth + 1, pos), self.sized(n + 1, pos)
+                depth, nodes = self.nested(depth + 1, pos), self.sized(n + 1, pos)
+                return Tangle(tuple(args)), depth, nodes
             # <d.> over the left-folded conjunction of the arguments, | <t>
             conj = n + len(counts) - 1
-            return (dot_tangle(args), self.nested(depth + len(args) + 2, pos),
-                    self.sized(2 * conj + n + 4, pos))
+            depth = self.nested(depth + len(args) + 2, pos)
+            nodes = self.sized(2 * conj + n + 4, pos)
+            return dot_tangle(args), depth, nodes
         raise ParseError(f"expected a formula, found {text!r}", pos)
 
     def enter(self, pos: int) -> None:

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -249,6 +250,47 @@ def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as e:
         main(["search", "--help"])
     assert e.value.code == 0 and "--max-worlds" in capsys.readouterr().out
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    run(capsys, "parse", "--formula", "p")
+    subparsers = len(built) - 1
+    for _ in range(3):
+        run(capsys, "parse", "--formula", "p")
+    assert built.count("tanglemc") == 1 and len(built) == subparsers + 1
+
+
+def test_reused_parser_is_unchanged_by_errors_and_help(capsys):
+    argv = ["validity", "--frame", str(DEMOS / "f1.frame.json"), "--formula", "<d>p -> p"]
+    assert main(argv) == 1
+    before = capsys.readouterr().out
+    # the bad value comes after options that set other defaults
+    assert main([*argv, "--mode", "sampled", "--seed", "5", "--samples", "x"]) == 2
+    with pytest.raises(SystemExit) as e:
+        main([*argv, "--mode", "sampled", "--help"])
+    assert e.value.code == 0
+    capsys.readouterr()
+    assert main(argv) == 1 and capsys.readouterr().out == before
+
+
+def test_every_option_default_is_immutable():
+    parsers, actions = [cli.build_parser()], []
+    for parser in parsers:
+        for action in parser._actions:
+            actions.append(action)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    assert len(parsers) == 10  # the top parser and nine subcommands
+    assert all(a.default is None or type(a.default) in (bool, int, str) for a in actions)
 
 
 @pytest.mark.parametrize("enabled, target, code", [

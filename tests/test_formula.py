@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from tanglemc import formula
 from tanglemc.formula import (
     MAX_NESTING,
     MAX_NODES,
@@ -17,6 +18,7 @@ from tanglemc.formula import (
     _Parser,
     bot,
     children,
+    dot_diamond,
     next_depth,
     parse,
     pretty,
@@ -126,6 +128,28 @@ def test_node_bound():
     parse(chain + ", ".join(names + ["p0"]) + "}")
     with pytest.raises(ParseError, match="nodes"):
         parse(chain + ", ".join(names + ["q"]) + "}")
+
+
+@pytest.mark.parametrize("opener", ["<t>{", "<t.>{"])
+def test_oversize_tangle_is_rejected_before_it_is_built(monkeypatch, opener):
+    # building the tangle would sort 30 arguments of 2**16 nodes by their
+    # printed form
+    def fail(phi):
+        raise AssertionError("pretty called")
+
+    monkeypatch.setattr(formula, "pretty", fail)
+    text = opener + ", ".join("<d.>" * 15 + f"p{i}" for i in range(30)) + "}"
+    with pytest.raises(ParseError, match="nodes"):
+        parse(text)
+
+
+def test_hash_is_cached_and_keeps_the_dataclass_value():
+    phi = p
+    for _ in range(60):
+        phi = dot_diamond(phi)  # 121 nodes, 2**60 paths from the root to p
+    assert hash(phi) == hash((phi.left, phi.right))
+    assert hash(p) == hash(("p",))
+    assert hash(Tangle((q, p))) == hash(((p, q),))
 
 
 def test_empty_tangle_constructor_rejected():
