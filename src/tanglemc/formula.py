@@ -196,10 +196,25 @@ def size(phi: Formula) -> int:
 
 
 def vars_of(phi: Formula) -> frozenset[str]:
-    """Variable names occurring in phi, excluding the reserved one."""
-    return frozenset(
-        f.name for f in walk(phi) if isinstance(f, Var) and f.name != RESERVED_VAR
-    )
+    """Variable names occurring in phi, excluding the reserved one.
+
+    Each distinct node object is visited once, so a subtree shared by
+    several parents (as dotted operators share their argument) costs once.
+    """
+    names = set()
+    seen = set()
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        if isinstance(f, Var):
+            names.add(f.name)
+        else:
+            stack.extend(children(f))
+    names.discard(RESERVED_VAR)
+    return frozenset(names)
 
 
 def next_depth(phi: Formula) -> int:

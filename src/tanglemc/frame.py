@@ -280,12 +280,21 @@ def _relation(
     index = {w: i for i, w in enumerate(ws)}
     bit = {w: 1 << i for i, w in enumerate(ws)}
     succ = [0] * len(ws)
-    # the exception that stops the loop names the fault; the source name is
-    # looked up before the target, so it is the one reported when both miss
+    # `row` holds the mask of the pairs' current source, so a run of pairs
+    # with one source looks its name up once.  The exception that stops the
+    # loop names the fault; a new source is looked up before the target, so
+    # it is the one reported when both miss
+    source = object()  # equal to no name
+    i = row = 0
     try:
         for pair in rel:
             a, b = pair
-            succ[index[a]] |= bit[b]
+            if a != source:
+                succ[i] = row
+                i = index[a]
+                source, row = a, succ[i]
+            row |= bit[b]
+        succ[i] = row
     except ValueError:  # an entry of another length
         raise FrameError(f"relation entry {pair!r} is not a pair") from None
     except KeyError as e:

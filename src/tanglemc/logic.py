@@ -304,8 +304,14 @@ def soundness_suite(
 
     Each trial draws a frame with :func:`random_class_frame`, then for each
     schema an instance over `SUITE_VARIABLES` of depth `SUITE_DEPTH` and a
-    sampling seed.  A sound logic reports zero violations; a `Logic` whose
-    schemas or class do not match gives a misconfigured suite.
+    sampling seed.  The instances of a trial share its frame, and so its
+    evaluators: one per lane count, made by the first instance that needs
+    it and handed to :func:`valid_on_frame` with every instance; the next
+    trial starts afresh.  A sound logic reports zero violations; a `Logic`
+    whose schemas or class do not match gives a misconfigured suite.
+    Exhaustive mode raises ``ValueError`` before the first trial when a
+    frame of `max_worlds` worlds could pass ``EXHAUSTIVE_BITS_LIMIT``
+    (worlds times the number of `SUITE_VARIABLES`).
     """
     if isinstance(logic, str):
         logic = LOGICS[logic]
@@ -315,16 +321,23 @@ def soundness_suite(
         raise ValueError("max_worlds must be >= 1")
     if mode == "sampled" and samples < 1:
         raise ValueError("samples must be >= 1")
+    bits = max_worlds * len(SUITE_VARIABLES)
+    if mode == "exhaustive" and bits > EXHAUSTIVE_BITS_LIMIT:
+        raise ValueError(
+            f"exhaustive suite needs max_worlds*|vars| <= {EXHAUSTIVE_BITS_LIMIT}, got {bits}"
+        )
     rng = random.Random(seed)
     violations = []
     instances = 0
     for _ in range(trials):
         frame = random_class_frame(rng, max_worlds, logic)
+        evaluators = {}  # lanes -> the trial's evaluator
         for name in logic.schemas:
             inst = _random_instance(rng, SCHEMAS[name])
             instances += 1
             verdict = valid_on_frame(
-                frame, inst, mode=mode, samples=samples, seed=rng.getrandbits(32)
+                frame, inst, mode=mode, samples=samples, seed=rng.getrandbits(32),
+                evaluators=evaluators,
             )
             if not verdict.valid:
                 cm = verdict.countermodel

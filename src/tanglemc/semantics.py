@@ -233,43 +233,70 @@ class Evaluator:
         return lane, Countermodel(valuation, world)
 
     def compile(self, phi: Formula) -> Callable[[Mapping[str, int]], int]:
-        full = self.full
-        if isinstance(phi, Var):
-            name = phi.name
-            return lambda env: env.get(name, 0)
-        if isinstance(phi, Neg):
-            c = self.compile(phi.child)
-            return lambda env: full ^ c(env)
-        if isinstance(phi, And):
-            l, r = self.compile(phi.left), self.compile(phi.right)
-            return lambda env: l(env) & r(env)
-        if isinstance(phi, Or):
-            l, r = self.compile(phi.left), self.compile(phi.right)
-            return lambda env: l(env) | r(env)
-        if isinstance(phi, Implies):
-            l, r = self.compile(phi.left), self.compile(phi.right)
-            return lambda env: (full ^ l(env)) | r(env)
-        if isinstance(phi, Diamond):
-            c = self.compile(phi.child)
-            down = self.down
-            return lambda env: down(c(env))
-        if isinstance(phi, Box):
-            c = self.compile(phi.child)
-            down = self.down
-            return lambda env: full ^ down(full ^ c(env))
-        if isinstance(phi, Next):
-            c = self.compile(phi.child)
-            pre = self.preimage
-            return lambda env: pre(c(env))
-        if isinstance(phi, Tangle):
-            subs = [self.compile(a) for a in phi.args]
-            down = self.down
+        """A function from an environment (variable -> truth set) to phi's
+        truth set.  The builder is looked up by the node's type; builders
+        compile the children through this method."""
+        build = _BUILDERS.get(type(phi))
+        if build is None:
+            raise TypeError(f"not a formula: {phi!r}")
+        return build(self, phi)
 
-            def ev(env):
-                return tangle_fixpoint(down, full, [s(env) for s in subs])[0]
 
-            return ev
-        raise TypeError(f"not a formula: {phi!r}")
+def _compile_var(ev: Evaluator, phi: Var):
+    name = phi.name
+    return lambda env: env.get(name, 0)
+
+
+def _compile_neg(ev: Evaluator, phi: Neg):
+    c, full = ev.compile(phi.child), ev.full
+    return lambda env: full ^ c(env)
+
+
+def _compile_and(ev: Evaluator, phi: And):
+    l, r = ev.compile(phi.left), ev.compile(phi.right)
+    return lambda env: l(env) & r(env)
+
+
+def _compile_or(ev: Evaluator, phi: Or):
+    l, r = ev.compile(phi.left), ev.compile(phi.right)
+    return lambda env: l(env) | r(env)
+
+
+def _compile_implies(ev: Evaluator, phi: Implies):
+    l, r, full = ev.compile(phi.left), ev.compile(phi.right), ev.full
+    return lambda env: (full ^ l(env)) | r(env)
+
+
+def _compile_diamond(ev: Evaluator, phi: Diamond):
+    c, down = ev.compile(phi.child), ev.down
+    return lambda env: down(c(env))
+
+
+def _compile_box(ev: Evaluator, phi: Box):
+    c, down, full = ev.compile(phi.child), ev.down, ev.full
+    return lambda env: full ^ down(full ^ c(env))
+
+
+def _compile_next(ev: Evaluator, phi: Next):
+    c, pre = ev.compile(phi.child), ev.preimage
+    return lambda env: pre(c(env))
+
+
+def _compile_tangle(ev: Evaluator, phi: Tangle):
+    subs = [ev.compile(a) for a in phi.args]
+    down, full = ev.down, ev.full
+
+    def tangle(env):
+        return tangle_fixpoint(down, full, [s(env) for s in subs])[0]
+
+    return tangle
+
+
+_BUILDERS = {
+    Var: _compile_var, Neg: _compile_neg, And: _compile_and, Or: _compile_or,
+    Implies: _compile_implies, Diamond: _compile_diamond, Box: _compile_box,
+    Next: _compile_next, Tangle: _compile_tangle,
+}
 
 
 def truth_set(model: Model, phi: Formula) -> frozenset[str]:
@@ -388,9 +415,22 @@ def _sample_block(rng: random.Random, n: int, count: int, lanes: int) -> list[in
     return masks
 
 
+def _evaluator(frame: Frame, lanes: int, evaluators: dict[int, Evaluator] | None) -> Evaluator:
+    """An evaluator of `lanes` lanes on the frame, with the frame's own map:
+    the one `evaluators` keeps for that lane count, made on first use, or a
+    new one when `evaluators` is None."""
+    if evaluators is None:
+        return Evaluator(frame, lanes)
+    ev = evaluators.get(lanes)
+    if ev is None:
+        ev = evaluators[lanes] = Evaluator(frame, lanes)
+    return ev
+
+
 def exhaustive_sweep(
     frame: Frame, phi: Formula, variables: Sequence[str],
     maps: Sequence[Sequence[int]] | None = None,
+    evaluators: dict[int, Evaluator] | None = None,
 ) -> tuple[int, int | None, Countermodel | None]:
     """Evaluate phi under every valuation of `variables` (sorted, covering
     those of phi) and every map of `maps` on the frame's relation, maps
@@ -403,13 +443,15 @@ def exhaustive_sweep(
     first failing pass is the first refutation in that order.  Returns the
     number of valuations checked up to and including it, the index of its
     map and the refutation (None twice when phi is valid under every map).
+    `evaluators` is as in :func:`sampled_sweep`; it is not used when `maps`
+    are given, since they are placed in the evaluator's slots.
     """
     n, count = frame.n, len(variables)
     bits = n * count
     lane_bits = min(bits, _BLOCK_BITS)
     total = 1 if maps is None else len(maps)
     slots = min(total, 1 << (_BLOCK_BITS - lane_bits))
-    ev = Evaluator(frame, slots << lane_bits)
+    ev = _evaluator(frame, slots << lane_bits, evaluators if maps is None else None)
     fn = ev.compile(phi)
     for first in range(0, total, slots):
         if total > 1:
@@ -429,7 +471,7 @@ def exhaustive_sweep(
 
 def sampled_sweep(
     frame: Frame, phi: Formula, variables: Sequence[str], rng: random.Random,
-    samples: int,
+    samples: int, evaluators: dict[int, Evaluator] | None = None,
 ) -> tuple[int, Countermodel | None]:
     """Evaluate phi under `samples` valuations drawn from `rng`, each one
     ``rng.getrandbits(n)`` per variable of `variables` in order.  A block
@@ -439,7 +481,11 @@ def sampled_sweep(
     when a packed <d> took a step per relation pair and a one-lane <d> one
     per world of its argument; on frames with shared rows, row classes make
     both cheaper, and the rule has not been measured again since.
-    Returns what :func:`exhaustive_sweep` returns."""
+    An evaluator depends only on the frame and its lane count, so sweeps
+    of several formulas on one frame can share them: `evaluators` maps a
+    lane count to the evaluator to use, and an evaluator this sweep makes
+    is added to it.  Without it every sweep makes its own.
+    Returns what :func:`exhaustive_sweep` returns, without the map index."""
     n = frame.n
     pairs = sum(frame.succ_mask(w).bit_count() for w in range(n))
     checked = 0
@@ -449,7 +495,7 @@ def sampled_sweep(
         if 2 * lanes * n < pairs:
             lanes = 1
         if ev is None or ev.lanes != lanes:
-            ev = Evaluator(frame, lanes)
+            ev = _evaluator(frame, lanes, evaluators)
             fn = ev.compile(phi)
         env = dict(zip(variables, _sample_block(rng, n, len(variables), lanes)))
         hit = ev.refutation(fn(env), env, variables)
@@ -465,6 +511,7 @@ def valid_on_frame(
     mode: str = "exhaustive",
     samples: int = 1000,
     seed: int = 0,
+    evaluators: dict[int, Evaluator] | None = None,
 ) -> Verdict:
     """Check validity of phi over valuations of the frame.
 
@@ -476,6 +523,9 @@ def valid_on_frame(
     <d> to pay off).  Blocks do not change the order: the first failing
     (valuation, world) in it is reported, with the count of valuations up
     to it, exactly as a sweep of one valuation at a time would report it.
+    `evaluators` goes to the sweep: callers that check several formulas on
+    one frame pass the same dict to share one evaluator per lane count
+    (see :func:`sampled_sweep`); it must hold evaluators of this frame only.
     """
     variables = sorted(vars_of(phi))
     if mode == "exhaustive":
@@ -484,12 +534,12 @@ def valid_on_frame(
             raise ValueError(
                 f"exhaustive validity needs |worlds|*|vars| <= {EXHAUSTIVE_BITS_LIMIT}, got {bits}"
             )
-        checked, _, cm = exhaustive_sweep(frame, phi, variables)
+        checked, _, cm = exhaustive_sweep(frame, phi, variables, evaluators=evaluators)
         return Verdict(cm is None, mode, checked, cm)
     if mode == "sampled":
         if samples < 1:
             raise ValueError("samples must be >= 1")
         rng = random.Random(seed)
-        checked, cm = sampled_sweep(frame, phi, variables, rng, samples)
+        checked, cm = sampled_sweep(frame, phi, variables, rng, samples, evaluators)
         return Verdict(cm is None, mode, checked, cm, seed=seed)
     raise ValueError(f"unknown mode {mode!r}")

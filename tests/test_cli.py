@@ -1,5 +1,6 @@
 import argparse
 import gc
+import hashlib
 import json
 import os
 import tempfile
@@ -340,6 +341,48 @@ def test_validity_exhaustive(capsys):
         "--formula", "<t>{O p} -> O <t>{p}",
     )
     assert code == 1 and report["countermodel"]["world"] == "q1"
+
+
+# sha256 of the axioms reports as the suite gave them with one evaluator per
+# schema instance: sharing a trial's evaluators keeps every byte
+AXIOMS_DIGESTS = {
+    ("K4C", "sampled"): "7a21d930f227614e852f60f92b6e1d54cbe1bf0d8d57feb21120aa2a429b3946",
+    ("K4DC", "sampled"): "d2658254c645bcfd37c5d705a7f0c73d69e4c14a3beeae3236a23aef2fee1f26",
+    ("K4DI", "sampled"): "4efb30b2761184522aefc9f7e653538591e88c654b03288e1a88d10348c98106",
+    ("K4I", "sampled"): "eaa8bc246ca43eb1f77d825fafd70d35d7ca6ebbee92da4ffb540ea03aa93bf6",
+    ("K4DI", "exhaustive"): "33df1abfd740d7de0ad26cb985275f6ea986d3eaa9323421df5180fb46ef9435",
+}
+
+
+@pytest.mark.parametrize("logic, mode", sorted(AXIOMS_DIGESTS))
+def test_axioms_reports_are_pinned(capsys, logic, mode):
+    trials = "15" if mode == "sampled" else "10"
+    code = main(["axioms", "--logic", logic, "--mode", mode, "--trials", trials,
+                 "--seed", "14"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == AXIOMS_DIGESTS[logic, mode]
+
+
+def test_axioms_exhaustive_bit_bound_is_checked_before_any_trial(capsys, monkeypatch):
+    from tanglemc import logic
+    from tanglemc.frame import validate_frame
+
+    drawn = []
+
+    def small_frame(*args):
+        drawn.append(args)
+        return validate_frame(["a"], [], {"a": "a"})
+
+    monkeypatch.setattr(logic, "random_class_frame", small_frame)
+    # 13 worlds of two variables would pass the 24-bit bound
+    code, report = run(capsys, "axioms", "--logic", "K4C", "--mode", "exhaustive",
+                       "--max-worlds", "13", "--trials", "2")
+    assert code == 2 and drawn == []
+    assert report["error"] == "exhaustive suite needs max_worlds*|vars| <= 24, got 26"
+    code, report = run(capsys, "axioms", "--logic", "K4C", "--mode", "exhaustive",
+                       "--max-worlds", "12", "--trials", "2")
+    assert code == 0 and len(drawn) == 2
 
 
 def test_axioms_report_echoes_seed(capsys):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tanglemc import formula
 from tanglemc.formula import (
@@ -26,6 +26,7 @@ from tanglemc.formula import (
     subformula_closure,
     top,
     vars_of,
+    walk,
 )
 
 p, q, r = Var("p"), Var("q"), Var("r")
@@ -220,3 +221,18 @@ def test_next_depth_bounded_by_size(phi):
 
 def test_vars_excludes_reserved():
     assert vars_of(parse("T & p")) == {"p"}
+
+
+def test_vars_of_visits_a_shared_subtree_once():
+    phi = p
+    for _ in range(60):
+        phi = dot_diamond(phi)  # 2**60 paths from the root to p
+    assert vars_of(phi) == {"p"}
+    assert vars_of(Implies(phi, Next(q))) == {"p", "q"}
+
+
+@given(formulas)
+@settings(max_examples=25)
+def test_vars_of_matches_the_tree_walk(phi):
+    names = {f.name for f in walk(phi) if isinstance(f, Var)} - {formula.RESERVED_VAR}
+    assert vars_of(phi) == names

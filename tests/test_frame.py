@@ -299,3 +299,25 @@ def test_relation_entry_errors(entry, message):
 def test_two_letter_string_is_read_as_a_pair():
     f = validate_frame(["a", "b"], ["ab", ["b", "b"]], {"a": "a", "b": "b"})
     assert f.rel_pairs() == [("a", "b"), ("b", "b")]
+
+
+def test_relation_in_any_order_gives_the_same_frame():
+    rng = random.Random(14)
+    for seed in range(20):
+        f = random_transitive_frame(rng.randint(1, 9), seed)
+        func = f.func_map()
+        pairs = [list(pair) for pair in f.rel_pairs()]
+        # runs that come back to an earlier source, and repeated pairs
+        shuffled = pairs + pairs[: len(pairs) // 2]
+        rng.shuffle(shuffled)
+        assert validate_frame(list(f.worlds), shuffled, func) == f
+        assert validate_frame(list(f.worlds), pairs[::-1], func) == f
+
+
+@pytest.mark.parametrize("last, name", [(["z", "b"], "z"), (["z", "y"], "z"),
+                                        (["b", "z"], "z"), (["a", "y"], "y")])
+def test_unknown_world_after_a_run_of_known_sources(last, name):
+    rel = [["a", "a"], ["a", "b"], ["b", "b"], last]
+    with pytest.raises(FrameError) as info:
+        validate_frame(["a", "b"], rel, {"a": "a", "b": "b"})
+    assert str(info.value) == f"unknown world {name!r} in relation"

@@ -1,7 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
+from tanglemc import semantics
 from tanglemc.formula import Var, parse, pretty
 from tanglemc.logic import (
     LOGICS,
@@ -116,6 +119,39 @@ def test_soundness_suite_reports_misconfigured_schema():
     from tanglemc.frame import frame_from_dict
     frame, valuation = frame_from_dict(v.frame)
     assert v.world not in truth_set(Model(frame, valuation), parse(v.formula))
+
+
+# sha256 of the reports as the suite gave them with one evaluator per
+# schema instance: sharing a trial's evaluators keeps every byte
+MISCONFIGURED_DIGESTS = {
+    "exhaustive": "8c3e84a6187dd18c5817c3f24056e5bfeb0946150c27db10c05ba8631da72e26",
+    "sampled": "f60e9bc0cd8a8e5aa0c354faac9b40ec8e7efbc5e53c0f04eea2e97791150ddc",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MISCONFIGURED_DIGESTS))
+def test_misconfigured_suite_reports_are_pinned(mode):
+    k4c = LOGICS["K4C"]
+    misconfigured = Logic("K4C", k4c.schemas + ("CTan-dia",), k4c.serial, k4c.strict)
+    report = soundness_suite(misconfigured, trials=40, seed=3, mode=mode)
+    assert len(report.violations) == 3
+    text = json.dumps(report.to_dict(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == MISCONFIGURED_DIGESTS[mode]
+
+
+def test_suite_builds_one_evaluator_per_trial(monkeypatch):
+    built = []
+    init = semantics.Evaluator.__init__
+
+    def counted(self, frame, lanes=1):
+        built.append(lanes)
+        init(self, frame, lanes)
+
+    monkeypatch.setattr(semantics.Evaluator, "__init__", counted)
+    report = soundness_suite("K4DC", trials=100, seed=14)
+    # nine schemas a trial; 32 samples fit in one block of 32 lanes
+    assert report.instances_checked == 900
+    assert built == [32] * 100
 
 
 def test_soundness_suite_negative_control_non_serial(monkeypatch):

@@ -203,3 +203,25 @@ def test_evaluator_is_freed_without_the_cycle_collector(lanes):
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_compile_rejects_what_is_not_a_formula():
+    with pytest.raises(TypeError, match="not a formula"):
+        Evaluator(frame_f1()).compile(object())
+
+
+def test_shared_evaluators_give_the_verdicts_of_fresh_ones():
+    rng = random.Random(14)
+    formulas = [parse(t) for t in ("[d]p -> [d][d]p", "<t>{O p} -> O <t>{p}",
+                                   "<d>O p -> O <d>p", "p | ~q", "<d>T")]
+    for _ in range(15):
+        f = _random_frame(rng)
+        for mode in ("exhaustive", "sampled"):
+            shared = {}
+            for phi in formulas:
+                seed = rng.getrandbits(32)
+                # 70 samples take two blocks: 64 lanes, then 6 (1 on dense frames)
+                fresh = valid_on_frame(f, phi, mode=mode, samples=70, seed=seed)
+                assert valid_on_frame(f, phi, mode=mode, samples=70, seed=seed,
+                                      evaluators=shared) == fresh
+            assert all(ev.frame is f and ev.lanes == lanes for lanes, ev in shared.items())
