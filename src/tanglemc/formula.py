@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class ParseError(ValueError):
@@ -133,8 +133,10 @@ class Tangle(Formula):
 # variables must start with a lowercase letter.
 RESERVED_VAR = "_const"
 
-_TOP = Or(Var(RESERVED_VAR), Neg(Var(RESERVED_VAR)))
-_BOT = And(Var(RESERVED_VAR), Neg(Var(RESERVED_VAR)))
+_RESERVED = Var(RESERVED_VAR)
+_NOT_RESERVED = Neg(_RESERVED)
+_TOP = Or(_RESERVED, _NOT_RESERVED)
+_BOT = And(_RESERVED, _NOT_RESERVED)
 
 
 def top() -> Formula:
@@ -182,17 +184,34 @@ def children(phi: Formula) -> tuple[Formula, ...]:
     return ()
 
 
-def walk(phi: Formula) -> Iterator[Formula]:
-    stack = [phi]
+def _tree_measures(phi: Formula) -> tuple[int, int]:
+    """Tree size and O-depth of phi, from one post-order pass that visits
+    each distinct node object once: a subtree shared by several parents
+    counts once per parent, but is measured once."""
+    done: dict[int, tuple[int, int]] = {}
+    stack = [(phi, False)]
     while stack:
-        f = stack.pop()
-        yield f
-        stack.extend(children(f))
+        f, ready = stack.pop()
+        if id(f) in done:
+            continue
+        kids = children(f)
+        if not ready:
+            stack.append((f, True))
+            stack.extend((c, False) for c in kids if id(c) not in done)
+            continue
+        nodes, depth = 1, 0
+        for c in kids:
+            n, d = done[id(c)]
+            nodes += n
+            depth = max(depth, d)
+        done[id(f)] = nodes, depth + isinstance(f, Next)
+    return done[id(phi)]
 
 
 def size(phi: Formula) -> int:
-    """Number of AST nodes (tangle counts as one node plus its arguments)."""
-    return sum(1 for _ in walk(phi))
+    """Number of AST nodes (tangle counts as one node plus its arguments),
+    counting a shared subtree once per occurrence."""
+    return _tree_measures(phi)[0]
 
 
 def vars_of(phi: Formula) -> frozenset[str]:
@@ -219,10 +238,7 @@ def vars_of(phi: Formula) -> frozenset[str]:
 
 def next_depth(phi: Formula) -> int:
     """Maximum nesting depth of the O operator."""
-    if isinstance(phi, Next):
-        return 1 + next_depth(phi.child)
-    kids = children(phi)
-    return max((next_depth(c) for c in kids), default=0)
+    return _tree_measures(phi)[1]
 
 
 def subformula_closure(phi: Formula) -> frozenset[Formula]:
@@ -352,21 +368,34 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # and the parser itself far from Python's recursion limit.
 MAX_NESTING = 100
 # Most nodes (as `size` counts them) a parsed formula may have: the tree
-# doubles with each nested dotted operator, which shares its argument.
+# doubles with each nested dotted operator, which shares its argument, and
+# the printer (which orders tangle arguments) writes out the whole tree.
 MAX_NODES = 100_000
 
-_PREFIX = {"NOT": Neg, "DIA": Diamond, "BOX": Box, "DDIA": dot_diamond,
-           "DBOX": dot_box, "NEXT": Next}
+# prefix token -> (node on the argument, connective joining the argument to
+# that node for the dotted operators: phi | <d>phi, phi & [d]phi)
+_PREFIX = {"NOT": (Neg, None), "DIA": (Diamond, None), "BOX": (Box, None),
+           "NEXT": (Next, None), "DDIA": (Diamond, Or), "DBOX": (Box, And)}
 
 
 class _Parser:
     """Recursive descent; productions return the formula, its nesting depth
-    and its node count, and only parentheses and tangle braces recurse."""
+    and its node count, and only parentheses and tangle braces recurse.
+
+    Every node built goes through :meth:`intern`, children before parents,
+    so textually equal subformulas of one parse are one object."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
         self.open = 0  # enclosing parentheses and tangle braces
+        self.nodes: dict[Formula, Formula] = {}
+
+    def intern(self, node: Formula) -> Formula:
+        """The node of this parse equal to `node`, which becomes it if there
+        is none.  Its children are interned already, so the equality test
+        on a hash hit compares them by identity."""
+        return self.nodes.setdefault(node, node)
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -394,7 +423,8 @@ class _Parser:
 
     def join(self, op, left: tuple[Formula, int, int], right: tuple[Formula, int, int],
              pos: int) -> tuple[Formula, int, int]:
-        return (op(left[0], right[0]), self.nested(max(left[1], right[1]) + 1, pos),
+        return (self.intern(op(left[0], right[0])),
+                self.nested(max(left[1], right[1]) + 1, pos),
                 self.sized(left[2] + right[2] + 1, pos))
 
     def implies(self) -> tuple[Formula, int, int]:
@@ -428,10 +458,11 @@ class _Parser:
             ops.append(self.advance())
         out, depth, nodes = self.atom()
         for kind, _, pos in reversed(ops):
-            dotted = kind in ("DDIA", "DBOX")  # phi | <d>phi, phi & [d]phi
-            out = _PREFIX[kind](out)
-            depth = self.nested(depth + (2 if dotted else 1), pos)
-            nodes = 2 * nodes + 2 if dotted else nodes + 1
+            op, dotted = _PREFIX[kind]
+            node = self.intern(op(out))
+            out = node if dotted is None else self.intern(dotted(out, node))
+            depth = self.nested(depth + (1 if dotted is None else 2), pos)
+            nodes = nodes + 1 if dotted is None else 2 * nodes + 2
         # the chain's size is checked once, so its nesting is reported first
         return out, depth, self.sized(nodes, ops[0][2]) if ops else nodes
 
@@ -439,7 +470,7 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind == "IDENT":
             self.advance()
-            return Var(text), 0, 1
+            return self.intern(Var(text)), 0, 1
         if kind in ("TOP", "BOT"):
             self.advance()
             const = top() if kind == "TOP" else bot()
@@ -459,13 +490,21 @@ class _Parser:
             # printed form, which is as long as the expanded tree
             if kind == "TANGLE":
                 depth, nodes = self.nested(depth + 1, pos), self.sized(n + 1, pos)
-                return Tangle(tuple(args)), depth, nodes
+                return self.intern(Tangle(tuple(args))), depth, nodes
             # <d.> over the left-folded conjunction of the arguments, | <t>
             conj = n + len(counts) - 1
             depth = self.nested(depth + len(args) + 2, pos)
             nodes = self.sized(2 * conj + n + 4, pos)
-            return dot_tangle(args), depth, nodes
+            return self.dot_tangle(args), depth, nodes
         raise ParseError(f"expected a formula, found {text!r}", pos)
+
+    def dot_tangle(self, args: list[Formula]) -> Formula:
+        """:func:`dot_tangle` of the arguments, every node interned."""
+        t = self.intern(Tangle(tuple(args)))
+        conj = t.args[0]
+        for f in t.args[1:]:
+            conj = self.intern(And(conj, f))
+        return self.intern(Or(self.intern(Or(conj, self.intern(Diamond(conj)))), t))
 
     def enter(self, pos: int) -> None:
         self.open += 1
@@ -489,7 +528,8 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse a formula from the ASCII surface syntax; formulas nested
     deeper than ``MAX_NESTING`` or with more than ``MAX_NODES`` nodes raise
-    ParseError."""
+    ParseError.  Equal subformulas of the result are one object (the parse
+    is hash-consed), so its distinct nodes can be told apart by identity."""
     p = _Parser(text)
     out, _, _ = p.implies()
     kind, tok, pos = p.peek()

@@ -7,12 +7,20 @@ point after at most |W| shrinking steps.  Two independent oracles are kept
 alongside: a literal union over all subsets (exponential, guarded), and a
 characterisation through reflexive clusters meeting every S_i.
 
-Formulas are compiled once per frame into closures that evaluate a block
-of ``lanes`` models at once.  A truth set is one int of ``n * lanes`` bits
-grouped by world: world w owns bits ``[w*lanes, (w+1)*lanes)``, one bit
-per lane.  With one lane this is the plain world mask, and <d> is the
-frame's ``down_mask``: an OR of predecessor masks or of row-class member
-masks, whichever loop is shorter.  With more lanes, <d> ORs the lane
+Formulas are compiled once per frame into a list of steps that evaluate a
+block of ``lanes`` models at once.  Each distinct node object of the
+formula is one step, and a call runs the steps in post-order, each reading
+its children's values from the ones before it, so a subformula that the
+formula shares by object is evaluated once per call, tangles included.
+:func:`~tanglemc.formula.parse` makes equal subformulas one object, and
+the formulas built through the API, such as schema instances, share what
+they repeat.
+
+A truth set is one int of ``n * lanes`` bits grouped by world: world w
+owns bits ``[w*lanes, (w+1)*lanes)``, one bit per lane.  With one lane
+this is the plain world mask, and <d> is the frame's ``down_mask``: an OR
+of predecessor masks or of row-class member masks, whichever loop is
+shorter.  With more lanes, <d> ORs the lane
 groups of each row class's successors once and gives the result to every
 world of the class, and O takes each world's bits from the group of its
 image.  The lanes fall into map slots of equal width, each with its own
@@ -234,62 +242,92 @@ class Evaluator:
 
     def compile(self, phi: Formula) -> Callable[[Mapping[str, int]], int]:
         """A function from an environment (variable -> truth set) to phi's
-        truth set.  The builder is looked up by the node's type; builders
-        compile the children through this method."""
-        build = _BUILDERS.get(type(phi))
-        if build is None:
-            raise TypeError(f"not a formula: {phi!r}")
-        return build(self, phi)
+        truth set.
+
+        Each distinct node object of phi becomes one step, so a subformula
+        that phi shares by object, as a parsed formula shares all of its
+        equal subformulas, is evaluated once per call.  A step is built by
+        the builder of the node's type; it reads the values of its
+        children's steps from the list of values that the call fills in
+        post-order, and the last value is phi's."""
+        steps = []
+        slots = {}
+
+        def slot(node):
+            k = slots.get(id(node))
+            if k is None:
+                build = _BUILDERS.get(type(node))
+                if build is None:
+                    raise TypeError(f"not a formula: {node!r}")
+                step = build(self, node, slot)
+                k = slots[id(node)] = len(steps)
+                steps.append(step)
+            return k
+
+        try:
+            slot(phi)
+        finally:
+            # slot's closure cell holds slot itself: a cycle through self
+            # that would keep the evaluator alive until a collection
+            slot = None
+        steps = tuple(steps)
+
+        def run(env):
+            vals = []
+            for step in steps:
+                vals.append(step(env, vals))
+            return vals[-1]
+
+        return run
 
 
-def _compile_var(ev: Evaluator, phi: Var):
+# A builder takes the evaluator, a node and `slot`, which compiles a child
+# and gives the index of its value, and returns the node's step.
+
+def _compile_var(ev: Evaluator, phi: Var, slot):
     name = phi.name
-    return lambda env: env.get(name, 0)
+    return lambda env, vals: env.get(name, 0)
 
 
-def _compile_neg(ev: Evaluator, phi: Neg):
-    c, full = ev.compile(phi.child), ev.full
-    return lambda env: full ^ c(env)
+def _compile_neg(ev: Evaluator, phi: Neg, slot):
+    c, full = slot(phi.child), ev.full
+    return lambda env, vals: full ^ vals[c]
 
 
-def _compile_and(ev: Evaluator, phi: And):
-    l, r = ev.compile(phi.left), ev.compile(phi.right)
-    return lambda env: l(env) & r(env)
+def _compile_and(ev: Evaluator, phi: And, slot):
+    l, r = slot(phi.left), slot(phi.right)
+    return lambda env, vals: vals[l] & vals[r]
 
 
-def _compile_or(ev: Evaluator, phi: Or):
-    l, r = ev.compile(phi.left), ev.compile(phi.right)
-    return lambda env: l(env) | r(env)
+def _compile_or(ev: Evaluator, phi: Or, slot):
+    l, r = slot(phi.left), slot(phi.right)
+    return lambda env, vals: vals[l] | vals[r]
 
 
-def _compile_implies(ev: Evaluator, phi: Implies):
-    l, r, full = ev.compile(phi.left), ev.compile(phi.right), ev.full
-    return lambda env: (full ^ l(env)) | r(env)
+def _compile_implies(ev: Evaluator, phi: Implies, slot):
+    l, r, full = slot(phi.left), slot(phi.right), ev.full
+    return lambda env, vals: (full ^ vals[l]) | vals[r]
 
 
-def _compile_diamond(ev: Evaluator, phi: Diamond):
-    c, down = ev.compile(phi.child), ev.down
-    return lambda env: down(c(env))
+def _compile_diamond(ev: Evaluator, phi: Diamond, slot):
+    c, down = slot(phi.child), ev.down
+    return lambda env, vals: down(vals[c])
 
 
-def _compile_box(ev: Evaluator, phi: Box):
-    c, down, full = ev.compile(phi.child), ev.down, ev.full
-    return lambda env: full ^ down(full ^ c(env))
+def _compile_box(ev: Evaluator, phi: Box, slot):
+    c, down, full = slot(phi.child), ev.down, ev.full
+    return lambda env, vals: full ^ down(full ^ vals[c])
 
 
-def _compile_next(ev: Evaluator, phi: Next):
-    c, pre = ev.compile(phi.child), ev.preimage
-    return lambda env: pre(c(env))
+def _compile_next(ev: Evaluator, phi: Next, slot):
+    c, pre = slot(phi.child), ev.preimage
+    return lambda env, vals: pre(vals[c])
 
 
-def _compile_tangle(ev: Evaluator, phi: Tangle):
-    subs = [ev.compile(a) for a in phi.args]
+def _compile_tangle(ev: Evaluator, phi: Tangle, slot):
+    subs = [slot(a) for a in phi.args]
     down, full = ev.down, ev.full
-
-    def tangle(env):
-        return tangle_fixpoint(down, full, [s(env) for s in subs])[0]
-
-    return tangle
+    return lambda env, vals: tangle_fixpoint(down, full, [vals[k] for k in subs])[0]
 
 
 _BUILDERS = {

@@ -26,7 +26,6 @@ from tanglemc.formula import (
     subformula_closure,
     top,
     vars_of,
-    walk,
 )
 
 p, q, r = Var("p"), Var("q"), Var("r")
@@ -153,6 +152,28 @@ def test_hash_is_cached_and_keeps_the_dataclass_value():
     assert hash(Tangle((q, p))) == hash(((p, q),))
 
 
+def test_parse_makes_equal_subformulas_one_object():
+    phi = parse("<t>{p, q} & <t>{q, p}")
+    assert phi.left is phi.right
+    # equal tangle arguments, compared by identity, merge without walking
+    # their 2**12 paths to p0
+    arg = "<d.>" * 12 + "p0"
+    phi = parse(f"<t>{{{arg}, {arg}, {arg}}} & {arg}")
+    assert len(phi.left.args) == 1 and phi.left.args[0] is phi.right
+    assert phi.right.right.child is phi.right.left  # <d.>x is x | <d>x
+    dotted = parse("<t.>{p, q} | (p & q)")
+    assert dotted.right is dotted.left.left.left
+
+
+def test_size_and_next_depth_measure_each_shared_node_once():
+    phi = p
+    for k in range(1, 41):
+        phi = dot_diamond(Next(phi))  # 5 * 2**k - 4 nodes, O-depth k
+    assert size(phi) == 5 * 2**40 - 4
+    assert next_depth(phi) == 40
+    assert size(top()) == 4 and next_depth(Next(phi)) == 41
+
+
 def test_empty_tangle_constructor_rejected():
     with pytest.raises(ValueError):
         Tangle(())
@@ -229,6 +250,14 @@ def test_vars_of_visits_a_shared_subtree_once():
         phi = dot_diamond(phi)  # 2**60 paths from the root to p
     assert vars_of(phi) == {"p"}
     assert vars_of(Implies(phi, Next(q))) == {"p", "q"}
+
+
+def walk(phi):
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        yield f
+        stack.extend(children(f))
 
 
 @given(formulas)

@@ -5,7 +5,8 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tanglemc.formula import Box, Diamond, Neg, parse
+from tanglemc import semantics
+from tanglemc.formula import Box, Diamond, Neg, Var, dot_diamond, parse
 from tanglemc.frame import Frame, transitive_closure, validate_frame
 from tanglemc.semantics import (
     Evaluator,
@@ -203,6 +204,40 @@ def test_evaluator_is_freed_without_the_cycle_collector(lanes):
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("lanes", [1, 8])
+def test_a_pass_runs_each_distinct_tangle_once(monkeypatch, lanes):
+    # the parse makes the two tangles one object, and a pass evaluates
+    # each distinct object once
+    calls = []
+    fixpoint = semantics.tangle_fixpoint
+
+    def counting(down, full, masks):
+        calls.append(len(masks))
+        return fixpoint(down, full, masks)
+
+    monkeypatch.setattr(semantics, "tangle_fixpoint", counting)
+    ev = Evaluator(frame_f2(), lanes)
+    run = ev.compile(parse("(<t>{p, q} -> q) & (<t>{q, p} -> p)"))
+    for env in ({"p": ev.full, "q": 0}, {"p": ev.full, "q": ev.full}):
+        run(env)
+    assert calls == [2, 2]
+
+
+def test_api_built_shared_formula_compiles_once_per_distinct_node():
+    # 40 nested <d.> built through the API share each argument twice: a
+    # tree of 3 * 2**40 - 2 nodes over 81 distinct ones.  On a transitive
+    # frame the chain denotes <d.>p.
+    p = Var("p")
+    phi = p
+    for _ in range(40):
+        phi = dot_diamond(phi)
+    f = frame_f3()
+    ev = Evaluator(f)
+    run, expected = ev.compile(phi), ev.compile(dot_diamond(p))
+    for w in range(f.n):
+        assert run({"p": 1 << w}) == expected({"p": 1 << w})
 
 
 def test_compile_rejects_what_is_not_a_formula():

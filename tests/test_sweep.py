@@ -17,15 +17,15 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from tanglemc.formula import (
-    And, Box, Diamond, Implies, Neg, Next, Or, Tangle, Var, parse, vars_of,
+    And, Box, Diamond, Implies, Neg, Next, Or, Tangle, Var, dot_diamond, parse, vars_of,
 )
 from tanglemc.frame import Frame, _monotone_witness, _transitivity_witness
 from tanglemc.logic import (
-    LOGICS, _monotone_maps, _transitive_classes, countermodel_search,
+    LOGICS, SCHEMAS, _monotone_maps, _transitive_classes, countermodel_search,
     random_class_frame, random_formula,
 )
 from tanglemc import semantics
-from tanglemc.semantics import Countermodel, Verdict, valid_on_frame
+from tanglemc.semantics import Countermodel, Evaluator, Verdict, valid_on_frame
 
 from generators import random_transitive_frame
 
@@ -253,6 +253,41 @@ def oracle_search(phi, logic, max_worlds, relations_by_size=None):
                 if cm is not None:
                     return frames, vals, frame, cm.valuation, cm.world
     return frames, vals, None, None, None
+
+
+def test_shared_subformulas_match_the_tree_oracle():
+    # formulas that share subformulas by object: built through the API, as
+    # schema instances are, and parsed, which makes equal ones one object;
+    # every valuation on each K4C relation class of three worlds, under its
+    # first monotone map with the most distinct images, one valuation per
+    # pass and all of them packed in one pass
+    p, q = Var("p"), Var("q")
+    chain = p
+    for _ in range(6):
+        chain = dot_diamond(chain)
+    a = Tangle((p, Box(Next(p))))
+    formulas = [
+        chain,
+        SCHEMAS["Next-neg"].instantiate([a]),
+        SCHEMAS["Next-and"].instantiate([a, Diamond(a)]),
+        parse("(<t>{p, q} -> q) & (<t>{q, p} -> p) | O <t>{p, q}"),
+    ]
+    for succ in classes_by_size(3)[3]:
+        func = max(_monotone_maps(succ, False), key=lambda f: len(set(f)))
+        frame = Frame(["w0", "w1", "w2"], succ, func)
+        for phi in formulas:
+            envs = list(exhaustive_envs(frame, phi))
+            lanes = len(envs)
+            packed = {v: sum((env[v] >> w & 1) << (w * lanes + lane)
+                             for lane, env in enumerate(envs) for w in range(3))
+                      for v in envs[0]}
+            run = Evaluator(frame).compile(phi)
+            value = Evaluator(frame, lanes).compile(phi)(packed)
+            for lane, env in enumerate(envs):
+                expected = oracle_mask(frame, phi, env)
+                assert run(env) == expected
+                assert sum((value >> (w * lanes + lane) & 1) << w
+                           for w in range(3)) == expected
 
 
 def test_exhaustive_search_matches_oracle_at_three_worlds():
