@@ -117,7 +117,7 @@ class Tangle(Formula):
 
     Duplicates are merged and the arguments are kept in a canonical order
     (sorted by printed form), so structurally equal argument sets compare
-    equal.
+    equal.  A single argument left after merging is not printed.
     """
 
     args: tuple[Formula, ...]
@@ -125,7 +125,8 @@ class Tangle(Formula):
     def __post_init__(self):
         if not self.args:
             raise ValueError("tangle requires at least one argument")
-        ordered = tuple(sorted(set(self.args), key=pretty))
+        args = set(self.args)
+        ordered = tuple(args) if len(args) == 1 else tuple(sorted(args, key=pretty))
         object.__setattr__(self, "args", ordered)
 
 
@@ -290,9 +291,10 @@ def pretty(phi: Formula) -> str:
 
 
 def _fmt(phi: Formula, min_prec: int) -> str:
-    if phi == _TOP:
+    # only an Or can be T and only an And F: other nodes are not compared
+    if type(phi) is Or and phi == _TOP:
         return "T"
-    if phi == _BOT:
+    if type(phi) is And and phi == _BOT:
         return "F"
     if isinstance(phi, Var):
         return phi.name

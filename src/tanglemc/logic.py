@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .formula import (
@@ -43,7 +44,6 @@ from .formula import (
     dot_tangle,
     pretty,
     top,
-    vars_of,
 )
 from .frame import (
     ClassFlags,
@@ -53,7 +53,7 @@ from .frame import (
     _monotone_witness,
     transitive_closure,
 )
-from .semantics import EXHAUSTIVE_BITS_LIMIT, exhaustive_sweep, sampled_sweep, valid_on_frame
+from .semantics import EXHAUSTIVE_BITS_LIMIT, Program, exhaustive_sweep, sampled_sweep, valid_on_frame
 
 
 def _iff(a: Formula, b: Formula) -> Formula:
@@ -81,24 +81,12 @@ class Schema:
             raise ValueError(
                 f"{self.name} takes {self.formula_slots} formula(s), got {len(formulas)}"
             )
-        if self.set_slot:
-            if formula_set is None:
-                raise ValueError(f"{self.name} needs a formula set")
-            tangle = Tangle(tuple(formula_set))
-        elif formula_set is not None:
-            raise ValueError(f"{self.name} takes no formula set")
-        else:
-            tangle = None
-        if self.theta_slot and theta is None:
-            raise ValueError(f"{self.name} needs a theta formula")
-        if not self.theta_slot and theta is not None:
-            raise ValueError(f"{self.name} takes no theta formula")
-        args = list(formulas)
-        if tangle is not None:
-            args.append(tangle)
-        if theta is not None:
-            args.append(theta)
-        return self._build(*args)
+        for slot, given, what in ((self.set_slot, formula_set, "formula set"),
+                                  (self.theta_slot, theta, "theta formula")):
+            if slot != (given is not None):
+                raise ValueError(f"{self.name} {'needs a' if slot else 'takes no'} {what}")
+        tangle = [Tangle(tuple(formula_set))] if self.set_slot else []
+        return self._build(*formulas, *tangle, *([theta] if self.theta_slot else []))
 
 
 def _fix_tan(t: Tangle) -> Formula:
@@ -234,18 +222,38 @@ SUITE_VARIABLES = ("p", "q")  # the variables of the suite's schema instances
 SUITE_DEPTH = 1  # the depth of the random formulas filling their slots
 
 
-def _random_instance(rng: random.Random, schema: Schema) -> Formula:
+def _random_slots(
+    rng: random.Random, schema: Schema
+) -> tuple[list[Formula], list[Formula] | None, Formula | None]:
+    """The arguments of a random instance for :meth:`Schema.instantiate`,
+    drawn in order: the formula slots, the set (its size first), theta."""
     def draw():
         return random_formula(rng, SUITE_VARIABLES, SUITE_DEPTH)
 
     formulas = [draw() for _ in range(schema.formula_slots)]
-    formula_set = None
-    theta = None
-    if schema.set_slot:
-        formula_set = [draw() for _ in range(rng.choice((1, 2)))]
-    if schema.theta_slot:
-        theta = draw()
-    return schema.instantiate(formulas, formula_set, theta)
+    formula_set = [draw() for _ in range(rng.choice((1, 2)))] if schema.set_slot else None
+    theta = draw() if schema.theta_slot else None
+    return formulas, formula_set, theta
+
+
+@lru_cache(maxsize=None)
+def _schema_program(name: str, size: int) -> Program:
+    """The program of a schema with a set of `size`, over unparseable
+    metavariables ``_0``, ``_1``, ... in :func:`_random_slots` order."""
+    schema = SCHEMAS[name]
+    k = schema.formula_slots
+    metas = [Var(f"_{i}") for i in range(k + size + schema.theta_slot)]
+    tangle = [Tangle(tuple(metas[k:k + size]))] if schema.set_slot else []
+    return Program(schema._build(*metas[:k], *tangle, *metas[k + size:]))
+
+
+def _instance_program(name: str, formulas: Sequence[Formula],
+                      formula_set: Sequence[Formula] | None, theta: Formula | None) -> Program:
+    """The program of an instance, without building it: the schema's, with
+    each metavariable bound to its slot formula's program."""
+    slots = [*formulas, *(formula_set or ()), *([] if theta is None else [theta])]
+    return _schema_program(name, len(formula_set or ())).substitute(
+        {f"_{i}": Program(f) for i, f in enumerate(slots)})
 
 
 @dataclass(frozen=True)
@@ -303,11 +311,15 @@ def soundness_suite(
     """Check every schema of the logic on random frames of its class.
 
     Each trial draws a frame with :func:`random_class_frame`, then for each
-    schema an instance over `SUITE_VARIABLES` of depth `SUITE_DEPTH` and a
-    sampling seed.  The instances of a trial share its frame, and so its
-    evaluators: one per lane count, made by the first instance that needs
-    it and handed to :func:`valid_on_frame` with every instance; the next
-    trial starts afresh.  A sound logic reports zero violations; a `Logic`
+    schema the slot formulas of an instance, over `SUITE_VARIABLES` of
+    depth `SUITE_DEPTH`, and a sampling seed.  :func:`valid_on_frame` gets
+    the schema's program, made once per process, with its metavariables
+    bound to the slots' programs: by the substitution lemma these give the
+    instance's truth sets, and only a violation builds the instance, to
+    print it.  The instances of a trial share its frame, and so its evaluators:
+    one per lane count, made by the first instance that needs it and
+    handed to :func:`valid_on_frame` with every instance; the next trial
+    starts afresh.  A sound logic reports zero violations; a `Logic`
     whose schemas or class do not match gives a misconfigured suite.
     Exhaustive mode raises ``ValueError`` before the first trial when a
     frame of `max_worlds` worlds could pass ``EXHAUSTIVE_BITS_LIMIT``
@@ -333,14 +345,15 @@ def soundness_suite(
         frame = random_class_frame(rng, max_worlds, logic)
         evaluators = {}  # lanes -> the trial's evaluator
         for name in logic.schemas:
-            inst = _random_instance(rng, SCHEMAS[name])
+            slots = _random_slots(rng, SCHEMAS[name])
             instances += 1
             verdict = valid_on_frame(
-                frame, inst, mode=mode, samples=samples, seed=rng.getrandbits(32),
-                evaluators=evaluators,
+                frame, _instance_program(name, *slots), mode=mode, samples=samples,
+                seed=rng.getrandbits(32), evaluators=evaluators,
             )
             if not verdict.valid:
                 cm = verdict.countermodel
+                inst = SCHEMAS[name].instantiate(*slots)
                 violations.append(
                     SchemaViolation(name, pretty(inst), frame.to_dict(cm.valuation),
                                     dict(cm.valuation), cm.world)
@@ -525,13 +538,14 @@ def countermodel_search(
     all of its maps: every frame of the class is isomorphic to one of
     these, and ``frames_checked`` counts them (frames of the class up to
     isomorphism; a relation with automorphisms still has isomorphic maps
-    among its own).  All maps of one relation go through one evaluator, as map
+    among its own).  phi's :class:`~tanglemc.semantics.Program` is made
+    once per search; all maps of one relation go through one evaluator, as map
     slots of lanes next to the valuation codes: as many maps per pass as
     fit in 2^12 lanes, one map per pass of 2^12 codes past 12 bits.  That
     keeps the order and the counts of one frame and one valuation at a
     time.  The bound is not what finishes: on a 2-vCPU host ``[d]p ->
     [d][d]p`` takes about 0.035 s in K4DC at 4 worlds (5,151 frames),
-    1.5-2 s in K4C at 5 worlds (409,952 frames) and 73 s in K4C at 6
+    1.06 s in K4C at 5 worlds (409,952 frames) and 62 s in K4C at 6
     worlds (16,293,935 frames).  Like exhaustive validity it raises
     ``ValueError`` before the first world count whose frames would need
     more than 2^``EXHAUSTIVE_BITS_LIMIT`` valuations each (world count
@@ -549,14 +563,13 @@ def countermodel_search(
     if max_worlds < 1:
         raise ValueError("max_worlds must be >= 1")
     if max_worlds <= EXHAUSTIVE_SEARCH_LIMIT:
-        return _search_exhaustive(phi, logic, max_worlds)
+        return _search_exhaustive(Program(phi), logic, max_worlds)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    return _search_random(phi, logic, max_worlds, seed, samples)
+    return _search_random(Program(phi), logic, max_worlds, seed, samples)
 
 
-def _search_exhaustive(phi: Formula, logic: Logic, max_worlds: int) -> SearchResult:
-    variables = sorted(vars_of(phi))
+def _search_exhaustive(program: Program, logic: Logic, max_worlds: int) -> SearchResult:
     frames = 0
     vals = 0
     classes = _transitive_classes()
@@ -567,7 +580,7 @@ def _search_exhaustive(phi: Formula, logic: Logic, max_worlds: int) -> SearchRes
             n = len(succ)
             if n > max_worlds:
                 break
-            bits = n * len(variables)
+            bits = n * len(program.variables)
             if bits > EXHAUSTIVE_BITS_LIMIT:
                 raise ValueError(
                     f"exhaustive search needs |worlds|*|vars| <= {EXHAUSTIVE_BITS_LIMIT}, got {bits}"
@@ -576,9 +589,7 @@ def _search_exhaustive(phi: Formula, logic: Logic, max_worlds: int) -> SearchRes
         if logic.serial and not all(succ):
             continue
         maps = _monotone_maps(succ, logic.strict)
-        checked, index, cm = exhaustive_sweep(
-            Frame(worlds, succ, maps[0]), phi, variables, maps
-        )
+        checked, index, cm = exhaustive_sweep(Frame(worlds, succ, maps[0]), program, maps)
         vals += checked
         if cm is not None:
             return SearchResult(
@@ -591,16 +602,15 @@ def _search_exhaustive(phi: Formula, logic: Logic, max_worlds: int) -> SearchRes
 
 
 def _search_random(
-    phi: Formula, logic: Logic, max_worlds: int, seed: int, samples: int
+    program: Program, logic: Logic, max_worlds: int, seed: int, samples: int
 ) -> SearchResult:
-    variables = sorted(vars_of(phi))
     rng = random.Random(seed)
     frames = 0
     vals = 0
     for _ in range(samples):
         frame = random_class_frame(rng, max_worlds, logic)
         frames += 1
-        checked, cm = sampled_sweep(frame, phi, variables, rng, 8)
+        checked, cm = sampled_sweep(frame, program, rng, 8)
         vals += checked
         if cm is not None:
             return SearchResult(

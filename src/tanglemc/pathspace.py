@@ -27,7 +27,6 @@ step rule that the enumeration and the count share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Mapping
 
@@ -65,8 +64,9 @@ def parse_path(line: str) -> Path:
     return Path(prefix, tail)
 
 
-def path_metric(u: Path, v: Path) -> Fraction:
+def path_metric(u: Path, v: Path) -> "Fraction":
     """Exact dyadic distance 2^-n at the first differing index n."""
+    from fractions import Fraction  # here: no command needs it at start-up
     for n in range(max(len(u.prefix), len(v.prefix)) + 1):
         if u.value(n) != v.value(n):
             return Fraction(1, 2 ** n)

@@ -7,14 +7,14 @@ point after at most |W| shrinking steps.  Two independent oracles are kept
 alongside: a literal union over all subsets (exponential, guarded), and a
 characterisation through reflexive clusters meeting every S_i.
 
-Formulas are compiled once per frame into a list of steps that evaluate a
-block of ``lanes`` models at once.  Each distinct node object of the
-formula is one step, and a call runs the steps in post-order, each reading
-its children's values from the ones before it, so a subformula that the
-formula shares by object is evaluated once per call, tangles included.
-:func:`~tanglemc.formula.parse` makes equal subformulas one object, and
-the formulas built through the API, such as schema instances, share what
-they repeat.
+A formula is compiled once, without a frame, into a :class:`Program`:
+one instruction per distinct node object, in post-order, each reading its
+children's values, so a subformula shared by object (as
+:func:`~tanglemc.formula.parse` shares equal ones) is evaluated once per
+run, tangles included.  An evaluator binds a program to its frame without
+walking it, and a run evaluates a block of ``lanes`` models at once.  A
+program may read variables as other programs' values, which evaluates a
+substitution instance without building it.
 
 A truth set is one int of ``n * lanes`` bits grouped by world: world w
 owns bits ``[w*lanes, (w+1)*lanes)``, one bit per lane.  With one lane
@@ -55,9 +55,9 @@ from .formula import (
     Neg,
     Next,
     Or,
+    RESERVED_VAR,
     Tangle,
     Var,
-    vars_of,
 )
 from .frame import Frame, _bits
 
@@ -75,14 +75,8 @@ class Model:
 
     def __init__(self, frame: Frame, valuation: Mapping[str, Iterable[str]] | None = None):
         self.frame = frame
-        val = {}
-        masks = {}
-        for p, names in (valuation or {}).items():
-            names = frozenset(names)
-            val[p] = names
-            masks[p] = frame.mask(names)
-        self.valuation = val
-        self._masks = masks
+        self.valuation = {p: frozenset(names) for p, names in (valuation or {}).items()}
+        self._masks = {p: frame.mask(names) for p, names in self.valuation.items()}
 
 
 def tangle_fixpoint(
@@ -240,101 +234,90 @@ class Evaluator:
         world = frame.worlds[(worlds & -worlds).bit_length() - 1]
         return lane, Countermodel(valuation, world)
 
-    def compile(self, phi: Formula) -> Callable[[Mapping[str, int]], int]:
+    def compile(self, phi: Formula | Program) -> Callable[[Mapping[str, int]], int]:
         """A function from an environment (variable -> truth set) to phi's
-        truth set.
-
-        Each distinct node object of phi becomes one step, so a subformula
-        that phi shares by object, as a parsed formula shares all of its
-        equal subformulas, is evaluated once per call.  A step is built by
-        the builder of the node's type; it reads the values of its
-        children's steps from the list of values that the call fills in
-        post-order, and the last value is phi's."""
-        steps = []
-        slots = {}
-
-        def slot(node):
-            k = slots.get(id(node))
-            if k is None:
-                build = _BUILDERS.get(type(node))
-                if build is None:
-                    raise TypeError(f"not a formula: {node!r}")
-                step = build(self, node, slot)
-                k = slots[id(node)] = len(steps)
-                steps.append(step)
-            return k
-
-        try:
-            slot(phi)
-        finally:
-            # slot's closure cell holds slot itself: a cycle through self
-            # that would keep the evaluator alive until a collection
-            slot = None
-        steps = tuple(steps)
-
-        def run(env):
-            vals = []
-            for step in steps:
-                vals.append(step(env, vals))
-            return vals[-1]
-
-        return run
+        truth set: phi's :class:`Program` (made here from a formula) bound
+        to this evaluator's ``down``, ``preimage`` and ``full``.  The bind
+        walks nothing, so a program made once can be bound to many frames."""
+        run = (phi if isinstance(phi, Program) else Program(phi)).run
+        down, pre, full = self.down, self.preimage, self.full
+        return lambda env: run(env, down, pre, full)
 
 
-# A builder takes the evaluator, a node and `slot`, which compiles a child
-# and gives the index of its value, and returns the node's step.
-
-def _compile_var(ev: Evaluator, phi: Var, slot):
-    name = phi.name
-    return lambda env, vals: env.get(name, 0)
-
-
-def _compile_neg(ev: Evaluator, phi: Neg, slot):
-    c, full = slot(phi.child), ev.full
-    return lambda env, vals: full ^ vals[c]
-
-
-def _compile_and(ev: Evaluator, phi: And, slot):
-    l, r = slot(phi.left), slot(phi.right)
-    return lambda env, vals: vals[l] & vals[r]
-
-
-def _compile_or(ev: Evaluator, phi: Or, slot):
-    l, r = slot(phi.left), slot(phi.right)
-    return lambda env, vals: vals[l] | vals[r]
-
-
-def _compile_implies(ev: Evaluator, phi: Implies, slot):
-    l, r, full = slot(phi.left), slot(phi.right), ev.full
-    return lambda env, vals: (full ^ vals[l]) | vals[r]
+def _emit(phi: Formula, code: list, at: dict[int, int], names: set[str]) -> int:
+    """Append the instructions of phi's distinct node objects missing from
+    `at` (id -> index), children first, and give phi's index.  An
+    instruction is (node type, a, b): a variable's name, the child indices
+    of a unary or binary node, or a tangle's tuple of argument indices."""
+    k = at.get(id(phi))
+    if k is None:
+        kind = type(phi)
+        if kind is Var:
+            names.add(phi.name)
+            ins = (Var, phi.name, None)
+        elif kind in (Neg, Diamond, Box, Next):
+            ins = (kind, _emit(phi.child, code, at, names), None)
+        elif kind in (And, Or, Implies):
+            ins = (kind, _emit(phi.left, code, at, names), _emit(phi.right, code, at, names))
+        elif kind is Tangle:
+            ins = (Tangle, tuple([_emit(a, code, at, names) for a in phi.args]), None)
+        else:
+            raise TypeError(f"not a formula: {phi!r}")
+        k = at[id(phi)] = len(code)
+        code.append(ins)
+    return k
 
 
-def _compile_diamond(ev: Evaluator, phi: Diamond, slot):
-    c, down = slot(phi.child), ev.down
-    return lambda env, vals: down(vals[c])
+class Program:
+    """A formula compiled without a frame: one instruction per distinct node
+    object, in post-order, and the sorted variables it reads but the
+    reserved one.  A run fills one value per instruction, so a subformula
+    shared by object is evaluated once.  :meth:`substitute` reads variables
+    as other programs' values: by the substitution lemma, [[phi[psi/A]]] is
+    [[phi]] with A read as [[psi]], for every connective here."""
 
+    __slots__ = ("code", "variables", "slots")
 
-def _compile_box(ev: Evaluator, phi: Box, slot):
-    c, down, full = slot(phi.child), ev.down, ev.full
-    return lambda env, vals: full ^ down(full ^ vals[c])
+    def __init__(self, phi: Formula):
+        code, names = [], set()
+        _emit(phi, code, {}, names)
+        self.code, self.slots = tuple(code), ()
+        self.variables = tuple(sorted(names - {RESERVED_VAR}))
 
+    def substitute(self, slots: Mapping[str, Program]) -> Program:
+        """This program with each variable named in `slots` read as the
+        value of its program, on the same environment."""
+        out = object.__new__(Program)
+        names = set(self.variables).difference(slots).union(*[p.variables for p in slots.values()])
+        out.code, out.variables, out.slots = self.code, tuple(sorted(names)), tuple(slots.items())
+        return out
 
-def _compile_next(ev: Evaluator, phi: Next, slot):
-    c, pre = slot(phi.child), ev.preimage
-    return lambda env, vals: pre(vals[c])
-
-
-def _compile_tangle(ev: Evaluator, phi: Tangle, slot):
-    subs = [slot(a) for a in phi.args]
-    down, full = ev.down, ev.full
-    return lambda env, vals: tangle_fixpoint(down, full, [vals[k] for k in subs])[0]
-
-
-_BUILDERS = {
-    Var: _compile_var, Neg: _compile_neg, And: _compile_and, Or: _compile_or,
-    Implies: _compile_implies, Diamond: _compile_diamond, Box: _compile_box,
-    Next: _compile_next, Tangle: _compile_tangle,
-}
+    def run(self, env: Mapping[str, int], down: Callable[[int], int],
+            pre: Callable[[int], int], full: int) -> int:
+        if self.slots:
+            env = {**env, **{a: p.run(env, down, pre, full) for a, p in self.slots}}
+        vals: list[int] = []
+        push = vals.append
+        for op, a, b in self.code:
+            if op is Var:
+                push(env.get(a, 0))
+            elif op is And:
+                push(vals[a] & vals[b])
+            elif op is Or:
+                push(vals[a] | vals[b])
+            elif op is Implies:
+                push((full ^ vals[a]) | vals[b])
+            elif op is Neg:
+                push(full ^ vals[a])
+            elif op is Diamond:
+                push(down(vals[a]))
+            elif op is Box:
+                push(full ^ down(full ^ vals[a]))
+            elif op is Next:
+                push(pre(vals[a]))
+            else:
+                push(tangle_fixpoint(down, full, [vals[k] for k in a])[0])
+        return vals[-1]
 
 
 def truth_set(model: Model, phi: Formula) -> frozenset[str]:
@@ -466,13 +449,13 @@ def _evaluator(frame: Frame, lanes: int, evaluators: dict[int, Evaluator] | None
 
 
 def exhaustive_sweep(
-    frame: Frame, phi: Formula, variables: Sequence[str],
+    frame: Frame, program: Program,
     maps: Sequence[Sequence[int]] | None = None,
     evaluators: dict[int, Evaluator] | None = None,
 ) -> tuple[int, int | None, Countermodel | None]:
-    """Evaluate phi under every valuation of `variables` (sorted, covering
-    those of phi) and every map of `maps` on the frame's relation, maps
-    outermost and valuation codes ascending.  `maps` defaults to the
+    """Evaluate a program under every valuation of its variables and every
+    map of `maps` on the frame's relation, maps outermost and valuation
+    codes ascending.  `maps` defaults to the
     frame's own map, which must be ``maps[0]`` when they are given.
 
     A pass is one evaluator call on 2^min(bits, 12) codes in each of as
@@ -480,17 +463,18 @@ def exhaustive_sweep(
     and its codes take 2^(bits - 12) passes.  The first failing lane of the
     first failing pass is the first refutation in that order.  Returns the
     number of valuations checked up to and including it, the index of its
-    map and the refutation (None twice when phi is valid under every map).
+    map and the refutation (None twice when it holds under every map).
     `evaluators` is as in :func:`sampled_sweep`; it is not used when `maps`
     are given, since they are placed in the evaluator's slots.
     """
+    variables = program.variables
     n, count = frame.n, len(variables)
     bits = n * count
     lane_bits = min(bits, _BLOCK_BITS)
     total = 1 if maps is None else len(maps)
     slots = min(total, 1 << (_BLOCK_BITS - lane_bits))
     ev = _evaluator(frame, slots << lane_bits, evaluators if maps is None else None)
-    fn = ev.compile(phi)
+    fn = ev.compile(program)
     for first in range(0, total, slots):
         if total > 1:
             chunk = maps[first:first + slots]
@@ -508,11 +492,11 @@ def exhaustive_sweep(
 
 
 def sampled_sweep(
-    frame: Frame, phi: Formula, variables: Sequence[str], rng: random.Random,
+    frame: Frame, program: Program, rng: random.Random,
     samples: int, evaluators: dict[int, Evaluator] | None = None,
 ) -> tuple[int, Countermodel | None]:
-    """Evaluate phi under `samples` valuations drawn from `rng`, each one
-    ``rng.getrandbits(n)`` per variable of `variables` in order.  A block
+    """Evaluate a program under `samples` valuations drawn from `rng`, each
+    one ``rng.getrandbits(n)`` per variable of the program in order.  A block
     holds as many lanes as have been checked so far, at least 64 and at
     most 4096.  A block whose lanes times twice the worlds fall short of
     the relation pairs is evaluated one lane per pass.  The rule was set
@@ -520,11 +504,11 @@ def sampled_sweep(
     per world of its argument; on frames with shared rows, row classes make
     both cheaper, and the rule has not been measured again since.
     An evaluator depends only on the frame and its lane count, so sweeps
-    of several formulas on one frame can share them: `evaluators` maps a
+    of several programs on one frame can share them: `evaluators` maps a
     lane count to the evaluator to use, and an evaluator this sweep makes
     is added to it.  Without it every sweep makes its own.
     Returns what :func:`exhaustive_sweep` returns, without the map index."""
-    n = frame.n
+    variables, n = program.variables, frame.n
     pairs = sum(frame.succ_mask(w).bit_count() for w in range(n))
     checked = 0
     ev = None
@@ -534,7 +518,7 @@ def sampled_sweep(
             lanes = 1
         if ev is None or ev.lanes != lanes:
             ev = _evaluator(frame, lanes, evaluators)
-            fn = ev.compile(phi)
+            fn = ev.compile(program)
         env = dict(zip(variables, _sample_block(rng, n, len(variables), lanes)))
         hit = ev.refutation(fn(env), env, variables)
         if hit is not None:
@@ -545,7 +529,7 @@ def sampled_sweep(
 
 def valid_on_frame(
     frame: Frame,
-    phi: Formula,
+    phi: Formula | Program,
     mode: str = "exhaustive",
     samples: int = 1000,
     seed: int = 0,
@@ -564,20 +548,21 @@ def valid_on_frame(
     `evaluators` goes to the sweep: callers that check several formulas on
     one frame pass the same dict to share one evaluator per lane count
     (see :func:`sampled_sweep`); it must hold evaluators of this frame only.
+    phi may be given as its :class:`Program`, which is then not made again.
     """
-    variables = sorted(vars_of(phi))
+    program = phi if isinstance(phi, Program) else Program(phi)
     if mode == "exhaustive":
-        bits = frame.n * len(variables)
+        bits = frame.n * len(program.variables)
         if bits > EXHAUSTIVE_BITS_LIMIT:
             raise ValueError(
                 f"exhaustive validity needs |worlds|*|vars| <= {EXHAUSTIVE_BITS_LIMIT}, got {bits}"
             )
-        checked, _, cm = exhaustive_sweep(frame, phi, variables, evaluators=evaluators)
+        checked, _, cm = exhaustive_sweep(frame, program, evaluators=evaluators)
         return Verdict(cm is None, mode, checked, cm)
     if mode == "sampled":
         if samples < 1:
             raise ValueError("samples must be >= 1")
         rng = random.Random(seed)
-        checked, cm = sampled_sweep(frame, phi, variables, rng, samples, evaluators)
+        checked, cm = sampled_sweep(frame, program, rng, samples, evaluators)
         return Verdict(cm is None, mode, checked, cm, seed=seed)
     raise ValueError(f"unknown mode {mode!r}")

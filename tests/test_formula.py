@@ -143,6 +143,35 @@ def test_oversize_tangle_is_rejected_before_it_is_built(monkeypatch, opener):
         parse(text)
 
 
+def test_tangle_of_equal_arguments_is_built_without_printing(monkeypatch):
+    # one argument left after merging needs no order: the 30 equal
+    # arguments of 2**16 nodes each are not printed
+    def fail(phi):
+        raise AssertionError("pretty called")
+
+    monkeypatch.setattr(formula, "pretty", fail)
+    phi = parse("<t>{" + ", ".join(["<d.>" * 15 + "p0"] * 30) + "}")
+    monkeypatch.undo()
+    assert len(phi.args) == 1 and size(phi) == size(phi.args[0]) + 1
+    assert pretty(parse("<t>{<d.>p, <d.>p}")) == "<t>{p | <d>p}"
+
+
+def test_printer_compares_only_or_and_and_nodes_with_the_constants(monkeypatch):
+    # T is an Or and F an And: a formula with neither prints without a
+    # single node comparison
+    phi = parse("~<d>[d]O (p -> <t>{q, O p})")
+    compared = []
+
+    def eq(self, other):
+        compared.append(type(self))
+        return NotImplemented
+
+    for cls in (Var, Neg, Diamond, Box, Next, Implies, Tangle, And, Or):
+        monkeypatch.setattr(cls, "__eq__", eq)
+    assert pretty(phi) == "~<d>[d]O (p -> <t>{O p, q})"
+    assert compared == []
+
+
 def test_hash_is_cached_and_keeps_the_dataclass_value():
     phi = p
     for _ in range(60):

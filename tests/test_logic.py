@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from tanglemc import semantics
+from tanglemc import logic, semantics
 from tanglemc.formula import Var, parse, pretty
 from tanglemc.logic import (
     LOGICS,
     SCHEMAS,
     Logic,
+    Schema,
     countermodel_search,
     random_class_frame,
     random_formula,
@@ -152,6 +153,44 @@ def test_suite_builds_one_evaluator_per_trial(monkeypatch):
     # nine schemas a trial; 32 samples fit in one block of 32 lanes
     assert report.instances_checked == 900
     assert built == [32] * 100
+
+
+def test_sound_suite_never_builds_an_instance(monkeypatch):
+    # an instance is checked by substitution into its schema's program;
+    # only a violation's report prints the instance
+    def fail(*args, **kwargs):
+        raise AssertionError("instance built")
+
+    logic._schema_program.cache_clear()
+    monkeypatch.setattr(Schema, "instantiate", fail)
+    for name in LOGICS:
+        for mode in ("sampled", "exhaustive"):
+            assert soundness_suite(name, trials=10, seed=16, mode=mode).ok
+
+
+def test_search_makes_one_program_and_one_evaluator_per_relation_class(monkeypatch):
+    programs, evaluators = [], []
+    program_init, evaluator_init = semantics.Program.__init__, semantics.Evaluator.__init__
+
+    def counted_program(self, phi):
+        programs.append(phi)
+        program_init(self, phi)
+
+    def counted_evaluator(self, frame, lanes=1):
+        evaluators.append(frame)
+        evaluator_init(self, frame, lanes)
+
+    monkeypatch.setattr(semantics.Program, "__init__", counted_program)
+    monkeypatch.setattr(semantics.Evaluator, "__init__", counted_evaluator)
+    phi = parse("[d]p -> [d][d]p")
+    result = countermodel_search(phi, "K4C", max_worlds=3)
+    assert not result.found
+    # the relation classes on 1, 2 and 3 worlds, each with all of its maps
+    assert programs == [phi] and len(evaluators) == 2 + 8 + 39
+    programs.clear()
+    evaluators.clear()
+    result = countermodel_search(phi, "K4C", max_worlds=10, seed=5, samples=30)
+    assert programs == [phi] and len(evaluators) == result.frames_checked == 30
 
 
 def test_soundness_suite_negative_control_non_serial(monkeypatch):

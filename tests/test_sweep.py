@@ -21,8 +21,8 @@ from tanglemc.formula import (
 )
 from tanglemc.frame import Frame, _monotone_witness, _transitivity_witness
 from tanglemc.logic import (
-    LOGICS, SCHEMAS, _monotone_maps, _transitive_classes, countermodel_search,
-    random_class_frame, random_formula,
+    LOGICS, SCHEMAS, _instance_program, _monotone_maps, _transitive_classes,
+    countermodel_search, random_class_frame, random_formula,
 )
 from tanglemc import semantics
 from tanglemc.semantics import Countermodel, Evaluator, Verdict, valid_on_frame
@@ -288,6 +288,48 @@ def test_shared_subformulas_match_the_tree_oracle():
                 assert run(env) == expected
                 assert sum((value >> (w * lanes + lane) & 1) << w
                            for w in range(3)) == expected
+
+
+def test_substituted_schema_programs_match_their_instances():
+    # [[phi[psi/A]]] is [[phi]] with A read as [[psi]] on every frame: a
+    # schema's program with its metavariables bound to the slots' programs
+    # gives the built instance's truth set, under every valuation, one per
+    # pass and all of them packed; two equal set arguments, which the
+    # instance's tangle merges, and D, whose instance has no variables,
+    # included.  The frames are each relation class of three worlds and two
+    # relations that are not transitive, under maps that need not be
+    # monotone, so that the schemas other than K, Fix-tan, Next-neg and
+    # Next-and fail somewhere and their truth sets are not all full.
+    p, q = Var("p"), Var("q")
+    distinct = [Next(q), Tangle((p, Box(q))), Neg(p)]
+    cases = []
+    for name, schema in SCHEMAS.items():
+        formulas = distinct[:schema.formula_slots]
+        theta = p if schema.theta_slot else None
+        for formula_set in ([distinct[1]], distinct[:2], [Diamond(q), Diamond(q)], None):
+            if (formula_set is not None) == schema.set_slot:
+                cases.append((name, formulas, formula_set, theta))
+    frames = [(succ, (1, 2, 0)) for succ in classes_by_size(3)[3]]
+    frames += [(succ, func) for succ in ((2, 4, 1), (2, 4, 0)) for func in ((1, 2, 0), (0, 0, 1))]
+    for succ, func in frames:
+        frame = Frame(["w0", "w1", "w2"], succ, func)
+        one = Evaluator(frame)
+        for name, *slots in cases:
+            inst = SCHEMAS[name].instantiate(*slots)
+            program = _instance_program(name, *slots)
+            assert program.variables == tuple(sorted(vars_of(inst)))
+            envs = list(exhaustive_envs(frame, inst))
+            lanes = len(envs)
+            packed = {v: sum((env[v] >> w & 1) << (w * lanes + lane)
+                             for lane, env in enumerate(envs) for w in range(3))
+                      for v in program.variables}
+            ev = Evaluator(frame, lanes)
+            value = ev.compile(inst)(packed)
+            assert ev.compile(program)(packed) == value
+            run = one.compile(program)
+            for lane, env in enumerate(envs):
+                assert run(env) == sum((value >> (w * lanes + lane) & 1) << w
+                                       for w in range(3))
 
 
 def test_exhaustive_search_matches_oracle_at_three_worlds():
