@@ -11,6 +11,18 @@ byte-identical reports.  The environment variable
 at its first call and returns the same parser afterwards, so a program
 that calls `main` many times pays for building it once.  A fresh
 ``python -m tanglemc`` process builds it once, as before.
+
+Every process pays for its imports before it does any work.  The story
+and path-space modules serve four commands only (``story-validate``,
+``story-class``, ``oplus --story`` and ``pathspace-verify``), so those
+commands import them in their handlers, and the formula, frame and logic
+commands never load them.  The handlers look the story and path-space
+functions up as module attributes (``story_mod.validate_story``) at each
+call, as before.  The functions the formula, frame and logic commands
+call (`parse`, `frame_from_dict`, `truth_set`, `valid_on_frame`,
+`countermodel_search`, `soundness_suite`) stay globals of this module,
+imported at start-up: a tracer that wraps a boundary replaces the name
+where the caller looks it up, here in this module's namespace.
 """
 
 from __future__ import annotations
@@ -22,7 +34,6 @@ import json
 import os
 import sys
 
-from . import pathspace, story as story_mod
 from .formula import next_depth, parse, pretty, size, vars_of
 from .frame import (
     Frame,
@@ -32,7 +43,6 @@ from .frame import (
 )
 from .logic import EXHAUSTIVE_SEARCH_LIMIT, LOGICS, countermodel_search, soundness_suite
 from .semantics import Model, truth_set, valid_on_frame
-from .story import StoryError
 
 SCHEMA_VERSION = 1
 
@@ -73,7 +83,10 @@ def _load_frame(args) -> tuple[Frame, dict]:
         data, close_transitively=args.close_transitively))
 
 
-def _load_story(path: str) -> story_mod.Story:
+def _load_story(path: str):
+    """Decode and validate a story file; returns the `story.Story`."""
+    from . import story as story_mod
+
     return _load(path, story_mod.validate_story)
 
 
@@ -174,6 +187,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_story_validate(args) -> int:
+    from .story import StoryError
+
     try:
         st = _load_story(args.story)
     except StoryError as e:
@@ -190,6 +205,8 @@ def _cmd_story_validate(args) -> int:
 
 
 def _cmd_story_class(args) -> int:
+    from . import story as story_mod
+
     st = _load_story(args.story)
     _emit(_report(
         "story-class", story=args.story,
@@ -201,6 +218,8 @@ def _cmd_story_class(args) -> int:
 
 def _cmd_oplus(args) -> int:
     if args.story is not None:
+        from . import story as story_mod
+
         st = _load_story(args.story)
         lifted, projections = story_mod.story_oplus(st)
         _emit(_report(
@@ -219,6 +238,8 @@ def _cmd_oplus(args) -> int:
 
 
 def _cmd_pathspace_verify(args) -> int:
+    from . import pathspace, story as story_mod
+
     if args.story is not None:
         st = _load_story(args.story)
         source = args.story

@@ -26,8 +26,9 @@ connectives only, with minimal parentheses.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
+
+from .record import record
 
 
 class ParseError(ValueError):
@@ -46,14 +47,15 @@ class Formula:
 
 
 def _node(cls):
-    """A frozen dataclass node whose hash is computed once and kept.
+    """A frozen `record` node whose hash is computed once and kept.
 
-    The value is the dataclass's own hash of the fields, so sets of nodes
-    iterate in the same order as without the cache.  Without it, hashing a
-    node would rehash its whole tree, which is exponential in the nesting
-    of dotted operators: each one shares its argument twice.
+    The value is the record's own hash, that of the field tuple (the value
+    a frozen dataclass gave), so sets of nodes iterate in the same order as
+    without the cache.  Without it, hashing a node would rehash its whole
+    tree, which is exponential in the nesting of dotted operators: each one
+    shares its argument twice.
     """
-    cls = dataclass(frozen=True)(cls)
+    cls = record(cls)
     fields_hash = cls.__hash__
 
     def __hash__(self):

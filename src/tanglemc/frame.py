@@ -18,15 +18,16 @@ and Tarjan's partition refinement).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+
+from .record import record
 
 
 class FrameError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class ClassFlags:
     transitive: bool
     serial: bool
@@ -359,7 +360,7 @@ def frame_from_dict(data: Mapping, close_transitively: bool = False) -> tuple[Fr
     return frame, valuation
 
 
-@dataclass(frozen=True)
+@record
 class PMorphismResult:
     ok: bool
     violations: tuple[str, ...]

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
 
 from .formula import (
     And,
@@ -54,13 +53,14 @@ from .frame import (
     transitive_closure,
 )
 from .semantics import EXHAUSTIVE_BITS_LIMIT, Program, exhaustive_sweep, sampled_sweep, valid_on_frame
+from .record import record
 
 
 def _iff(a: Formula, b: Formula) -> Formula:
     return And(Implies(a, b), Implies(b, a))
 
 
-@dataclass(frozen=True)
+@record
 class Schema:
     """An axiom schema; slots are formulas, an optional formula set, and an
     optional extra formula (used by the induction schema)."""
@@ -132,7 +132,7 @@ SCHEMAS: dict[str, Schema] = {
 _BASE = ("K", "4", "Next-neg", "Next-and", "Fix-tan", "Ind-tan")
 
 
-@dataclass(frozen=True)
+@record
 class Logic:
     name: str
     schemas: tuple[str, ...]
@@ -256,7 +256,7 @@ def _instance_program(name: str, formulas: Sequence[Formula],
         {f"_{i}": Program(f) for i, f in enumerate(slots)})
 
 
-@dataclass(frozen=True)
+@record
 class SchemaViolation:
     schema: str
     formula: str
@@ -265,7 +265,7 @@ class SchemaViolation:
     world: str
 
 
-@dataclass(frozen=True)
+@record
 class SuiteReport:
     logic: str
     seed: int
@@ -366,7 +366,7 @@ def soundness_suite(
 # ---------------------------------------------------------------------------
 # countermodel search
 
-@dataclass(frozen=True)
+@record
 class SearchResult:
     verdict: str  # "countermodel" | "none-within-bounds"
     frame: Frame | None = None

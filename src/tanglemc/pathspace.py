@@ -26,18 +26,19 @@ step rule that the enumeration and the count share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from operator import mul
-from typing import Mapping
 
 from .frame import Frame, _bits, _transitivity_witness
+from .record import record
 from .story import Story
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Path:
     """Canonical eventually-constant path: prefix then tail forever."""
 
+    __slots__ = ("prefix", "tail")
     prefix: tuple[str, ...]
     tail: str
 
@@ -134,7 +135,7 @@ def _count_paths(frame: Frame, max_prefix: int) -> int:
 # ---------------------------------------------------------------------------
 # limit assignments
 
-@dataclass(frozen=True)
+@record
 class LimitAssignment:
     """Per-level injective ranks; level i ranks exactly the level-i worlds."""
 
@@ -169,14 +170,14 @@ def build_limit_assignment(story: Story) -> LimitAssignment:
 # ---------------------------------------------------------------------------
 # verification
 
-@dataclass(frozen=True)
+@record
 class PathViolation:
     kind: str  # "commuting"; forth and back cannot fail (verify_lim_pmorphism)
     level: int
     message: str
 
 
-@dataclass(frozen=True)
+@record
 class PathVerifyReport:
     resolution: int
     levels: int

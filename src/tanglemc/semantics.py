@@ -42,9 +42,8 @@ and the valuation that come first in (map, valuation code) order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .formula import (
     And,
@@ -60,6 +59,7 @@ from .formula import (
     Var,
 )
 from .frame import Frame, _bits
+from .record import record
 
 EXHAUSTIVE_BITS_LIMIT = 24
 
@@ -97,13 +97,13 @@ def tangle_fixpoint(
         steps += 1
 
 
-@dataclass(frozen=True)
+@record
 class Countermodel:
     valuation: dict[str, tuple[str, ...]]
     world: str
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     valid: bool
     mode: str
@@ -509,7 +509,7 @@ def sampled_sweep(
     is added to it.  Without it every sweep makes its own.
     Returns what :func:`exhaustive_sweep` returns, without the map index."""
     variables, n = program.variables, frame.n
-    pairs = sum(frame.succ_mask(w).bit_count() for w in range(n))
+    pairs = sum(row.bit_count() * members.bit_count() for row, members in frame.row_classes())
     checked = 0
     ev = None
     while checked < samples:

@@ -27,8 +27,7 @@ frame classes directly with `logic.random_class_frame`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .frame import (
     Frame,
@@ -40,6 +39,7 @@ from .frame import (
     duplicate_reflexive,
     pullback_valuation,
 )
+from .record import record
 
 
 class StoryError(ValueError):
@@ -50,7 +50,7 @@ class StoryError(ValueError):
         self.condition = condition
 
 
-@dataclass(frozen=True)
+@record
 class Moment:
     """A rooted tree-like frame plus a valuation.
 
@@ -147,7 +147,7 @@ def moment_from_frame(frame: Frame,
     raise StoryError("structure", "frame has no root world")
 
 
-@dataclass(frozen=True)
+@record
 class Story:
     levels: tuple[Moment, ...]
     maps: tuple[dict[str, str], ...]  # length == duration; identity on last level implied

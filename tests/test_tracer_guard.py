@@ -54,3 +54,22 @@ def test_traced_pathspace_verify_records_enumeration():
         # enumerates each level once, through the wrapped module global
         assert rec.totals["pathspace.verify"][0] == 1
         assert rec.totals.get("pathspace.enumerate", (0,))[0] == enumerations
+
+
+def test_traced_story_commands_record_their_spans():
+    # the handlers import the story module when called and must still call
+    # the tracer's wrappers, which replace that module's attributes
+    tracer = _load_tracer()
+    story = str(ROOT / "demos" / "story_chain.story.json")
+    for argv, span in ((["story-validate", "--story", story], "story.validate"),
+                       (["story-class", "--story", story], "story.class"),
+                       (["oplus", "--story", story], "story.oplus")):
+        rec = tracer.Recorder()
+        try:
+            tracer.install(rec)
+            with redirect_stdout(StringIO()):
+                code = cli.main(argv)
+        finally:
+            rec.uninstall()
+        assert code == 0
+        assert rec.totals[span][0] == 1
