@@ -126,11 +126,6 @@ class Frame:
     def pred_mask(self, i: int) -> int:
         return self._pred[i]
 
-    def row_classes(self) -> tuple[tuple[int, int], ...]:
-        """``(row, members)`` per distinct successor row, in order of first
-        occurrence; the member masks partition the worlds."""
-        return self._classes
-
     def func_index(self, i: int) -> int:
         return self._func[i]
 

@@ -52,7 +52,10 @@ from .frame import (
     _monotone_witness,
     transitive_closure,
 )
-from .semantics import EXHAUSTIVE_BITS_LIMIT, Program, exhaustive_sweep, sampled_sweep, valid_on_frame
+from .semantics import (
+    _BLOCK_BITS, EXHAUSTIVE_BITS_LIMIT, PACKED_BITS_LIMIT, Evaluator, Program, _exhaustive_blocks,
+    _mask_bits, _sample_block, _sample_widths, exhaustive_sweep, sampled_sweep, valid_on_frame,
+)
 from .record import record
 
 
@@ -247,15 +250,6 @@ def _schema_program(name: str, size: int) -> Program:
     return Program(schema._build(*metas[:k], *tangle, *metas[k + size:]))
 
 
-def _instance_program(name: str, formulas: Sequence[Formula],
-                      formula_set: Sequence[Formula] | None, theta: Formula | None) -> Program:
-    """The program of an instance, without building it: the schema's, with
-    each metavariable bound to its slot formula's program."""
-    slots = [*formulas, *(formula_set or ()), *([] if theta is None else [theta])]
-    return _schema_program(name, len(formula_set or ())).substitute(
-        {f"_{i}": Program(f) for i, f in enumerate(slots)})
-
-
 @record
 class SchemaViolation:
     schema: str
@@ -300,6 +294,61 @@ class SuiteReport:
         }
 
 
+def _union_failures(drawn, trials, mode: str, samples: int) -> set[tuple[int, int]]:
+    """The (trial, schema) positions of the instances of `trials`, indices
+    into `drawn`, a list of (frame, draws), that miss a world in a run of
+    their schema's program on the disjoint union of the trial frames.
+    Truth on a disjoint union is truth on each part, and [[phi[psi/A]]] is
+    [[phi]] with A read as [[psi]]: so in its trial's worlds each instance
+    reads its own valuations, as its lone sweep draws or counts them, and
+    each metavariable as its slot formula's truth set.  An exhaustive pass
+    holds 2^min(bits, 12) codes of the instance with the most bits; the
+    codes of one with fewer repeat, or are code 0 once checked."""
+    chunk = [drawn[t] for t in trials]
+    offsets = list(itertools.accumulate([frame.n for frame, _ in chunk], initial=0))
+    parts = [(frame, off) for (frame, _), off in zip(chunk, offsets)]
+    union = Frame([f"w{w}" for w in range(offsets[-1])],
+                  [f.succ_mask(w) << off for f, off in parts for w in range(f.n)],
+                  [f.func_index(w) + off for f, off in parts for w in range(f.n)])
+    programs: dict[Formula, Program] = {}  # one per distinct slot formula
+    groups: dict[tuple[str, int], list] = {}  # (schema, set size) -> its instances
+    for t, (frame, draws) in enumerate(chunk):
+        for i, (name, (formulas, formula_set, theta), seed) in enumerate(draws):
+            slots = [programs[f] if f in programs else programs.setdefault(f, Program(f))
+                     for f in (*formulas, *(formula_set or ()), *([theta] if theta else []))]
+            variables = sorted(set().union(*[p.variables for p in slots]))
+            groups.setdefault((name, len(formula_set or ())), []).append(
+                (t, i, frame.n, slots, variables, seed))
+    bits, evaluators, failing = _mask_bits(union), {}, set()
+    for (name, size), members in groups.items():
+        if mode == "sampled":
+            rngs = [random.Random(m[5]) for m in members]
+            passes = ((lanes, [_sample_block(rng, n, len(vs), lanes)
+                               for rng, (_, _, n, _, vs, _) in zip(rngs, members)])
+                      for lanes in _sample_widths(samples, bits))
+        else:
+            top = min(max(n * len(vs) for _, _, n, _, vs, _ in members), _BLOCK_BITS)
+            low = [min(n * len(vs), top) for _, _, n, _, vs, _ in members]
+            passes = ((1 << top, masks) for masks in itertools.zip_longest(*[
+                _exhaustive_blocks(n, len(vs), b, 1 << (top - b))
+                for (_, _, n, _, vs, _), b in zip(members, low)]))
+        for lanes, masks in passes:
+            if lanes not in evaluators:
+                evaluators[lanes] = Evaluator(union, lanes), [
+                    ((1 << (f.n * lanes)) - 1) << (off * lanes) for f, off in parts]
+            ev, regions = evaluators[lanes]
+            env: dict[str, int] = {}
+            for (t, _, _, _, vs, _), ms in zip(members, masks):
+                for v, m in zip(vs, ms or ()):
+                    env[v] = env.get(v, 0) | m << (offsets[t] * lanes)
+            values = {p: ev.compile(p)(env) for p in {p for m in members for p in m[3]}}
+            for k in range(len(members[0][3])):  # the regions are disjoint: + is |
+                env[f"_{k}"] = sum(values[m[3][k]] & regions[m[0]] for m in members)
+            missing = ev.full ^ ev.compile(_schema_program(name, size))(env)
+            failing.update((trials[t], i) for t, i, *_ in members if missing & regions[t])
+    return failing
+
+
 def soundness_suite(
     logic: Logic | str,
     trials: int,
@@ -312,18 +361,18 @@ def soundness_suite(
 
     Each trial draws a frame with :func:`random_class_frame`, then for each
     schema the slot formulas of an instance, over `SUITE_VARIABLES` of
-    depth `SUITE_DEPTH`, and a sampling seed.  :func:`valid_on_frame` gets
-    the schema's program, made once per process, with its metavariables
-    bound to the slots' programs: by the substitution lemma these give the
-    instance's truth sets, and only a violation builds the instance, to
-    print it.  The instances of a trial share its frame, and so its evaluators:
-    one per lane count, made by the first instance that needs it and
-    handed to :func:`valid_on_frame` with every instance; the next trial
-    starts afresh.  A sound logic reports zero violations; a `Logic`
-    whose schemas or class do not match gives a misconfigured suite.
-    Exhaustive mode raises ``ValueError`` before the first trial when a
-    frame of `max_worlds` worlds could pass ``EXHAUSTIVE_BITS_LIMIT``
-    (worlds times the number of `SUITE_VARIABLES`).
+    depth `SUITE_DEPTH`, and a sampling seed.  Then :func:`_union_failures`
+    checks the trials of each world count n in chunks, one disjoint union
+    of frames each, whose distance masks (``2(2n - 1)`` per world and lane
+    at most, at the widest pass) stay within ``PACKED_BITS_LIMIT`` bits, so
+    the cost is linear in `trials`.  An instance that misses a world is
+    built and checked alone by :func:`valid_on_frame`, for the countermodel
+    of a sweep per instance, in (trial, schema) order.  A sound logic reports
+    zero violations; a `Logic` whose schemas or class do not match gives a
+    misconfigured suite.  Exhaustive mode raises ``ValueError`` before the
+    first trial when a frame of `max_worlds` worlds could pass
+    ``EXHAUSTIVE_BITS_LIMIT`` (worlds times the number of
+    `SUITE_VARIABLES`).
     """
     if isinstance(logic, str):
         logic = LOGICS[logic]
@@ -338,29 +387,29 @@ def soundness_suite(
         raise ValueError(
             f"exhaustive suite needs max_worlds*|vars| <= {EXHAUSTIVE_BITS_LIMIT}, got {bits}"
         )
+    widest = max(_sample_widths(samples, 0), default=0)  # exhaustive mode allows samples < 1
     rng = random.Random(seed)
+    drawn = [(random_class_frame(rng, max_worlds, logic),
+              [(name, _random_slots(rng, SCHEMAS[name]), rng.getrandbits(32))
+               for name in logic.schemas]) for _ in range(trials)]
+    failing = set()
+    for n in sorted({frame.n for frame, _ in drawn}):
+        same = [t for t, (frame, _) in enumerate(drawn) if frame.n == n]
+        lanes = widest if mode == "sampled" else 1 << min(n * len(SUITE_VARIABLES), _BLOCK_BITS)
+        step = max(1, PACKED_BITS_LIMIT // (2 * (2 * n - 1) * n * lanes))
+        for k in range(0, len(same), step):
+            failing |= _union_failures(drawn, same[k:k + step], mode, samples)
     violations = []
-    instances = 0
-    for _ in range(trials):
-        frame = random_class_frame(rng, max_worlds, logic)
-        evaluators = {}  # lanes -> the trial's evaluator
-        for name in logic.schemas:
-            slots = _random_slots(rng, SCHEMAS[name])
-            instances += 1
-            verdict = valid_on_frame(
-                frame, _instance_program(name, *slots), mode=mode, samples=samples,
-                seed=rng.getrandbits(32), evaluators=evaluators,
-            )
-            if not verdict.valid:
-                cm = verdict.countermodel
-                inst = SCHEMAS[name].instantiate(*slots)
-                violations.append(
-                    SchemaViolation(name, pretty(inst), frame.to_dict(cm.valuation),
-                                    dict(cm.valuation), cm.world)
-                )
-    return SuiteReport(
-        logic.name, seed, trials, mode, trials, instances, tuple(violations)
-    )
+    for t, i in sorted(failing):
+        frame, draws = drawn[t]
+        name, slots, instance_seed = draws[i]
+        inst = SCHEMAS[name].instantiate(*slots)
+        cm = valid_on_frame(frame, inst, mode, samples, instance_seed).countermodel
+        if cm is not None:
+            violations.append(SchemaViolation(name, pretty(inst), frame.to_dict(cm.valuation),
+                                              dict(cm.valuation), cm.world))
+    return SuiteReport(logic.name, seed, trials, mode, trials,
+                       trials * len(logic.schemas), tuple(violations))
 
 
 # ---------------------------------------------------------------------------

@@ -8,42 +8,36 @@ alongside: a literal union over all subsets (exponential, guarded), and a
 characterisation through reflexive clusters meeting every S_i.
 
 A formula is compiled once, without a frame, into a :class:`Program`:
-one instruction per distinct node object, in post-order, each reading its
-children's values, so a subformula shared by object (as
-:func:`~tanglemc.formula.parse` shares equal ones) is evaluated once per
-run, tangles included.  An evaluator binds a program to its frame without
-walking it, and a run evaluates a block of ``lanes`` models at once.  A
-program may read variables as other programs' values, which evaluates a
-substitution instance without building it.
+one instruction per distinct node object, in post-order, so a subformula
+shared by object (as :func:`~tanglemc.formula.parse` shares equal ones)
+is evaluated once per run, tangles included.  An evaluator binds a
+program to its frame without walking it, and a run evaluates a block of
+``lanes`` models at once.  Truth on a disjoint union of frames is truth on
+each part, so one run on a union checks all of its parts.
 
 A truth set is one int of ``n * lanes`` bits grouped by world: world w
 owns bits ``[w*lanes, (w+1)*lanes)``, one bit per lane.  With one lane
-this is the plain world mask, and <d> is the frame's ``down_mask``: an OR
-of predecessor masks or of row-class member masks, whichever loop is
-shorter.  With more lanes, <d> ORs the lane
-groups of each row class's successors once and gives the result to every
-world of the class, and O takes each world's bits from the group of its
-image.  The lanes fall into map slots of equal width, each with its own
-map on the frame's relation; by default one slot holds the frame's own
-map.  The Boolean connectives stay single int operations, and the tangle
-is the same fixed-point loop run on the packed ints, where every lane
-converges on its own.
+this is the plain world mask, and <d> is the frame's ``down_mask``.  With
+more lanes, <d> and O are distance steps: world w reads the group of
+world w + d through one mask, shift and OR per distance d of a relation
+pair or of a map.  The lanes fall into map slots of equal width, each with
+its own map on the frame's relation; by default one slot holds the
+frame's own map.  The tangle is the same fixed-point loop on packed ints.
 
 Validity sweeps run in blocks of lanes and keep the canonical order of a
 one-valuation-at-a-time loop: exhaustive mode counts valuation codes
 upwards, sampled mode draws from the seed in the same order, and the first
 failing lane of the first failing block is the reported countermodel.  The
-exhaustive sweep also takes several maps of one relation, relation-major:
-each slot runs the same valuation codes under its map, so a pass covers as
-many maps as fit in 2^12 lanes, and the lowest failing lane names the map
-and the valuation that come first in (map, valuation code) order.
+exhaustive sweep also takes several maps of one relation, one per slot,
+and the lowest failing lane names the map and the valuation that come
+first in (map, valuation code) order.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .formula import (
     And,
@@ -66,6 +60,11 @@ EXHAUSTIVE_BITS_LIMIT = 24
 _BLOCK_BITS = 12  # an exhaustive block holds 2^12 valuation codes
 _FIRST_SAMPLES = 64  # a 64-lane pass costs about as much as one valuation
 _MAX_LANES = 1 << _BLOCK_BITS
+# the bits a packed block's distance masks may take (64 KiB), past which a
+# sampled block runs one lane per pass: 2,000 samples on 10 class-frame
+# worlds take at most 371k bits, 500 layered worlds 549k at two lanes, and
+# a 1000-world star 64M bits at 64 lanes, 152 MB and 10x one lane's time
+PACKED_BITS_LIMIT = 1 << 19
 
 
 class Model:
@@ -97,6 +96,15 @@ def tangle_fixpoint(
         steps += 1
 
 
+def _move(mask: int, steps: Sequence[tuple[int, int]]) -> int:
+    """A packed operator as distance steps: for each (d * lanes, m), the
+    lanes that m selects in the group of each world v move to world v - d."""
+    out = 0
+    for k, m in steps:
+        out |= (mask & m) >> k if k >= 0 else (mask & m) << -k
+    return out
+
+
 @record
 class Countermodel:
     valuation: dict[str, tuple[str, ...]]
@@ -115,11 +123,11 @@ class Verdict:
 class Evaluator:
     """Compiles formulas against one frame; a call evaluates `lanes` models.
 
-    Truth sets are ints of ``n * lanes`` bits grouped by world: world w owns
-    bits ``[w*lanes, (w+1)*lanes)``, one bit per lane.  A lane is a
-    valuation under a map: :meth:`place_maps` splits the lanes into map
-    slots, and O reads each slot's own map.  Until then one slot holds the
-    frame's map; with one lane O always reads it, on sparse masks.
+    A lane is a valuation under a map: :meth:`place_maps` splits the lanes
+    into map slots, and O reads each slot's own map.  Until then one slot
+    holds the frame's map; with one lane O always reads it, on sparse
+    masks.  With more lanes <d> and O take one step per distance, at most
+    ``2n - 1`` each, whose mask takes ``n * lanes`` bits.
     """
 
     def __init__(self, frame: Frame, lanes: int = 1):
@@ -135,11 +143,11 @@ class Evaluator:
                 inv[fw] |= 1 << w
             self._inv = inv
         else:
-            classes = frame.row_classes()
-            self._rows = [tuple(_bits(row)) for row, _ in classes]
-            number = {row: c for c, (row, _) in enumerate(classes)}
-            # last world first, as the fold in _down_lanes runs
-            self._class_of = [number[frame.succ_mask(w)] for w in reversed(range(n))]
+            read = {}  # distance d -> the groups of the worlds v that v - d sees
+            for w in range(n):
+                for v in _bits(frame.succ_mask(w)):
+                    read[v - w] = read.get(v - w, 0) | self._group << (v * lanes)
+            self._down_steps = tuple((d * lanes, m) for d, m in read.items())
             self.place_maps([self._func])
 
     # chosen per call, not stored: a bound method of itself kept on the
@@ -147,25 +155,28 @@ class Evaluator:
     @property
     def down(self) -> Callable[[int], int]:
         """`<d>` on truth sets."""
-        return self.frame.down_mask if self.lanes == 1 else self._down_lanes
+        return self.frame.down_mask if self.lanes == 1 else partial(_move, steps=self._down_steps)
 
     @property
     def preimage(self) -> Callable[[int], int]:
         """O on truth sets: the worlds whose image is in the set."""
-        return self._preimage_sparse if self.lanes == 1 else self._preimage_lanes
+        return self._preimage_sparse if self.lanes == 1 else partial(_move, steps=self._pre_steps)
 
     def place_maps(self, maps: Sequence[Sequence[int]]) -> None:
         """Split the lanes into ``len(maps)`` equal runs, the map slots, and
         let O read ``maps[j]`` in slot j (more than one lane only)."""
-        n = self.frame.n
-        width = self.lanes // len(maps)
+        lanes = self.lanes
+        width = lanes // len(maps)
         slot = (1 << width) - 1
-        images = [[0] * n for _ in range(n)]
+        images = {}  # (w, v) -> the lanes of the slots whose map sends w to v
         for j, func in enumerate(maps):
-            lanes = slot << (j * width)
+            run = slot << (j * width)
             for w, v in enumerate(func):
-                images[w][v] |= lanes
-        self._images = [[(v, m) for v, m in enumerate(row) if m] for row in images]
+                images[w, v] = images.get((w, v), 0) | run
+        read = {}
+        for (w, v), run in images.items():
+            read[v - w] = read.get(v - w, 0) | run << (v * lanes)
+        self._pre_steps = tuple((d * lanes, m) for d, m in read.items())
 
     def _preimage_sparse(self, mask: int) -> int:
         out = 0
@@ -174,45 +185,10 @@ class Evaluator:
             out |= inv[v]
         return out
 
-    def _groups(self, mask: int) -> list[int]:
-        lanes, group = self.lanes, self._group
-        return [(mask >> (w * lanes)) & group for w in range(self.frame.n)]
-
-    def _down_lanes(self, mask: int) -> int:
-        """Each world gets the OR of its successors' lane groups, computed
-        once per row class."""
-        groups = self._groups(mask)
-        lanes = self.lanes
-        accs = []
-        for row in self._rows:
-            acc = 0
-            for v in row:
-                acc |= groups[v]
-            accs.append(acc)
-        out = 0
-        for c in self._class_of:
-            out = (out << lanes) | accs[c]
-        return out
-
-    def _preimage_lanes(self, mask: int) -> int:
-        """Each world gets, in every map slot, the lanes of its image's group
-        under that slot's map: n^2 steps at most, whatever the map count."""
-        groups = self._groups(mask)
-        lanes = self.lanes
-        out = 0
-        for images in reversed(self._images):
-            acc = 0
-            for v, slots in images:
-                acc |= groups[v] & slots
-            out = (out << lanes) | acc
-        return out
-
     def _lane(self, mask: int, lane: int) -> int:
         """The world mask that one lane of a truth set holds."""
-        out = 0
-        for w, g in enumerate(self._groups(mask)):
-            out |= (g >> lane & 1) << w
-        return out
+        lanes = self.lanes  # the binary digits run from world n - 1, lane lanes - 1
+        return int(format(mask, f"0{self.frame.n * lanes}b")[lanes - 1 - lane::lanes], 2)
 
     def refutation(
         self, value: int, env: Mapping[str, int], variables: Sequence[str]
@@ -221,10 +197,9 @@ class Evaluator:
         valuation and its first missing world; None when `value` is full."""
         if value == self.full:
             return None
-        missing = self.full ^ value
-        failing = 0
-        for g in self._groups(missing):
-            failing |= g
+        missing = failing = self.full ^ value
+        for w in range(1, self.frame.n):  # fold the world groups onto world 0's
+            failing |= missing >> (w * self.lanes)
         lane = (failing & -failing).bit_length() - 1
         worlds = self._lane(missing, lane)
         frame = self.frame
@@ -272,30 +247,18 @@ class Program:
     """A formula compiled without a frame: one instruction per distinct node
     object, in post-order, and the sorted variables it reads but the
     reserved one.  A run fills one value per instruction, so a subformula
-    shared by object is evaluated once.  :meth:`substitute` reads variables
-    as other programs' values: by the substitution lemma, [[phi[psi/A]]] is
-    [[phi]] with A read as [[psi]], for every connective here."""
+    shared by object is evaluated once."""
 
-    __slots__ = ("code", "variables", "slots")
+    __slots__ = ("code", "variables")
 
     def __init__(self, phi: Formula):
         code, names = [], set()
         _emit(phi, code, {}, names)
-        self.code, self.slots = tuple(code), ()
+        self.code = tuple(code)
         self.variables = tuple(sorted(names - {RESERVED_VAR}))
-
-    def substitute(self, slots: Mapping[str, Program]) -> Program:
-        """This program with each variable named in `slots` read as the
-        value of its program, on the same environment."""
-        out = object.__new__(Program)
-        names = set(self.variables).difference(slots).union(*[p.variables for p in slots.values()])
-        out.code, out.variables, out.slots = self.code, tuple(sorted(names)), tuple(slots.items())
-        return out
 
     def run(self, env: Mapping[str, int], down: Callable[[int], int],
             pre: Callable[[int], int], full: int) -> int:
-        if self.slots:
-            env = {**env, **{a: p.run(env, down, pre, full) for a, p in self.slots}}
         vals: list[int] = []
         push = vals.append
         for op, a, b in self.code:
@@ -436,22 +399,33 @@ def _sample_block(rng: random.Random, n: int, count: int, lanes: int) -> list[in
     return masks
 
 
-def _evaluator(frame: Frame, lanes: int, evaluators: dict[int, Evaluator] | None) -> Evaluator:
-    """An evaluator of `lanes` lanes on the frame, with the frame's own map:
-    the one `evaluators` keeps for that lane count, made on first use, or a
-    new one when `evaluators` is None."""
-    if evaluators is None:
-        return Evaluator(frame, lanes)
-    ev = evaluators.get(lanes)
-    if ev is None:
-        ev = evaluators[lanes] = Evaluator(frame, lanes)
-    return ev
+def _mask_bits(frame: Frame) -> int:
+    """The bits a lane of a packed evaluator's distance masks takes on the
+    frame: n per distance v - w of a pair (w, v) and per f(w) - w."""
+    n = frame.n
+    rel = fun = 0  # bit d + n - 1 stands for distance d
+    for w in range(n):
+        rel |= frame.succ_mask(w) << (n - 1 - w)
+        fun |= 1 << (frame.func_index(w) - w + n - 1)
+    return (rel.bit_count() + fun.bit_count()) * n
+
+
+def _sample_widths(samples: int, bits: int):
+    """The lanes of each block of a sampled sweep of `samples` valuations,
+    with distance masks of `bits` bits a lane: as many as checked so far,
+    64 to 4096, or one where they would pass ``PACKED_BITS_LIMIT``."""
+    checked = 0
+    while checked < samples:
+        lanes = min(max(checked, _FIRST_SAMPLES), _MAX_LANES, samples - checked)
+        if lanes * bits > PACKED_BITS_LIMIT:
+            lanes = 1
+        yield lanes
+        checked += lanes
 
 
 def exhaustive_sweep(
     frame: Frame, program: Program,
     maps: Sequence[Sequence[int]] | None = None,
-    evaluators: dict[int, Evaluator] | None = None,
 ) -> tuple[int, int | None, Countermodel | None]:
     """Evaluate a program under every valuation of its variables and every
     map of `maps` on the frame's relation, maps outermost and valuation
@@ -464,8 +438,6 @@ def exhaustive_sweep(
     first failing pass is the first refutation in that order.  Returns the
     number of valuations checked up to and including it, the index of its
     map and the refutation (None twice when it holds under every map).
-    `evaluators` is as in :func:`sampled_sweep`; it is not used when `maps`
-    are given, since they are placed in the evaluator's slots.
     """
     variables = program.variables
     n, count = frame.n, len(variables)
@@ -473,14 +445,14 @@ def exhaustive_sweep(
     lane_bits = min(bits, _BLOCK_BITS)
     total = 1 if maps is None else len(maps)
     slots = min(total, 1 << (_BLOCK_BITS - lane_bits))
-    ev = _evaluator(frame, slots << lane_bits, evaluators if maps is None else None)
-    fn = ev.compile(program)
+    ev = Evaluator(frame, slots << lane_bits)
     for first in range(0, total, slots):
         if total > 1:
             chunk = maps[first:first + slots]
             # a short last chunk repeats its last map: a repeat fails only
             # after the lanes of its original, so it never reports first
             ev.place_maps(chunk + chunk[-1:] * (slots - len(chunk)))
+        fn = ev.compile(program)
         for block, masks in enumerate(_exhaustive_blocks(n, count, lane_bits, slots)):
             env = dict(zip(variables, masks))
             hit = ev.refutation(fn(env), env, variables)
@@ -491,33 +463,21 @@ def exhaustive_sweep(
     return total << bits, None, None
 
 
-def sampled_sweep(
-    frame: Frame, program: Program, rng: random.Random,
-    samples: int, evaluators: dict[int, Evaluator] | None = None,
-) -> tuple[int, Countermodel | None]:
+def sampled_sweep(frame: Frame, program: Program, rng: random.Random,
+                  samples: int) -> tuple[int, Countermodel | None]:
     """Evaluate a program under `samples` valuations drawn from `rng`, each
     one ``rng.getrandbits(n)`` per variable of the program in order.  A block
     holds as many lanes as have been checked so far, at least 64 and at
-    most 4096.  A block whose lanes times twice the worlds fall short of
-    the relation pairs is evaluated one lane per pass.  The rule was set
-    when a packed <d> took a step per relation pair and a one-lane <d> one
-    per world of its argument; on frames with shared rows, row classes make
-    both cheaper, and the rule has not been measured again since.
-    An evaluator depends only on the frame and its lane count, so sweeps
-    of several programs on one frame can share them: `evaluators` maps a
-    lane count to the evaluator to use, and an evaluator this sweep makes
-    is added to it.  Without it every sweep makes its own.
+    most 4096, or one lane when its distance masks would take more than
+    ``PACKED_BITS_LIMIT`` bits.  The draws do not depend on the blocks, so
+    neither does the result.
     Returns what :func:`exhaustive_sweep` returns, without the map index."""
     variables, n = program.variables, frame.n
-    pairs = sum(row.bit_count() * members.bit_count() for row, members in frame.row_classes())
     checked = 0
     ev = None
-    while checked < samples:
-        lanes = min(max(checked, _FIRST_SAMPLES), _MAX_LANES, samples - checked)
-        if 2 * lanes * n < pairs:
-            lanes = 1
+    for lanes in _sample_widths(samples, _mask_bits(frame)):
         if ev is None or ev.lanes != lanes:
-            ev = _evaluator(frame, lanes, evaluators)
+            ev = Evaluator(frame, lanes)
             fn = ev.compile(program)
         env = dict(zip(variables, _sample_block(rng, n, len(variables), lanes)))
         hit = ev.refutation(fn(env), env, variables)
@@ -533,7 +493,6 @@ def valid_on_frame(
     mode: str = "exhaustive",
     samples: int = 1000,
     seed: int = 0,
-    evaluators: dict[int, Evaluator] | None = None,
 ) -> Verdict:
     """Check validity of phi over valuations of the frame.
 
@@ -541,14 +500,11 @@ def valid_on_frame(
     by ``|worlds| * |vars| <= 24``) in ascending valuation-code order, in
     blocks of 2^min(bits, 12) lanes; sampled mode draws `samples`
     pseudo-random valuations from the seed, in blocks of 64 lanes growing
-    to 4096 (one lane per pass where the relation is too dense for packed
-    <d> to pay off).  Blocks do not change the order: the first failing
-    (valuation, world) in it is reported, with the count of valuations up
-    to it, exactly as a sweep of one valuation at a time would report it.
-    `evaluators` goes to the sweep: callers that check several formulas on
-    one frame pass the same dict to share one evaluator per lane count
-    (see :func:`sampled_sweep`); it must hold evaluators of this frame only.
-    phi may be given as its :class:`Program`, which is then not made again.
+    to 4096 (one lane per pass where the distance masks of a packed block
+    would pass ``PACKED_BITS_LIMIT``).  Blocks do not change the order: the
+    first failing (valuation, world) in it is reported, with the count of
+    valuations up to it, exactly as a sweep of one valuation at a time
+    would report it.  phi may be given as its :class:`Program`, which is then not made again.
     """
     program = phi if isinstance(phi, Program) else Program(phi)
     if mode == "exhaustive":
@@ -557,12 +513,12 @@ def valid_on_frame(
             raise ValueError(
                 f"exhaustive validity needs |worlds|*|vars| <= {EXHAUSTIVE_BITS_LIMIT}, got {bits}"
             )
-        checked, _, cm = exhaustive_sweep(frame, program, evaluators=evaluators)
+        checked, _, cm = exhaustive_sweep(frame, program)
         return Verdict(cm is None, mode, checked, cm)
     if mode == "sampled":
         if samples < 1:
             raise ValueError("samples must be >= 1")
         rng = random.Random(seed)
-        checked, cm = sampled_sweep(frame, program, rng, samples, evaluators)
+        checked, cm = sampled_sweep(frame, program, rng, samples)
         return Verdict(cm is None, mode, checked, cm, seed=seed)
     raise ValueError(f"unknown mode {mode!r}")

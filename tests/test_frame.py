@@ -256,7 +256,7 @@ def test_row_classes_match_brute_force():
     witnesses = 0
     for f in _row_class_frames():
         succ = [f.succ_mask(w) for w in range(f.n)]
-        classes = f.row_classes()
+        classes = f._classes
         assert [row for row, _ in classes] == list(dict.fromkeys(succ))
         covered = 0
         for row, members in classes:

@@ -11,12 +11,16 @@ from tanglemc.logic import (
     SCHEMAS,
     Logic,
     Schema,
+    SchemaViolation,
+    SuiteReport,
+    _random_slots,
+    _union_failures,
     countermodel_search,
     random_class_frame,
     random_formula,
     soundness_suite,
 )
-from tanglemc.semantics import Model, truth_set, valid_on_frame
+from tanglemc.semantics import PACKED_BITS_LIMIT, Model, truth_set, valid_on_frame
 
 from test_frame import frame_f3
 
@@ -140,19 +144,78 @@ def test_misconfigured_suite_reports_are_pinned(mode):
     assert hashlib.sha256(text.encode()).hexdigest() == MISCONFIGURED_DIGESTS[mode]
 
 
-def test_suite_builds_one_evaluator_per_trial(monkeypatch):
+def test_suite_builds_one_evaluator_per_union_chunk(monkeypatch):
     built = []
     init = semantics.Evaluator.__init__
 
     def counted(self, frame, lanes=1):
-        built.append(lanes)
+        built.append((frame.n, lanes, semantics._mask_bits(frame) * lanes))
         init(self, frame, lanes)
 
     monkeypatch.setattr(semantics.Evaluator, "__init__", counted)
     report = soundness_suite("K4DC", trials=100, seed=14)
-    # nine schemas a trial; 32 samples fit in one block of 32 lanes
+    # nine schemas a trial; 32 samples fit in one block of 32 lanes, and
+    # the frames of each world count, 1 to 4, make one union
     assert report.instances_checked == 900
-    assert built == [32] * 100
+    assert [lanes for _, lanes, _ in built] == [32] * 4
+    assert 100 < sum(n for n, _, _ in built) < 400
+    # exhaustive codes of two variables on n worlds take 4^n lanes and at
+    # most 2(2n - 1) distances a world: up to 6 worlds, a union of several
+    # frames keeps its masks within the bound, and one of 6 worlds is alone
+    built.clear()
+    assert soundness_suite("K4DC", trials=30, seed=14, max_worlds=6, mode="exhaustive").ok
+    assert max(lanes for _, lanes, _ in built) == 4096
+    assert all(bits <= PACKED_BITS_LIMIT or n <= 6 for n, _, bits in built)
+    assert max(n for n, _, _ in built) > 6
+
+
+def per_instance_suite(logic, trials, seed, max_worlds, mode, samples):
+    """The suite as one sweep per built schema instance: its report, the
+    (trial, schema) positions of the invalid instances, and the trials as
+    the union pass takes them."""
+    rng = random.Random(seed)
+    violations, invalid, chunk = [], set(), []
+    for t in range(trials):
+        frame = random_class_frame(rng, max_worlds, logic)
+        draws = []
+        for i, name in enumerate(logic.schemas):
+            slots = _random_slots(rng, SCHEMAS[name])
+            draws.append((name, slots, rng.getrandbits(32)))
+            inst = SCHEMAS[name].instantiate(*slots)
+            verdict = valid_on_frame(frame, inst, mode=mode, samples=samples, seed=draws[-1][2])
+            if not verdict.valid:
+                cm = verdict.countermodel
+                invalid.add((t, i))
+                violations.append(SchemaViolation(name, pretty(inst), frame.to_dict(cm.valuation),
+                                                  dict(cm.valuation), cm.world))
+        chunk.append((frame, draws))
+    report = SuiteReport(logic.name, seed, trials, mode, trials,
+                         trials * len(logic.schemas), tuple(violations))
+    return report, invalid, chunk
+
+
+@pytest.mark.parametrize("mode, samples, max_worlds, trials", [
+    *[(mode, samples, max_worlds, trials)
+      for mode, samples in (("sampled", 16), ("sampled", 32), ("sampled", 100), ("exhaustive", 32))
+      for max_worlds, trials in ((1, 12), (6, 24))],
+    ("exhaustive", 32, 7, 8),
+])
+def test_union_suite_matches_one_sweep_per_instance(mode, samples, max_worlds, trials):
+    # 100 samples take two blocks, of 64 and 36 lanes, and exhaustive codes
+    # of 7 worlds up to four passes of 4096, which a frame of fewer worlds
+    # or variables sits out; the union pass flags exactly the invalid
+    # instances, and the report is that of one sweep per instance,
+    # violations and countermodels included
+    k4c = LOGICS["K4C"]
+    misconfigured = Logic("K4C", k4c.schemas + ("CTan-dia",), k4c.serial, k4c.strict)
+    flagged = 0
+    for logic in [*LOGICS.values(), misconfigured]:
+        seed = 42
+        report, invalid, chunk = per_instance_suite(logic, trials, seed, max_worlds, mode, samples)
+        assert soundness_suite(logic, trials, seed, max_worlds, mode, samples) == report
+        assert _union_failures(chunk, range(len(chunk)), mode, samples) == invalid
+        flagged += len(invalid)
+    assert flagged > 0 if max_worlds > 1 else flagged == 0
 
 
 def test_sound_suite_never_builds_an_instance(monkeypatch):

@@ -245,18 +245,72 @@ def test_compile_rejects_what_is_not_a_formula():
         Evaluator(frame_f1()).compile(object())
 
 
+def disjoint_union(frames):
+    """The frames side by side: each frame's worlds follow those of the
+    frames before it."""
+    succ, func = [], []
+    for f in frames:
+        off = len(succ)
+        succ += [f.succ_mask(w) << off for w in range(f.n)]
+        func += [f.func_index(w) + off for w in range(f.n)]
+    return Frame([f"u{i}" for i in range(len(succ))], succ, func)
+
+
+def lane_mask(value, n, lanes, lane):
+    """The world mask that one lane of a packed truth set holds."""
+    return sum((value >> (w * lanes + lane) & 1) << w for w in range(n))
+
+
+def test_packed_operators_match_down_mask_and_the_image_map():
+    # <d> and O as distance steps give, lane by lane, the frame's one-lane
+    # down_mask and the preimage under each slot's map: on random frames,
+    # whose maps need not be monotone, and on disjoint unions of them, with
+    # the frame's own map or several random maps in slots
+    rng = random.Random(31)
+    for _ in range(60):
+        parts = [_random_frame(rng, 6) for _ in range(rng.choice((1, 1, 2, 4)))]
+        frame = parts[0] if len(parts) == 1 else disjoint_union(parts)
+        n = frame.n
+        lanes = rng.choice((2, 8, 12))
+        ev = Evaluator(frame, lanes)
+        maps = [[frame.func_index(w) for w in range(n)]]
+        if rng.random() < 0.5:
+            slots = rng.choice([k for k in (1, 2, 4) if lanes % k == 0])
+            maps = [[rng.randrange(n) for _ in range(n)] for _ in range(slots)]
+            ev.place_maps(maps)
+        width = lanes // len(maps)
+        for _ in range(3):
+            x = rng.getrandbits(n * lanes)
+            down, pre = ev.down(x), ev.preimage(x)
+            for lane in range(lanes):
+                m, func = lane_mask(x, n, lanes, lane), maps[lane // width]
+                assert lane_mask(down, n, lanes, lane) == frame.down_mask(m)
+                assert lane_mask(pre, n, lanes, lane) == sum(
+                    1 << w for w in range(n) if m >> func[w] & 1)
+
+
 def test_shared_evaluators_give_the_verdicts_of_fresh_ones():
+    # truth on a disjoint union is truth on each part: one evaluator of the
+    # union, run once, gives in each part's worlds the truth set that a
+    # fresh evaluator of that part gives, with one lane and packed
     rng = random.Random(14)
     formulas = [parse(t) for t in ("[d]p -> [d][d]p", "<t>{O p} -> O <t>{p}",
-                                   "<d>O p -> O <d>p", "p | ~q", "<d>T")]
+                                   "<d>O p -> O <d>p", "p | ~q", "<d>T",
+                                   "<t>{p, <d>q} & [d.]O q")]
     for _ in range(15):
-        f = _random_frame(rng)
-        for mode in ("exhaustive", "sampled"):
-            shared = {}
+        parts = [_random_frame(rng) for _ in range(rng.randint(2, 5))]
+        union = disjoint_union(parts)
+        for lanes in (1, 70):
+            shared = Evaluator(union, lanes)
+            envs = [{v: rng.getrandbits(f.n * lanes) for v in "pq"} for f in parts]
+            env, off = {"p": 0, "q": 0}, 0
+            for f, e in zip(parts, envs):
+                for v in env:
+                    env[v] |= e[v] << (off * lanes)
+                off += f.n
             for phi in formulas:
-                seed = rng.getrandbits(32)
-                # 70 samples take two blocks: 64 lanes, then 6 (1 on dense frames)
-                fresh = valid_on_frame(f, phi, mode=mode, samples=70, seed=seed)
-                assert valid_on_frame(f, phi, mode=mode, samples=70, seed=seed,
-                                      evaluators=shared) == fresh
-            assert all(ev.frame is f and ev.lanes == lanes for lanes, ev in shared.items())
+                value, off = shared.compile(phi)(env), 0
+                for f, e in zip(parts, envs):
+                    part = value >> (off * lanes) & ((1 << (f.n * lanes)) - 1)
+                    assert part == Evaluator(f, lanes).compile(phi)(e)
+                    off += f.n

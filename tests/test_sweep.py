@@ -21,13 +21,17 @@ from tanglemc.formula import (
 )
 from tanglemc.frame import Frame, _monotone_witness, _transitivity_witness
 from tanglemc.logic import (
-    LOGICS, SCHEMAS, _instance_program, _monotone_maps, _transitive_classes,
+    LOGICS, SCHEMAS, _monotone_maps, _schema_program, _transitive_classes,
     countermodel_search, random_class_frame, random_formula,
 )
 from tanglemc import semantics
-from tanglemc.semantics import Countermodel, Evaluator, Verdict, valid_on_frame
+from tanglemc.semantics import (
+    PACKED_BITS_LIMIT, Countermodel, Evaluator, Verdict, _mask_bits, _sample_widths,
+    valid_on_frame,
+)
 
 from generators import random_transitive_frame
+from test_semantics import disjoint_union
 
 
 def oracle_mask(frame, phi, env):
@@ -136,14 +140,8 @@ def test_sampled_draws_on_wide_frames():
                     == oracle_verdict(frame, phi, "sampled", 200, seed))
 
 
-def test_sampled_dense_frame_turns_from_one_lane_to_packed(monkeypatch):
-    # 150 worlds in one cluster have 22,500 relation pairs, more than twice
-    # the worlds times any block of fewer than 75 lanes: the first 75
-    # samples take one lane per pass and the later blocks are packed.
-    # O maps every world to w0, so each sample refutes phi with odds 1/128.
-    n = 150
-    frame = Frame([f"w{i}" for i in range(n)], [(1 << n) - 1] * n, [0] * n)
-    phi = parse("~(O p & O q & O r & O s & O t & O u & <d>O v)")
+def recorded_widths(monkeypatch):
+    """The lane counts of the evaluators made from now on, in order."""
     widths = []
 
     class Recording(semantics.Evaluator):
@@ -152,13 +150,50 @@ def test_sampled_dense_frame_turns_from_one_lane_to_packed(monkeypatch):
             super().__init__(frame, lanes)
 
     monkeypatch.setattr(semantics, "Evaluator", Recording)
+    return widths
+
+
+def test_sampled_dense_frame_turns_from_one_lane_to_packed(monkeypatch):
+    # 150 worlds in one cluster, all mapped to w0, have 299 relation and
+    # 150 map distances, so a lane's distance masks take 67,350 bits: a
+    # block of more than 7 lanes passes PACKED_BITS_LIMIT.  The first 93
+    # samples take one lane per pass and the last 7 one packed block.
+    # Each sample refutes phi with odds 1/128.
+    n = 150
+    frame = Frame([f"w{i}" for i in range(n)], [(1 << n) - 1] * n, [0] * n)
+    assert _mask_bits(frame) == 67_350 and 7 * 67_350 <= PACKED_BITS_LIMIT < 8 * 67_350
+    phi = parse("~(O p & O q & O r & O s & O t & O u & <d>O v)")
+    widths = recorded_widths(monkeypatch)
     checked = []
     for seed in range(16):
-        verdict = valid_on_frame(frame, phi, "sampled", 1000, seed)
-        assert verdict == oracle_verdict(frame, phi, "sampled", 1000, seed)
+        verdict = valid_on_frame(frame, phi, "sampled", 100, seed)
+        assert verdict == oracle_verdict(frame, phi, "sampled", 100, seed)
         checked.append(verdict.checked)
-    assert min(checked) <= 75 < max(checked)
-    assert set(widths) >= {1, 75} and all(w == 1 or w >= 75 for w in widths)
+    assert min(checked) <= 93 < max(checked)
+    assert set(widths) == {1, 7}
+
+
+def test_sampled_star_frame_turns_from_packed_to_one_lane(monkeypatch):
+    # w0 sees the other 79 worlds and the map is the identity: 79 relation
+    # distances and one map distance take 6,400 bits a lane, so the two
+    # blocks of 64 lanes are packed and the next, of 128, runs one lane
+    # per pass.  phi fails only at w0, with odds 1/128 per sample.
+    n = 80
+    star = Frame([f"w{i}" for i in range(n)], [(1 << n) - 2] + [0] * (n - 1), range(n))
+    assert _mask_bits(star) == 6_400
+    phi = parse("~(p & q & r & s & t & u & v & <d>T)")
+    widths = recorded_widths(monkeypatch)
+    checked = []
+    for seed in range(16):
+        verdict = valid_on_frame(star, phi, "sampled", 1000, seed)
+        assert verdict == oracle_verdict(star, phi, "sampled", 1000, seed)
+        checked.append(verdict.checked)
+    assert min(checked) <= 128 < max(checked)
+    assert set(widths) == {64, 1}
+    # a star of 1000 worlds packs no block of 3000 samples: its masks would
+    # take a million bits a lane
+    big = Frame([f"w{i}" for i in range(1000)], [(1 << 1000) - 2] + [0] * 999, range(1000))
+    assert set(_sample_widths(3000, _mask_bits(big))) == {1}
 
 
 @functools.cache
@@ -291,45 +326,47 @@ def test_shared_subformulas_match_the_tree_oracle():
 
 
 def test_substituted_schema_programs_match_their_instances():
-    # [[phi[psi/A]]] is [[phi]] with A read as [[psi]] on every frame: a
-    # schema's program with its metavariables bound to the slots' programs
-    # gives the built instance's truth set, under every valuation, one per
-    # pass and all of them packed; two equal set arguments, which the
-    # instance's tangle merges, and D, whose instance has no variables,
+    # [[phi[psi/A]]] is [[phi]] with A read as [[psi]] on every frame, and
+    # truth on a disjoint union is truth on each part: a schema's program,
+    # run once on the union of several frames, with each metavariable bound
+    # in each frame's worlds to the truth set of that frame's slot formula,
+    # gives there the truth set of the built instance, under every
+    # valuation, all of them packed.  Two equal set arguments, which the
+    # instance's tangle merges, and D, whose instance has no variables, are
     # included.  The frames are each relation class of three worlds and two
     # relations that are not transitive, under maps that need not be
     # monotone, so that the schemas other than K, Fix-tan, Next-neg and
     # Next-and fail somewhere and their truth sets are not all full.
     p, q = Var("p"), Var("q")
     distinct = [Next(q), Tangle((p, Box(q))), Neg(p)]
-    cases = []
+    cases = {}  # (schema, set size) -> the slots of its instances
     for name, schema in SCHEMAS.items():
         formulas = distinct[:schema.formula_slots]
         theta = p if schema.theta_slot else None
         for formula_set in ([distinct[1]], distinct[:2], [Diamond(q), Diamond(q)], None):
             if (formula_set is not None) == schema.set_slot:
-                cases.append((name, formulas, formula_set, theta))
+                cases.setdefault((name, len(formula_set or ())), []).append(
+                    (formulas, formula_set, theta))
     frames = [(succ, (1, 2, 0)) for succ in classes_by_size(3)[3]]
     frames += [(succ, func) for succ in ((2, 4, 1), (2, 4, 0)) for func in ((1, 2, 0), (0, 0, 1))]
-    for succ, func in frames:
-        frame = Frame(["w0", "w1", "w2"], succ, func)
-        one = Evaluator(frame)
-        for name, *slots in cases:
+    frames = [Frame(["w0", "w1", "w2"], succ, func) for succ, func in frames]
+    lanes = 64  # lane c holds valuation code c: bit 3i + w puts world w in variable i
+    part = {v: sum((c >> (3 * i + w) & 1) << (w * lanes + c) for c in range(lanes) for w in range(3))
+            for i, v in enumerate("pq")}
+    for (name, size), instances in cases.items():
+        parts = [(frame, slots) for frame in frames for slots in instances]
+        ev = Evaluator(disjoint_union([frame for frame, _ in parts]), lanes)
+        down, pre, full = ev.down, ev.preimage, ev.full
+        region = (1 << (3 * lanes)) - 1
+        env = {v: sum(m << (3 * k * lanes) for k in range(len(parts))) for v, m in part.items()}
+        metas = [[*f, *(s or ()), *([] if t is None else [t])] for _, (f, s, t) in parts]
+        for i in range(len(metas[0])):
+            env[f"_{i}"] = sum(
+                ev.compile(slots[i])(env) & region << (3 * k * lanes) for k, slots in enumerate(metas))
+        value = _schema_program(name, size).run(env, down, pre, full)
+        for k, (frame, slots) in enumerate(parts):
             inst = SCHEMAS[name].instantiate(*slots)
-            program = _instance_program(name, *slots)
-            assert program.variables == tuple(sorted(vars_of(inst)))
-            envs = list(exhaustive_envs(frame, inst))
-            lanes = len(envs)
-            packed = {v: sum((env[v] >> w & 1) << (w * lanes + lane)
-                             for lane, env in enumerate(envs) for w in range(3))
-                      for v in program.variables}
-            ev = Evaluator(frame, lanes)
-            value = ev.compile(inst)(packed)
-            assert ev.compile(program)(packed) == value
-            run = one.compile(program)
-            for lane, env in enumerate(envs):
-                assert run(env) == sum((value >> (w * lanes + lane) & 1) << w
-                                       for w in range(3))
+            assert value >> (3 * k * lanes) & region == Evaluator(frame, lanes).compile(inst)(part)
 
 
 def test_exhaustive_search_matches_oracle_at_three_worlds():

@@ -19,6 +19,9 @@ the parent's quartiles) and the change against the benchmark's bound; per
 workload the failed op runs and the seeds whose reports differ between the
 two sides; and the seeds, settings, Python version and git revisions.  It
 is rewritten after every pair, so a cut run leaves the pairs it finished.
+At the end the script prints a table with one row per workload and
+end-to-end metric: both medians, the median change, the pairs the change
+won, and the ``gain`` and ``within_bound`` verdicts.
 """
 
 from __future__ import annotations
@@ -111,6 +114,19 @@ def summarise(runs: dict, metrics: list[dict]) -> dict:
     return out
 
 
+def closing_table(workloads: dict) -> str:
+    """One row per workload and end-to-end metric of a finished run."""
+    rows = [("workload", "metric", "parent", "change", "median", "won", "gain", "within_bound")]
+    for w, data in workloads.items():
+        for name, m in data["metrics"].items():
+            pa, ch = m["parent"]["median"], m["change"]["median"]
+            rows.append((w, name, f"{pa:.4g}", f"{ch:.4g}", f"{(ch - pa) / pa:+.1%}",
+                         f"{m['change_better_pairs']}/{m['pairs']}",
+                         "yes" if m["gain"] else "no", "yes" if m["within_bound"] else "NO"))
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(c.ljust(k) for c, k in zip(r, widths)).rstrip() for r in rows)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the baseline")
@@ -165,6 +181,7 @@ def main(argv=None) -> int:
                 fh.write("\n")
     finally:
         shutil.rmtree(work, ignore_errors=True)
+    print(closing_table(doc["workloads"]))
     return 0
 
 
