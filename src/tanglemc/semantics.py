@@ -164,7 +164,7 @@ class Evaluator:
 
     def place_maps(self, maps: Sequence[Sequence[int]]) -> None:
         """Split the lanes into ``len(maps)`` equal runs, the map slots, and
-        let O read ``maps[j]`` in slot j (more than one lane only)."""
+        let O read ``maps[j]`` in slot j in programs bound after it (lanes > 1)."""
         lanes = self.lanes
         width = lanes // len(maps)
         slot = (1 << width) - 1

@@ -197,8 +197,8 @@ def per_instance_suite(logic, trials, seed, max_worlds, mode, samples):
 @pytest.mark.parametrize("mode, samples, max_worlds, trials", [
     *[(mode, samples, max_worlds, trials)
       for mode, samples in (("sampled", 16), ("sampled", 32), ("sampled", 100), ("exhaustive", 32))
-      for max_worlds, trials in ((1, 12), (6, 24))],
-    ("exhaustive", 32, 7, 8),
+      for max_worlds, trials in ((1, 6), (6, 10))],
+    ("exhaustive", 32, 7, 4),
 ])
 def test_union_suite_matches_one_sweep_per_instance(mode, samples, max_worlds, trials):
     # 100 samples take two blocks, of 64 and 36 lanes, and exhaustive codes
@@ -210,7 +210,7 @@ def test_union_suite_matches_one_sweep_per_instance(mode, samples, max_worlds, t
     misconfigured = Logic("K4C", k4c.schemas + ("CTan-dia",), k4c.serial, k4c.strict)
     flagged = 0
     for logic in [*LOGICS.values(), misconfigured]:
-        seed = 42
+        seed = 33
         report, invalid, chunk = per_instance_suite(logic, trials, seed, max_worlds, mode, samples)
         assert soundness_suite(logic, trials, seed, max_worlds, mode, samples) == report
         assert _union_failures(chunk, range(len(chunk)), mode, samples) == invalid

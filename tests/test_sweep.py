@@ -165,7 +165,7 @@ def test_sampled_dense_frame_turns_from_one_lane_to_packed(monkeypatch):
     phi = parse("~(O p & O q & O r & O s & O t & O u & <d>O v)")
     widths = recorded_widths(monkeypatch)
     checked = []
-    for seed in range(16):
+    for seed in range(8):
         verdict = valid_on_frame(frame, phi, "sampled", 100, seed)
         assert verdict == oracle_verdict(frame, phi, "sampled", 100, seed)
         checked.append(verdict.checked)
