@@ -314,10 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axioms", help="run the soundness suite for a logic")
     p.add_argument("--logic", choices=sorted(LOGICS), required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--max-worlds", type=int, default=4)
-    p.add_argument("--mode", choices=("exhaustive", "sampled"), default="sampled")
-    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--trials", type=int, default=100,
+                   help="random class frames, each checked on every schema")
+    p.add_argument("--max-worlds", type=int, default=4, help="most worlds a frame may have")
+    p.add_argument("--mode", choices=("exhaustive", "sampled"), default="sampled",
+                   help="check an instance under all valuations or --samples of them")
+    p.add_argument("--samples", type=int, default=32,
+                   help="valuations per instance, drawn from that instance's own seed")
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_axioms)
 

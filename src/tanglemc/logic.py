@@ -163,29 +163,27 @@ LOGICS: dict[str, Logic] = {
 # ---------------------------------------------------------------------------
 # random generation
 
-def random_formula(rng: random.Random, variables: Sequence[str], depth: int) -> Formula:
+def random_formula(
+    rng: random.Random, variables: Sequence[str], depth: int, nodes: dict | None = None
+) -> Formula:
+    """A random formula of at most `depth` nested operators over `variables`.
+
+    Its nodes are hash-consed in `nodes` (a fresh table when None), as
+    :func:`~tanglemc.formula.parse` does: a variable by its name, any other
+    node by its type and the identities of its children, which are shared
+    already.  So equal formulas drawn into one table are one object, while
+    the table, which holds them, lives."""
+    if nodes is None:
+        nodes = {}
     if depth <= 0 or rng.random() < 0.3:
-        return Var(rng.choice(variables))
-    kind = rng.choice(("neg", "and", "or", "implies", "dia", "box", "next", "tangle"))
-    if kind == "neg":
-        return Neg(random_formula(rng, variables, depth - 1))
-    if kind == "and":
-        return And(random_formula(rng, variables, depth - 1),
-                   random_formula(rng, variables, depth - 1))
-    if kind == "or":
-        return Or(random_formula(rng, variables, depth - 1),
-                  random_formula(rng, variables, depth - 1))
-    if kind == "implies":
-        return Implies(random_formula(rng, variables, depth - 1),
-                       random_formula(rng, variables, depth - 1))
-    if kind == "dia":
-        return Diamond(random_formula(rng, variables, depth - 1))
-    if kind == "box":
-        return Box(random_formula(rng, variables, depth - 1))
-    if kind == "next":
-        return Next(random_formula(rng, variables, depth - 1))
-    args = [random_formula(rng, variables, depth - 1) for _ in range(rng.choice((1, 2)))]
-    return Tangle(tuple(args))
+        key = (Var, rng.choice(variables))
+        return nodes.get(key) or nodes.setdefault(key, Var(key[1]))
+    kind = rng.choice((Neg, And, Or, Implies, Diamond, Box, Next, Tangle))
+    count = rng.choice((1, 2)) if kind is Tangle else 2 if kind in (And, Or, Implies) else 1
+    kids = [random_formula(rng, variables, depth - 1, nodes) for _ in range(count)]
+    key = (Tangle, frozenset(map(id, kids))) if kind is Tangle else (kind, *map(id, kids))
+    return nodes.get(key) or nodes.setdefault(
+        key, Tangle(tuple(kids)) if kind is Tangle else kind(*kids))
 
 
 FUNC_TRIES = 64  # random maps tried for a monotone one before the identity
@@ -226,12 +224,13 @@ SUITE_DEPTH = 1  # the depth of the random formulas filling their slots
 
 
 def _random_slots(
-    rng: random.Random, schema: Schema
+    rng: random.Random, schema: Schema, nodes: dict | None = None
 ) -> tuple[list[Formula], list[Formula] | None, Formula | None]:
     """The arguments of a random instance for :meth:`Schema.instantiate`,
-    drawn in order: the formula slots, the set (its size first), theta."""
+    drawn in order: the formula slots, the set (its size first), theta,
+    each hash-consed in `nodes` by :func:`random_formula`."""
     def draw():
-        return random_formula(rng, SUITE_VARIABLES, SUITE_DEPTH)
+        return random_formula(rng, SUITE_VARIABLES, SUITE_DEPTH, nodes)
 
     formulas = [draw() for _ in range(schema.formula_slots)]
     formula_set = [draw() for _ in range(rng.choice((1, 2)))] if schema.set_slot else None
@@ -294,27 +293,31 @@ class SuiteReport:
         }
 
 
-def _union_failures(drawn, trials, mode: str, samples: int) -> set[tuple[int, int]]:
+def _union_failures(drawn, trials, mode: str, samples: int,
+                    programs: dict[int, Program]) -> set[tuple[int, int]]:
     """The (trial, schema) positions of the instances of `trials`, indices
     into `drawn`, a list of (frame, draws), that miss a world in a run of
     their schema's program on the disjoint union of the trial frames.
     Truth on a disjoint union is truth on each part, and [[phi[psi/A]]] is
     [[phi]] with A read as [[psi]]: so in its trial's worlds each instance
     reads its own valuations, as its lone sweep draws or counts them, and
-    each metavariable as its slot formula's truth set.  An exhaustive pass
-    holds 2^min(bits, 12) codes of the instance with the most bits; the
-    codes of one with fewer repeat, or are code 0 once checked."""
+    each metavariable as its slot formula's truth set, from `programs`
+    (node identity -> program), which gains the slot formulas it lacks.
+    An exhaustive pass holds 2^min(bits, 12) codes of the instance with the
+    most bits; the codes of one with fewer repeat, or are code 0 once
+    checked.  Exhaustive mode thus screens sampled instances too: their
+    samples are some of their codes, so it flags every instance that a
+    sampled sweep refutes, and maybe more."""
     chunk = [drawn[t] for t in trials]
     offsets = list(itertools.accumulate([frame.n for frame, _ in chunk], initial=0))
     parts = [(frame, off) for (frame, _), off in zip(chunk, offsets)]
     union = Frame([f"w{w}" for w in range(offsets[-1])],
                   [f.succ_mask(w) << off for f, off in parts for w in range(f.n)],
                   [f.func_index(w) + off for f, off in parts for w in range(f.n)])
-    programs: dict[Formula, Program] = {}  # one per distinct slot formula
     groups: dict[tuple[str, int], list] = {}  # (schema, set size) -> its instances
     for t, (frame, draws) in enumerate(chunk):
         for i, (name, (formulas, formula_set, theta), seed) in enumerate(draws):
-            slots = [programs[f] if f in programs else programs.setdefault(f, Program(f))
+            slots = [programs.get(id(f)) or programs.setdefault(id(f), Program(f))
                      for f in (*formulas, *(formula_set or ()), *([theta] if theta else []))]
             variables = sorted(set().union(*[p.variables for p in slots]))
             groups.setdefault((name, len(formula_set or ())), []).append(
@@ -361,18 +364,24 @@ def soundness_suite(
 
     Each trial draws a frame with :func:`random_class_frame`, then for each
     schema the slot formulas of an instance, over `SUITE_VARIABLES` of
-    depth `SUITE_DEPTH`, and a sampling seed.  Then :func:`_union_failures`
-    checks the trials of each world count n in chunks, one disjoint union
-    of frames each, whose distance masks (``2(2n - 1)`` per world and lane
-    at most, at the widest pass) stay within ``PACKED_BITS_LIMIT`` bits, so
-    the cost is linear in `trials`.  An instance that misses a world is
-    built and checked alone by :func:`valid_on_frame`, for the countermodel
-    of a sweep per instance, in (trial, schema) order.  A sound logic reports
-    zero violations; a `Logic` whose schemas or class do not match gives a
-    misconfigured suite.  Exhaustive mode raises ``ValueError`` before the
-    first trial when a frame of `max_worlds` worlds could pass
-    ``EXHAUSTIVE_BITS_LIMIT`` (worlds times the number of
-    `SUITE_VARIABLES`).
+    depth `SUITE_DEPTH` and hash-consed for this call, and a sampling seed.
+    Then :func:`_union_failures` checks the trials of each world count n in
+    chunks, one disjoint union of frames each, whose distance masks
+    (``2(2n - 1)`` per world and lane at most, at the widest pass) stay
+    within ``PACKED_BITS_LIMIT`` bits, so the cost is linear in `trials`.
+    Where all 4^n valuation codes of n worlds fit one pass of 4096 lanes
+    (n <= 6), sampled mode screens exhaustively, in passes of 4^n lanes:
+    an instance's samples are some of its codes, so the screen flags every
+    instance that its sweep refutes.  Past 6 worlds the pass holds each
+    instance's own samples, at most 4096 lanes.  Each flagged instance is
+    built and checked alone by :func:`valid_on_frame`, once, with its own
+    seed: its countermodel is that of a sweep per instance, and one its
+    samples miss reports nothing.  Violations come in (trial, schema)
+    order.  A sound logic reports zero violations; a `Logic` whose schemas
+    or class do not match gives a misconfigured suite.  Exhaustive mode
+    raises ``ValueError`` before the first trial when a frame of
+    `max_worlds` worlds could pass ``EXHAUSTIVE_BITS_LIMIT`` (worlds times
+    the number of `SUITE_VARIABLES`).
     """
     if isinstance(logic, str):
         logic = LOGICS[logic]
@@ -389,16 +398,22 @@ def soundness_suite(
         )
     widest = max(_sample_widths(samples, 0), default=0)  # exhaustive mode allows samples < 1
     rng = random.Random(seed)
+    # the slot formulas' nodes and their programs by node identity, for
+    # this call only: the nodes, and so the identities, die with it
+    nodes: dict = {}
+    programs: dict[int, Program] = {}
     drawn = [(random_class_frame(rng, max_worlds, logic),
-              [(name, _random_slots(rng, SCHEMAS[name]), rng.getrandbits(32))
+              [(name, _random_slots(rng, SCHEMAS[name], nodes), rng.getrandbits(32))
                for name in logic.schemas]) for _ in range(trials)]
     failing = set()
     for n in sorted({frame.n for frame, _ in drawn}):
         same = [t for t, (frame, _) in enumerate(drawn) if frame.n == n]
-        lanes = widest if mode == "sampled" else 1 << min(n * len(SUITE_VARIABLES), _BLOCK_BITS)
+        bits = n * len(SUITE_VARIABLES)
+        screen = "exhaustive" if bits <= _BLOCK_BITS else mode  # all codes in one block
+        lanes = widest if screen == "sampled" else 1 << min(bits, _BLOCK_BITS)
         step = max(1, PACKED_BITS_LIMIT // (2 * (2 * n - 1) * n * lanes))
         for k in range(0, len(same), step):
-            failing |= _union_failures(drawn, same[k:k + step], mode, samples)
+            failing |= _union_failures(drawn, same[k:k + step], screen, samples, programs)
     violations = []
     for t, i in sorted(failing):
         frame, draws = drawn[t]

@@ -154,11 +154,14 @@ def test_suite_builds_one_evaluator_per_union_chunk(monkeypatch):
 
     monkeypatch.setattr(semantics.Evaluator, "__init__", counted)
     report = soundness_suite("K4DC", trials=100, seed=14)
-    # nine schemas a trial; 32 samples fit in one block of 32 lanes, and
-    # the frames of each world count, 1 to 4, make one union
+    # nine schemas a trial; the frames of each world count, 1 to 4, make
+    # one union, screened under all 4^n valuations of p and q on n worlds,
+    # and under the one empty valuation for D, which has no variable
     assert report.instances_checked == 900
-    assert [lanes for _, lanes, _ in built] == [32] * 4
-    assert 100 < sum(n for n, _, _ in built) < 400
+    assert [lanes for _, lanes, _ in built] == [4, 1, 16, 1, 64, 1, 256, 1]
+    assert [n for n, _, _ in built[::2]] == [n for n, _, _ in built[1::2]]
+    assert 100 < sum(n for n, _, _ in built[::2]) < 400
+    assert all(bits <= PACKED_BITS_LIMIT for _, _, bits in built)
     # exhaustive codes of two variables on n worlds take 4^n lanes and at
     # most 2(2n - 1) distances a world: up to 6 worlds, a union of several
     # frames keeps its masks within the bound, and one of 6 worlds is alone
@@ -198,24 +201,47 @@ def per_instance_suite(logic, trials, seed, max_worlds, mode, samples):
     *[(mode, samples, max_worlds, trials)
       for mode, samples in (("sampled", 16), ("sampled", 32), ("sampled", 100), ("exhaustive", 32))
       for max_worlds, trials in ((1, 6), (6, 10))],
+    ("sampled", 1, 6, 10),
+    ("sampled", 32, 8, 10),
     ("exhaustive", 32, 7, 4),
 ])
-def test_union_suite_matches_one_sweep_per_instance(mode, samples, max_worlds, trials):
+def test_union_suite_matches_one_sweep_per_instance(monkeypatch, mode, samples, max_worlds,
+                                                    trials):
     # 100 samples take two blocks, of 64 and 36 lanes, and exhaustive codes
     # of 7 worlds up to four passes of 4096, which a frame of fewer worlds
     # or variables sits out; the union pass flags exactly the invalid
     # instances, and the report is that of one sweep per instance,
-    # violations and countermodels included
+    # violations and countermodels included.  The suite screens sampled
+    # frames of up to 6 worlds under all their valuations and sweeps each
+    # flagged instance alone once; one sample misses some that it flags,
+    # and past 6 worlds the union pass holds each instance's own samples
+    swept = []
+    monkeypatch.setattr(logic, "valid_on_frame", lambda *args: swept.append(args) or
+                        valid_on_frame(*args))
     k4c = LOGICS["K4C"]
     misconfigured = Logic("K4C", k4c.schemas + ("CTan-dia",), k4c.serial, k4c.strict)
-    flagged = 0
-    for logic in [*LOGICS.values(), misconfigured]:
+    flagged = missed = beyond = 0
+    for lg in [*LOGICS.values(), misconfigured]:
         seed = 33
-        report, invalid, chunk = per_instance_suite(logic, trials, seed, max_worlds, mode, samples)
-        assert soundness_suite(logic, trials, seed, max_worlds, mode, samples) == report
-        assert _union_failures(chunk, range(len(chunk)), mode, samples) == invalid
+        report, invalid, chunk = per_instance_suite(lg, trials, seed, max_worlds, mode, samples)
+        swept.clear()
+        assert soundness_suite(lg, trials, seed, max_worlds, mode, samples) == report
+        assert _union_failures(chunk, range(len(chunk)), mode, samples, {}) == invalid
         flagged += len(invalid)
-    assert flagged > 0 if max_worlds > 1 else flagged == 0
+        small = [t for t, (frame, _) in enumerate(chunk) if frame.n <= 6]
+        large = [t for t, (frame, _) in enumerate(chunk) if frame.n > 6]
+        screened = set()
+        for part, how in ((small, "exhaustive"), (large, mode)):
+            screened |= _union_failures(chunk, part, how, samples, {}) if part else set()
+        assert invalid <= screened and len(swept) == len(screened)
+        missed += len(screened - invalid)
+        beyond += sum(t in large for t, _ in invalid)
+    if max_worlds == 1:
+        assert flagged == missed == 0
+    else:
+        assert flagged > 0 if samples > 1 else missed > 0
+    if mode == "sampled":
+        assert beyond > 0 if max_worlds > 6 else beyond == 0
 
 
 def test_sound_suite_never_builds_an_instance(monkeypatch):
@@ -254,6 +280,35 @@ def test_search_makes_one_program_and_one_evaluator_per_relation_class(monkeypat
     evaluators.clear()
     result = countermodel_search(phi, "K4C", max_worlds=10, seed=5, samples=30)
     assert programs == [phi] and len(evaluators) == result.frames_checked == 30
+
+
+def test_suite_compiles_each_distinct_slot_formula_once_per_call(monkeypatch):
+    # a suite call hash-conses its slot formulas, so equal draws are one
+    # object with one program; the next call draws and compiles them anew
+    soundness_suite("K4C", trials=100, seed=21)  # the schema programs stay cached
+    drawn, compiled = [], []
+    draw, program_init = logic._random_slots, semantics.Program.__init__
+
+    def recorded_draw(*args):
+        formulas, formula_set, theta = slots = draw(*args)
+        drawn[-1].extend([*formulas, *(formula_set or ()), *([theta] if theta else [])])
+        return slots
+
+    def counted_program(self, phi):
+        compiled[-1].append(phi)
+        program_init(self, phi)
+
+    monkeypatch.setattr(logic, "_random_slots", recorded_draw)
+    monkeypatch.setattr(semantics.Program, "__init__", counted_program)
+    for _ in range(2):
+        drawn.append([])
+        compiled.append([])
+        assert soundness_suite("K4C", trials=100, seed=21).ok
+    for slots, programs in zip(drawn, compiled):
+        assert len(slots) > 800 and len({id(f) for f in slots}) == len(set(slots)) < 100
+        assert sorted(map(id, programs)) == sorted({id(f) for f in slots})
+    # the first call's formulas are still alive, so no identity is reused
+    assert not {id(f) for f in drawn[0]} & {id(f) for f in drawn[1]}
 
 
 def test_soundness_suite_negative_control_non_serial(monkeypatch):
