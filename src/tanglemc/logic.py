@@ -54,7 +54,7 @@ from .frame import (
 )
 from .semantics import (
     _BLOCK_BITS, EXHAUSTIVE_BITS_LIMIT, PACKED_BITS_LIMIT, Evaluator, Program, _exhaustive_blocks,
-    _mask_bits, _sample_block, _sample_widths, exhaustive_sweep, sampled_sweep, valid_on_frame,
+    exhaustive_sweep, sampled_sweep, valid_on_frame,
 )
 from .record import record
 
@@ -293,21 +293,18 @@ class SuiteReport:
         }
 
 
-def _union_failures(drawn, trials, mode: str, samples: int,
-                    programs: dict[int, Program]) -> set[tuple[int, int]]:
+def _union_failures(drawn, trials, programs: dict[int, Program]) -> set[tuple[int, int]]:
     """The (trial, schema) positions of the instances of `trials`, indices
-    into `drawn`, a list of (frame, draws), that miss a world in a run of
-    their schema's program on the disjoint union of the trial frames.
-    Truth on a disjoint union is truth on each part, and [[phi[psi/A]]] is
-    [[phi]] with A read as [[psi]]: so in its trial's worlds each instance
-    reads its own valuations, as its lone sweep draws or counts them, and
-    each metavariable as its slot formula's truth set, from `programs`
-    (node identity -> program), which gains the slot formulas it lacks.
-    An exhaustive pass holds 2^min(bits, 12) codes of the instance with the
-    most bits; the codes of one with fewer repeat, or are code 0 once
-    checked.  Exhaustive mode thus screens sampled instances too: their
-    samples are some of their codes, so it flags every instance that a
-    sampled sweep refutes, and maybe more."""
+    into `drawn`, a list of (frame, draws), that miss a world under some
+    valuation in one run of their schema's program on the disjoint union of
+    the trial frames.  Truth on a disjoint union is truth on each part, and
+    [[phi[psi/A]]] is [[phi]] with A read as [[psi]]: so each instance reads
+    all its valuation codes in its trial's worlds, and each metavariable as
+    its slot formula's truth set, from `programs` (node identity -> program),
+    which gains the slot formulas it lacks.  Every instance has at most 12
+    bits (worlds times variables): the one pass per schema and set size is
+    as wide as its instance with the most bits, and the codes of one with
+    fewer repeat."""
     chunk = [drawn[t] for t in trials]
     offsets = list(itertools.accumulate([frame.n for frame, _ in chunk], initial=0))
     parts = [(frame, off) for (frame, _), off in zip(chunk, offsets)]
@@ -316,39 +313,30 @@ def _union_failures(drawn, trials, mode: str, samples: int,
                   [f.func_index(w) + off for f, off in parts for w in range(f.n)])
     groups: dict[tuple[str, int], list] = {}  # (schema, set size) -> its instances
     for t, (frame, draws) in enumerate(chunk):
-        for i, (name, (formulas, formula_set, theta), seed) in enumerate(draws):
+        for i, (name, (formulas, formula_set, theta), _) in enumerate(draws):
             slots = [programs.get(id(f)) or programs.setdefault(id(f), Program(f))
                      for f in (*formulas, *(formula_set or ()), *([theta] if theta else []))]
             variables = sorted(set().union(*[p.variables for p in slots]))
             groups.setdefault((name, len(formula_set or ())), []).append(
-                (t, i, frame.n, slots, variables, seed))
-    bits, evaluators, failing = _mask_bits(union), {}, set()
+                (t, i, frame.n * len(variables), slots, variables))
+    evaluators, failing = {}, set()
     for (name, size), members in groups.items():
-        if mode == "sampled":
-            rngs = [random.Random(m[5]) for m in members]
-            passes = ((lanes, [_sample_block(rng, n, len(vs), lanes)
-                               for rng, (_, _, n, _, vs, _) in zip(rngs, members)])
-                      for lanes in _sample_widths(samples, bits))
-        else:
-            top = min(max(n * len(vs) for _, _, n, _, vs, _ in members), _BLOCK_BITS)
-            low = [min(n * len(vs), top) for _, _, n, _, vs, _ in members]
-            passes = ((1 << top, masks) for masks in itertools.zip_longest(*[
-                _exhaustive_blocks(n, len(vs), b, 1 << (top - b))
-                for (_, _, n, _, vs, _), b in zip(members, low)]))
-        for lanes, masks in passes:
-            if lanes not in evaluators:
-                evaluators[lanes] = Evaluator(union, lanes), [
-                    ((1 << (f.n * lanes)) - 1) << (off * lanes) for f, off in parts]
-            ev, regions = evaluators[lanes]
-            env: dict[str, int] = {}
-            for (t, _, _, _, vs, _), ms in zip(members, masks):
-                for v, m in zip(vs, ms or ()):
-                    env[v] = env.get(v, 0) | m << (offsets[t] * lanes)
-            values = {p: ev.compile(p)(env) for p in {p for m in members for p in m[3]}}
-            for k in range(len(members[0][3])):  # the regions are disjoint: + is |
-                env[f"_{k}"] = sum(values[m[3][k]] & regions[m[0]] for m in members)
-            missing = ev.full ^ ev.compile(_schema_program(name, size))(env)
-            failing.update((trials[t], i) for t, i, *_ in members if missing & regions[t])
+        top = max(bits for _, _, bits, _, _ in members)
+        lanes = 1 << top
+        if lanes not in evaluators:
+            evaluators[lanes] = Evaluator(union, lanes), [
+                ((1 << (f.n * lanes)) - 1) << (off * lanes) for f, off in parts]
+        ev, regions = evaluators[lanes]
+        env: dict[str, int] = {}
+        for t, _, bits, _, vs in members:
+            masks = next(_exhaustive_blocks(chunk[t][0].n, len(vs), bits, 1 << (top - bits)))
+            for v, m in zip(vs, masks):
+                env[v] = env.get(v, 0) | m << (offsets[t] * lanes)
+        values = {p: ev.compile(p)(env) for p in {p for m in members for p in m[3]}}
+        for k in range(len(members[0][3])):  # the regions are disjoint: + is |
+            env[f"_{k}"] = sum(values[m[3][k]] & regions[m[0]] for m in members)
+        missing = ev.full ^ ev.compile(_schema_program(name, size))(env)
+        failing.update((trials[t], i) for t, i, *_ in members if missing & regions[t])
     return failing
 
 
@@ -365,23 +353,21 @@ def soundness_suite(
     Each trial draws a frame with :func:`random_class_frame`, then for each
     schema the slot formulas of an instance, over `SUITE_VARIABLES` of
     depth `SUITE_DEPTH` and hash-consed for this call, and a sampling seed.
-    Then :func:`_union_failures` checks the trials of each world count n in
-    chunks, one disjoint union of frames each, whose distance masks
-    (``2(2n - 1)`` per world and lane at most, at the widest pass) stay
-    within ``PACKED_BITS_LIMIT`` bits, so the cost is linear in `trials`.
-    Where all 4^n valuation codes of n worlds fit one pass of 4096 lanes
-    (n <= 6), sampled mode screens exhaustively, in passes of 4^n lanes:
-    an instance's samples are some of its codes, so the screen flags every
-    instance that its sweep refutes.  Past 6 worlds the pass holds each
-    instance's own samples, at most 4096 lanes.  Each flagged instance is
-    built and checked alone by :func:`valid_on_frame`, once, with its own
-    seed: its countermodel is that of a sweep per instance, and one its
-    samples miss reports nothing.  Violations come in (trial, schema)
-    order.  A sound logic reports zero violations; a `Logic` whose schemas
-    or class do not match gives a misconfigured suite.  Exhaustive mode
-    raises ``ValueError`` before the first trial when a frame of
-    `max_worlds` worlds could pass ``EXHAUSTIVE_BITS_LIMIT`` (worlds times
-    the number of `SUITE_VARIABLES`).
+    One rule, in both modes: trials of up to 6 worlds, whose 4^n valuation
+    codes fit one pass of at most 4096 lanes, are screened under all of
+    them by :func:`_union_failures`, in chunks of one world count whose
+    distance masks (``2(2n - 1)`` per world and lane at most) stay within
+    ``PACKED_BITS_LIMIT`` bits; every instance of a larger trial skips the
+    screen.  Each flagged or unscreened instance is built and checked alone
+    by :func:`valid_on_frame`, once, in `mode` and with its own seed, so
+    its countermodel is that of a sweep per instance; its samples are some
+    of its codes, so the screen misses none that its sweep refutes.
+    Violations come in (trial, schema) order.  A sound logic reports zero
+    violations; a `Logic` whose schemas or class do not match gives a
+    misconfigured suite.  An unknown `mode` raises ``ValueError`` before
+    the first trial, as does exhaustive mode when a frame of `max_worlds`
+    worlds could pass ``EXHAUSTIVE_BITS_LIMIT`` (worlds times the number
+    of `SUITE_VARIABLES`).
     """
     if isinstance(logic, str):
         logic = LOGICS[logic]
@@ -389,6 +375,8 @@ def soundness_suite(
         raise ValueError("trials must be >= 1")
     if max_worlds < 1:
         raise ValueError("max_worlds must be >= 1")
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and samples < 1:
         raise ValueError("samples must be >= 1")
     bits = max_worlds * len(SUITE_VARIABLES)
@@ -396,7 +384,6 @@ def soundness_suite(
         raise ValueError(
             f"exhaustive suite needs max_worlds*|vars| <= {EXHAUSTIVE_BITS_LIMIT}, got {bits}"
         )
-    widest = max(_sample_widths(samples, 0), default=0)  # exhaustive mode allows samples < 1
     rng = random.Random(seed)
     # the slot formulas' nodes and their programs by node identity, for
     # this call only: the nodes, and so the identities, die with it
@@ -405,17 +392,18 @@ def soundness_suite(
     drawn = [(random_class_frame(rng, max_worlds, logic),
               [(name, _random_slots(rng, SCHEMAS[name], nodes), rng.getrandbits(32))
                for name in logic.schemas]) for _ in range(trials)]
-    failing = set()
+    suspects = set()
     for n in sorted({frame.n for frame, _ in drawn}):
         same = [t for t, (frame, _) in enumerate(drawn) if frame.n == n]
         bits = n * len(SUITE_VARIABLES)
-        screen = "exhaustive" if bits <= _BLOCK_BITS else mode  # all codes in one block
-        lanes = widest if screen == "sampled" else 1 << min(bits, _BLOCK_BITS)
-        step = max(1, PACKED_BITS_LIMIT // (2 * (2 * n - 1) * n * lanes))
+        if bits > _BLOCK_BITS:  # its codes take more than one pass: no screen
+            suspects.update((t, i) for t in same for i in range(len(logic.schemas)))
+            continue
+        step = max(1, PACKED_BITS_LIMIT // (2 * (2 * n - 1) * n << bits))
         for k in range(0, len(same), step):
-            failing |= _union_failures(drawn, same[k:k + step], screen, samples, programs)
+            suspects |= _union_failures(drawn, same[k:k + step], programs)
     violations = []
-    for t, i in sorted(failing):
+    for t, i in sorted(suspects):
         frame, draws = drawn[t]
         name, slots, instance_seed = draws[i]
         inst = SCHEMAS[name].instantiate(*slots)

@@ -273,6 +273,14 @@ def _check_conditions(levels: Sequence[Moment], maps: Sequence[Mapping[str, str]
     )
 
 
+def _no_stray_key(fmap: Mapping, worlds: Sequence[str], where: str) -> None:
+    """Reject a key of a map, total on `worlds`, outside `worlds`."""
+    if len(fmap) > len(worlds):  # distinct keys: more than the worlds only if one is stray
+        known = set(worlds)
+        stray = next(w for w in fmap if w not in known)
+        raise StoryError("structure", f"unknown world {stray!r} in {where}")
+
+
 def validate_story(data: Mapping) -> Story:
     """Check the story file format and all story conditions."""
     if not isinstance(data, Mapping):
@@ -317,6 +325,7 @@ def validate_story(data: Mapping) -> Story:
             if explicit_last[w] not in levels[-1].worlds:
                 raise StoryError("structure",
                                  f"last map leaves the level at {explicit_last[w]!r}")
+        _no_stray_key(explicit_last, levels[-1].worlds, "last map")
     maps = []
     for i, raw in enumerate(raw_maps):
         fmap = {}
@@ -328,6 +337,7 @@ def validate_story(data: Mapping) -> Story:
                     "structure", f"map {i} sends {w!r} outside level {i + 1}"
                 )
             fmap[w] = raw[w]
+        _no_stray_key(raw, levels[i].worlds, f"map {i}")
         maps.append(fmap)
     immersive = _check_conditions(levels, maps, explicit_last)
     return Story(tuple(levels), tuple(maps), immersive)

@@ -180,6 +180,22 @@ def test_malformed_story_shapes_are_structure_errors(capsys, tmp_path, data):
         assert code == 2 and report["error"].startswith("structure: ")
 
 
+@pytest.mark.parametrize("maps, where", [
+    ([{"x0": "x1", "y0": "y1", "zz": "x1"}, {"x1": "x2", "y1": "y2"}], "map 0"),
+    ([{"x0": "x1", "y0": "y1"}, {"x1": "x2", "x0": "y2", "y1": "y2"}], "map 1"),
+    ([{"x0": "x1", "y0": "y1"}, {"x1": "x2", "y1": "y2"},
+      {"x2": "x2", "y2": "y2", "zz": "y2"}], "last map"),
+])
+def test_story_map_keys_outside_their_level_are_structure_errors(capsys, tmp_path, maps,
+                                                                  where):
+    f = tmp_path / "stray.story.json"
+    f.write_text(json.dumps(_chain_with(maps=maps)))
+    stray = "x0" if where == "map 1" else "zz"
+    code, report = run(capsys, "story-validate", "--story", str(f))
+    assert code == 1 and not report["valid"] and report["condition"] == "structure"
+    assert report["message"] == f"structure: unknown world {stray!r} in {where}"
+
+
 def test_sample_counts_below_one_exit_2(capsys):
     code, report = run(capsys, "validity", "--frame", str(DEMOS / "f1.frame.json"),
                        "--formula", "p", "--mode", "sampled", "--samples", "-5")

@@ -132,16 +132,26 @@ MISCONFIGURED_DIGESTS = {
     "exhaustive": "8c3e84a6187dd18c5817c3f24056e5bfeb0946150c27db10c05ba8631da72e26",
     "sampled": "f60e9bc0cd8a8e5aa0c354faac9b40ec8e7efbc5e53c0f04eea2e97791150ddc",
 }
+# the same at up to 8 worlds, pinned from union passes over the frames of
+# 7 and 8 worlds: their lone sweeps must give the same bytes
+MISCONFIGURED_DIGESTS_8_WORLDS = {
+    "exhaustive": "f0a519c9f3557bfc5948a60f110bfd7652de21e39c0cbf5d95ea731bfb4e4e97",
+    "sampled": "f7696301118906808ff91a2d31d5846f5d212074d889440daa6020c39f8e38c8",
+}
 
 
-@pytest.mark.parametrize("mode", sorted(MISCONFIGURED_DIGESTS))
-def test_misconfigured_suite_reports_are_pinned(mode):
+@pytest.mark.parametrize("mode, max_worlds, digest", [
+    *[pytest.param(mode, 4, digest, id=mode) for mode, digest in MISCONFIGURED_DIGESTS.items()],
+    *[pytest.param(mode, 8, digest, id=f"{mode}-8")
+      for mode, digest in MISCONFIGURED_DIGESTS_8_WORLDS.items()],
+])
+def test_misconfigured_suite_reports_are_pinned(mode, max_worlds, digest):
     k4c = LOGICS["K4C"]
     misconfigured = Logic("K4C", k4c.schemas + ("CTan-dia",), k4c.serial, k4c.strict)
-    report = soundness_suite(misconfigured, trials=40, seed=3, mode=mode)
+    report = soundness_suite(misconfigured, trials=40, seed=3, max_worlds=max_worlds, mode=mode)
     assert len(report.violations) == 3
     text = json.dumps(report.to_dict(), indent=2)
-    assert hashlib.sha256(text.encode()).hexdigest() == MISCONFIGURED_DIGESTS[mode]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_suite_builds_one_evaluator_per_union_chunk(monkeypatch):
@@ -203,21 +213,27 @@ def per_instance_suite(logic, trials, seed, max_worlds, mode, samples):
       for max_worlds, trials in ((1, 6), (6, 10))],
     ("sampled", 1, 6, 10),
     ("sampled", 32, 8, 10),
+    ("sampled", 32, 12, 10),
     ("exhaustive", 32, 7, 4),
 ])
 def test_union_suite_matches_one_sweep_per_instance(monkeypatch, mode, samples, max_worlds,
                                                     trials):
-    # 100 samples take two blocks, of 64 and 36 lanes, and exhaustive codes
-    # of 7 worlds up to four passes of 4096, which a frame of fewer worlds
-    # or variables sits out; the union pass flags exactly the invalid
-    # instances, and the report is that of one sweep per instance,
-    # violations and countermodels included.  The suite screens sampled
-    # frames of up to 6 worlds under all their valuations and sweeps each
-    # flagged instance alone once; one sample misses some that it flags,
-    # and past 6 worlds the union pass holds each instance's own samples
-    swept = []
+    # the report is that of one sweep per instance, violations and
+    # countermodels included.  Trials of up to 6 worlds are screened in a
+    # union pass under all their valuations, which flags every invalid
+    # instance, and exactly those in exhaustive mode; one sample misses
+    # some that it flags.  No trial of more than 6 worlds reaches the
+    # screen: each of its instances is swept alone exactly once
+    swept, screened_worlds = [], []
     monkeypatch.setattr(logic, "valid_on_frame", lambda *args: swept.append(args) or
                         valid_on_frame(*args))
+    union_failures = logic._union_failures
+
+    def recorded(drawn, part, programs):
+        screened_worlds.extend(drawn[t][0].n for t in part)
+        return union_failures(drawn, part, programs)
+
+    monkeypatch.setattr(logic, "_union_failures", recorded)
     k4c = LOGICS["K4C"]
     misconfigured = Logic("K4C", k4c.schemas + ("CTan-dia",), k4c.serial, k4c.strict)
     flagged = missed = beyond = 0
@@ -225,23 +241,30 @@ def test_union_suite_matches_one_sweep_per_instance(monkeypatch, mode, samples, 
         seed = 33
         report, invalid, chunk = per_instance_suite(lg, trials, seed, max_worlds, mode, samples)
         swept.clear()
+        screened_worlds.clear()
         assert soundness_suite(lg, trials, seed, max_worlds, mode, samples) == report
-        assert _union_failures(chunk, range(len(chunk)), mode, samples, {}) == invalid
-        flagged += len(invalid)
         small = [t for t, (frame, _) in enumerate(chunk) if frame.n <= 6]
         large = [t for t, (frame, _) in enumerate(chunk) if frame.n > 6]
-        screened = set()
-        for part, how in ((small, "exhaustive"), (large, mode)):
-            screened |= _union_failures(chunk, part, how, samples, {}) if part else set()
-        assert invalid <= screened and len(swept) == len(screened)
-        missed += len(screened - invalid)
-        beyond += sum(t in large for t, _ in invalid)
+        assert sorted(screened_worlds) == sorted(chunk[t][0].n for t in small)
+        screened = union_failures(chunk, small, {}) if small else set()
+        small_invalid = {(t, i) for t, i in invalid if chunk[t][0].n <= 6}
+        assert small_invalid <= screened
+        if mode == "exhaustive":
+            assert screened == small_invalid
+        alone = [(args[0].n, args[4]) for args in swept if args[0].n > 6]
+        assert len(swept) == len(screened) + len(alone)
+        assert len(alone) == len(set(alone)) == len(large) * len(lg.schemas)
+        assert sorted(seed for _, seed in alone) == sorted(
+            s for t in large for _, _, s in chunk[t][1])
+        flagged += len(invalid)
+        missed += len(screened - small_invalid)
+        beyond += len(invalid) - len(small_invalid)
     if max_worlds == 1:
         assert flagged == missed == 0
-    else:
+    elif max_worlds < 12:  # at 12 worlds seed 33 refutes nothing: only the routing is checked
         assert flagged > 0 if samples > 1 else missed > 0
-    if mode == "sampled":
-        assert beyond > 0 if max_worlds > 6 else beyond == 0
+    if max_worlds == 8:  # seed 33 refutes an instance past 6 worlds
+        assert beyond > 0
 
 
 def test_sound_suite_never_builds_an_instance(monkeypatch):
@@ -322,6 +345,15 @@ def test_soundness_suite_negative_control_non_serial(monkeypatch):
     report = soundness_suite("K4DI", trials=5, seed=1, mode="exhaustive")
     assert any(v.schema == "D" and v.world == "b" for v in report.violations)
     assert len(report.violations) == 9
+
+
+def test_suite_rejects_an_unknown_mode_before_the_first_trial(monkeypatch):
+    def fail(*args):
+        raise AssertionError("trial drawn")
+
+    monkeypatch.setattr(logic, "random_class_frame", fail)
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        soundness_suite("K4C", 10, 0, mode="bogus")
 
 
 def test_suite_requires_trials():

@@ -21,7 +21,9 @@ two sides; and the seeds, settings, Python version and git revisions.  It
 is rewritten after every pair, so a cut run leaves the pairs it finished.
 At the end the script prints a table with one row per workload and
 end-to-end metric: both medians, the median change, the pairs the change
-won, and the ``gain`` and ``within_bound`` verdicts.
+won, and the ``gain`` and ``within_bound`` verdicts; then one row per
+workload: each side's failed/attempted op runs and the seeds whose reports
+differ ("none" when every seed agrees).
 """
 
 from __future__ import annotations
@@ -114,8 +116,15 @@ def summarise(runs: dict, metrics: list[dict]) -> dict:
     return out
 
 
+def _aligned(rows: list[tuple[str, ...]]) -> str:
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(c.ljust(k) for c, k in zip(r, widths)).rstrip() for r in rows)
+
+
 def closing_table(workloads: dict) -> str:
-    """One row per workload and end-to-end metric of a finished run."""
+    """One row per workload and end-to-end metric of a finished run, then
+    one per workload with each side's failed/attempted op runs and the
+    seeds whose reports differ."""
     rows = [("workload", "metric", "parent", "change", "median", "won", "gain", "within_bound")]
     for w, data in workloads.items():
         for name, m in data["metrics"].items():
@@ -123,8 +132,11 @@ def closing_table(workloads: dict) -> str:
             rows.append((w, name, f"{pa:.4g}", f"{ch:.4g}", f"{(ch - pa) / pa:+.1%}",
                          f"{m['change_better_pairs']}/{m['pairs']}",
                          "yes" if m["gain"] else "no", "yes" if m["within_bound"] else "NO"))
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    return "\n".join("  ".join(c.ljust(k) for c, k in zip(r, widths)).rstrip() for r in rows)
+    ops = [("workload", "parent failed", "change failed", "reports differ at seeds")]
+    for w, data in workloads.items():
+        runs = [f"{data['failed'][s]}/{data['attempted'][s]}" for s in ("parent", "change")]
+        ops.append((w, *runs, " ".join(map(str, data["seeds_with_different_reports"])) or "none"))
+    return _aligned(rows) + "\n\n" + _aligned(ops)
 
 
 def main(argv=None) -> int:
