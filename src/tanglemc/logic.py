@@ -591,14 +591,14 @@ def countermodel_search(
     these, and ``frames_checked`` counts them (frames of the class up to
     isomorphism; a relation with automorphisms still has isomorphic maps
     among its own).  phi's :class:`~tanglemc.semantics.Program` is made
-    once per search; all maps of one relation go through one evaluator, as map
-    slots of lanes next to the valuation codes: as many maps per pass as
-    fit in 2^12 lanes, one map per pass of 2^12 codes past 12 bits.  That
-    keeps the order and the counts of one frame and one valuation at a
-    time.  The bound is not what finishes: on a 2-vCPU host ``[d]p ->
+    once per search; the maps of one relation go in chunks, one evaluator
+    a chunk, as map slots of lanes next to the valuation codes: as many
+    maps per chunk as fit in 2^12 lanes, one map per chunk past 12 bits.
+    That keeps the order and the counts of one frame and one valuation at
+    a time.  The bound is not what finishes: on a 2-vCPU host ``[d]p ->
     [d][d]p`` takes about 0.035 s in K4DC at 4 worlds (5,151 frames),
-    1.06 s in K4C at 5 worlds (409,952 frames) and 62 s in K4C at 6
-    worlds (16,293,935 frames).  Like exhaustive validity it raises
+    1.7-2.2 s CPU in K4C at 5 worlds (409,952 frames) and 62 s in K4C at
+    6 worlds (16,293,935 frames).  Like exhaustive validity it raises
     ``ValueError`` before the first world count whose frames would need
     more than 2^``EXHAUSTIVE_BITS_LIMIT`` valuations each (world count
     times the number of variables); a countermodel on fewer worlds is

@@ -16,13 +16,15 @@ program to its frame without walking it, and a run evaluates a block of
 each part, so one run on a union checks all of its parts.
 
 A truth set is one int of ``n * lanes`` bits grouped by world: world w
-owns bits ``[w*lanes, (w+1)*lanes)``, one bit per lane.  With one lane
-this is the plain world mask, and <d> is the frame's ``down_mask``.  With
-more lanes, <d> and O are distance steps: world w reads the group of
-world w + d through one mask, shift and OR per distance d of a relation
-pair or of a map.  The lanes fall into map slots of equal width, each with
-its own map on the frame's relation; by default one slot holds the
-frame's own map.  The tangle is the same fixed-point loop on packed ints.
+owns bits ``[w*lanes, (w+1)*lanes)``, one bit per lane, so one lane is
+the plain world mask.  O is a distance step at every lane count: world w
+reads the group of world w + d through one mask, shift and OR per
+distance d = f(w) - w of a map.  <d> is the frame's ``down_mask`` with
+one lane and the same steps over the distances of relation pairs with
+more.  The lanes fall into map slots of equal width, fixed when the
+evaluator is made, each with its own map on the frame's relation; by
+default one slot holds the frame's own map.  The tangle is the same
+fixed-point loop on packed ints.
 
 Validity sweeps run in blocks of lanes and keep the canonical order of a
 one-valuation-at-a-time loop: exhaustive mode counts valuation codes
@@ -123,32 +125,42 @@ class Verdict:
 class Evaluator:
     """Compiles formulas against one frame; a call evaluates `lanes` models.
 
-    A lane is a valuation under a map: :meth:`place_maps` splits the lanes
-    into map slots, and O reads each slot's own map.  Until then one slot
-    holds the frame's map; with one lane O always reads it, on sparse
-    masks.  With more lanes <d> and O take one step per distance, at most
-    ``2n - 1`` each, whose mask takes ``n * lanes`` bits.
+    A lane is a valuation under a map: the lanes fall into ``len(maps)``
+    equal runs, the map slots, and O reads ``maps[j]`` in slot j (by
+    default one slot holds the frame's own map).  The slots are placed
+    here and never change.  O takes one distance step per distinct
+    f(w) - w, at most ``2n - 1``; <d> is the frame's ``down_mask`` with one
+    lane and a step per distance of a relation pair with more.  A step's
+    mask takes ``n * lanes`` bits.
     """
 
-    def __init__(self, frame: Frame, lanes: int = 1):
+    def __init__(self, frame: Frame, lanes: int = 1,
+                 maps: Sequence[Sequence[int]] | None = None):
         self.frame = frame
         self.lanes = lanes
         n = frame.n
         self.full = (1 << (n * lanes)) - 1
-        self._group = (1 << lanes) - 1
-        self._func = [frame.func_index(w) for w in range(n)]
-        if lanes == 1:
-            inv = [0] * n
-            for w, fw in enumerate(self._func):
-                inv[fw] |= 1 << w
-            self._inv = inv
-        else:
+        if lanes > 1:
+            group = (1 << lanes) - 1
             read = {}  # distance d -> the groups of the worlds v that v - d sees
             for w in range(n):
                 for v in _bits(frame.succ_mask(w)):
-                    read[v - w] = read.get(v - w, 0) | self._group << (v * lanes)
+                    read[v - w] = read.get(v - w, 0) | group << (v * lanes)
             self._down_steps = tuple((d * lanes, m) for d, m in read.items())
-            self.place_maps([self._func])
+        if maps is None:
+            maps = [[frame.func_index(w) for w in range(n)]]
+        width = lanes // len(maps)
+        slot = (1 << width) - 1
+        images = {}  # w * n + v -> the lanes of the slots whose map sends w to v
+        for j, func in enumerate(maps):
+            run = slot << (j * width)
+            for w, v in enumerate(func):
+                images[w * n + v] = images.get(w * n + v, 0) | run
+        read = {}
+        for k, run in images.items():
+            w, v = divmod(k, n)
+            read[v - w] = read.get(v - w, 0) | run << (v * lanes)
+        self._pre_steps = tuple((d * lanes, m) for d, m in read.items())
 
     # chosen per call, not stored: a bound method of itself kept on the
     # evaluator would make it a reference cycle, alive until a collection
@@ -160,30 +172,7 @@ class Evaluator:
     @property
     def preimage(self) -> Callable[[int], int]:
         """O on truth sets: the worlds whose image is in the set."""
-        return self._preimage_sparse if self.lanes == 1 else partial(_move, steps=self._pre_steps)
-
-    def place_maps(self, maps: Sequence[Sequence[int]]) -> None:
-        """Split the lanes into ``len(maps)`` equal runs, the map slots, and
-        let O read ``maps[j]`` in slot j in programs bound after it (lanes > 1)."""
-        lanes = self.lanes
-        width = lanes // len(maps)
-        slot = (1 << width) - 1
-        images = {}  # (w, v) -> the lanes of the slots whose map sends w to v
-        for j, func in enumerate(maps):
-            run = slot << (j * width)
-            for w, v in enumerate(func):
-                images[w, v] = images.get((w, v), 0) | run
-        read = {}
-        for (w, v), run in images.items():
-            read[v - w] = read.get(v - w, 0) | run << (v * lanes)
-        self._pre_steps = tuple((d * lanes, m) for d, m in read.items())
-
-    def _preimage_sparse(self, mask: int) -> int:
-        out = 0
-        inv = self._inv
-        for v in _bits(mask):
-            out |= inv[v]
-        return out
+        return partial(_move, steps=self._pre_steps)
 
     def _lane(self, mask: int, lane: int) -> int:
         """The world mask that one lane of a truth set holds."""
@@ -429,12 +418,13 @@ def exhaustive_sweep(
 ) -> tuple[int, int | None, Countermodel | None]:
     """Evaluate a program under every valuation of its variables and every
     map of `maps` on the frame's relation, maps outermost and valuation
-    codes ascending.  `maps` defaults to the
-    frame's own map, which must be ``maps[0]`` when they are given.
+    codes ascending.  `maps` defaults to the frame's own map; given maps
+    replace it.
 
-    A pass is one evaluator call on 2^min(bits, 12) codes in each of as
-    many map slots as fit in 2^12 lanes; past 12 bits a pass holds one map
-    and its codes take 2^(bits - 12) passes.  The first failing lane of the
+    The maps go in chunks of as many map slots as fit in 2^12 lanes, one
+    evaluator a chunk.  A pass is one call of it on 2^min(bits, 12) codes
+    in each slot; past 12 bits a chunk holds one map and its codes take
+    2^(bits - 12) passes.  The first failing lane of the
     first failing pass is the first refutation in that order.  Returns the
     number of valuations checked up to and including it, the index of its
     map and the refutation (None twice when it holds under every map).
@@ -445,13 +435,14 @@ def exhaustive_sweep(
     lane_bits = min(bits, _BLOCK_BITS)
     total = 1 if maps is None else len(maps)
     slots = min(total, 1 << (_BLOCK_BITS - lane_bits))
-    ev = Evaluator(frame, slots << lane_bits)
     for first in range(0, total, slots):
-        if total > 1:
+        chunk = None
+        if maps is not None:
             chunk = maps[first:first + slots]
             # a short last chunk repeats its last map: a repeat fails only
             # after the lanes of its original, so it never reports first
-            ev.place_maps(chunk + chunk[-1:] * (slots - len(chunk)))
+            chunk += chunk[-1:] * (slots - len(chunk))
+        ev = Evaluator(frame, slots << lane_bits, chunk)
         fn = ev.compile(program)
         for block, masks in enumerate(_exhaustive_blocks(n, count, lane_bits, slots)):
             env = dict(zip(variables, masks))

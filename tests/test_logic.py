@@ -158,9 +158,9 @@ def test_suite_builds_one_evaluator_per_union_chunk(monkeypatch):
     built = []
     init = semantics.Evaluator.__init__
 
-    def counted(self, frame, lanes=1):
+    def counted(self, frame, lanes=1, *args):
         built.append((frame.n, lanes, semantics._mask_bits(frame) * lanes))
-        init(self, frame, lanes)
+        init(self, frame, lanes, *args)
 
     monkeypatch.setattr(semantics.Evaluator, "__init__", counted)
     report = soundness_suite("K4DC", trials=100, seed=14)
@@ -285,9 +285,9 @@ def test_search_makes_one_program_and_one_evaluator_per_relation_class(monkeypat
         programs.append(phi)
         program_init(self, phi)
 
-    def counted_evaluator(self, frame, lanes=1):
+    def counted_evaluator(self, frame, *args):
         evaluators.append(frame)
-        evaluator_init(self, frame, lanes)
+        evaluator_init(self, frame, *args)
 
     monkeypatch.setattr(semantics.Program, "__init__", counted_program)
     monkeypatch.setattr(semantics.Evaluator, "__init__", counted_evaluator)

@@ -264,20 +264,27 @@ def lane_mask(value, n, lanes, lane):
 def test_packed_operators_match_down_mask_and_the_image_map():
     # <d> and O as distance steps give, lane by lane, the frame's one-lane
     # down_mask and the preimage under each slot's map: on random frames,
-    # whose maps need not be monotone, and on disjoint unions of them, with
-    # the frame's own map or several random maps in slots
+    # whose maps need not be monotone, on disjoint unions of them and on
+    # the identity map and the map onto w0 (the fewest and the most
+    # distances), with the frame's own map or random maps in slots, drawn
+    # from two so that slots next to each other or apart share a map
     rng = random.Random(31)
-    for _ in range(60):
+    for trial in range(60):
         parts = [_random_frame(rng, 6) for _ in range(rng.choice((1, 1, 2, 4)))]
         frame = parts[0] if len(parts) == 1 else disjoint_union(parts)
         n = frame.n
-        lanes = rng.choice((2, 8, 12))
-        ev = Evaluator(frame, lanes)
+        if trial < 2:
+            func = list(range(n)) if trial == 0 else [0] * n
+            frame = Frame(frame.worlds, [frame.succ_mask(w) for w in range(n)], func)
+        lanes = rng.choice((1, 2, 8, 12))
         maps = [[frame.func_index(w) for w in range(n)]]
-        if rng.random() < 0.5:
+        if trial >= 2 and rng.random() < 0.5:
             slots = rng.choice([k for k in (1, 2, 4) if lanes % k == 0])
-            maps = [[rng.randrange(n) for _ in range(n)] for _ in range(slots)]
-            ev.place_maps(maps)
+            pool = [[rng.randrange(n) for _ in range(n)] for _ in range(2)]
+            maps = [rng.choice(pool) for _ in range(slots)]
+            ev = Evaluator(frame, lanes, maps)
+        else:
+            ev = Evaluator(frame, lanes)
         width = lanes // len(maps)
         for _ in range(3):
             x = rng.getrandbits(n * lanes)
