@@ -597,7 +597,7 @@ def countermodel_search(
     That keeps the order and the counts of one frame and one valuation at
     a time.  The bound is not what finishes: on a 2-vCPU host ``[d]p ->
     [d][d]p`` takes about 0.035 s in K4DC at 4 worlds (5,151 frames),
-    1.7-2.2 s CPU in K4C at 5 worlds (409,952 frames) and 62 s in K4C at
+    1.8-2.5 s CPU in K4C at 5 worlds (409,952 frames) and 62 s in K4C at
     6 worlds (16,293,935 frames).  Like exhaustive validity it raises
     ``ValueError`` before the first world count whose frames would need
     more than 2^``EXHAUSTIVE_BITS_LIMIT`` valuations each (world count

@@ -145,9 +145,9 @@ def recorded_widths(monkeypatch):
     widths = []
 
     class Recording(semantics.Evaluator):
-        def __init__(self, frame, lanes=1):
+        def __init__(self, frame, lanes=1, *args):
             widths.append(lanes)
-            super().__init__(frame, lanes)
+            super().__init__(frame, lanes, *args)
 
     monkeypatch.setattr(semantics, "Evaluator", Recording)
     return widths
