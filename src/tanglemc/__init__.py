@@ -12,7 +12,7 @@ _HOMES = {
     "formula": (
         "And", "Box", "Diamond", "Formula", "Implies", "Neg", "Next", "Or",
         "ParseError", "Tangle", "Var", "bot", "next_depth", "parse", "pretty",
-        "size", "subformula_closure", "top", "vars_of",
+        "size", "top", "vars_of",
     ),
     "frame": (
         "ClassFlags", "Frame", "FrameError", "check_frame_pmorphism",
@@ -25,17 +25,15 @@ _HOMES = {
     ),
     "pathspace": (
         "LimitAssignment", "Path", "build_limit_assignment", "enumerate_paths",
-        "format_path", "next_path", "parse_path", "path_metric",
-        "verify_lim_pmorphism",
+        "format_path", "verify_lim_pmorphism",
     ),
     "semantics": (
-        "Model", "Verdict", "tangle_iterations", "tangled_derivative",
-        "tangled_oracle_clusters", "tangled_oracle_subsets", "truth_set",
-        "valid_on_frame",
+        "Model", "Verdict", "tangled_oracle_clusters", "tangled_oracle_subsets",
+        "truth_set", "valid_on_frame",
     ),
     "story": (
-        "Moment", "Story", "StoryError", "compose_moment", "moment_from_frame",
-        "story_class", "story_oplus", "validate_moment", "validate_story",
+        "Moment", "Story", "StoryError", "moment_from_frame", "story_class",
+        "story_oplus", "validate_moment", "validate_story",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

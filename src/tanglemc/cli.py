@@ -220,6 +220,8 @@ def _cmd_oplus(args) -> int:
     if args.story is not None:
         from . import story as story_mod
 
+        if args.close_transitively:  # a story's levels are never closed
+            raise ValueError("--close-transitively applies to --frame only")
         st = _load_story(args.story)
         lifted, projections = story_mod.story_oplus(st)
         _emit(_report(
@@ -241,6 +243,8 @@ def _cmd_pathspace_verify(args) -> int:
     from . import pathspace, story as story_mod
 
     if args.story is not None:
+        if args.close_transitively:  # a story's levels are never closed
+            raise ValueError("--close-transitively applies to --frame only")
         st = _load_story(args.story)
         source = args.story
     else:
@@ -348,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--frame")
     group.add_argument("--story")
-    p.add_argument("--close-transitively", action="store_true")
+    p.add_argument("--close-transitively", action="store_true",
+                   help="with --frame: replace the relation by its transitive closure")
     p.set_defaults(fn=_cmd_oplus)
 
     p = sub.add_parser(
@@ -359,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--story")
     group.add_argument("--frame", help="frame treated as a single-level story "
                                        "(its map is ignored)")
-    p.add_argument("--close-transitively", action="store_true")
+    p.add_argument("--close-transitively", action="store_true",
+                   help="with --frame: replace the relation by its transitive closure")
     p.add_argument("--resolution", type=int, default=4)
     p.add_argument("--dump-paths", action="store_true", help="also list every "
                    "path; their number grows exponentially with --resolution")

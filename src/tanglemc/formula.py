@@ -244,27 +244,6 @@ def next_depth(phi: Formula) -> int:
     return _tree_measures(phi)[1]
 
 
-def subformula_closure(phi: Formula) -> frozenset[Formula]:
-    """Smallest set containing phi closed under subformulas and single negations.
-
-    Negations are added only to unnegated members, so double negations are
-    never introduced.
-    """
-    subs: set[Formula] = set()
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if f in subs:
-            continue
-        subs.add(f)
-        stack.extend(children(f))
-    out = set(subs)
-    for f in subs:
-        if not isinstance(f, Neg):
-            out.add(Neg(f))
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # printing
 

@@ -162,9 +162,6 @@ class Frame:
             mask ^= lsb
         return out
 
-    def down(self, names: Iterable[str]) -> frozenset[str]:
-        return self.names(self.down_mask(self.mask(names)))
-
     def cluster_mask(self, i: int) -> int:
         """Worlds mutually reachable from world i under the reflexive closure."""
         return (1 << i) | (self._succ[i] & self._pred[i])
@@ -179,9 +176,6 @@ class Frame:
             seen |= c
             out.append(c)
         return out
-
-    def clusters(self) -> list[frozenset[str]]:
-        return [self.names(c) for c in self.cluster_masks()]
 
     def classify(self) -> ClassFlags:
         succ, func = self._succ, self._func

@@ -18,15 +18,14 @@ on eventually-constant paths hold by construction on the transitive
 fat-cluster levels it requires (its docstring gives the arguments), so
 it counts the paths and builds none.
 
-Paths are enumerated as `Path` objects, for display and the metric
-helpers, by prefix length, each prefix extended in ascending world order,
-which yields the documented order without a sort; `_steps` holds the
-step rule that the enumeration and the count share.
+Paths are enumerated as `Path` objects for display (``pathspace-verify
+--dump-paths``), by prefix length, each prefix extended in ascending world
+order, which yields the documented order without a sort; `_steps` holds
+the step rule that the enumeration and the count share.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from operator import mul
 
 from .frame import Frame, _bits, _transitivity_witness
@@ -55,32 +54,6 @@ class Path:
 
 def format_path(p: Path) -> str:
     return ",".join(p.prefix) + ";" + p.tail
-
-
-def parse_path(line: str) -> Path:
-    head, sep, tail = line.strip().rpartition(";")
-    if not sep or not tail:
-        raise ValueError(f"not a path line: {line!r}")
-    prefix = tuple(w for w in head.split(",") if w)
-    return Path(prefix, tail)
-
-
-def path_metric(u: Path, v: Path) -> "Fraction":
-    """Exact dyadic distance 2^-n at the first differing index n."""
-    from fractions import Fraction  # here: no command needs it at start-up
-    for n in range(max(len(u.prefix), len(v.prefix)) + 1):
-        if u.value(n) != v.value(n):
-            return Fraction(1, 2 ** n)
-    return Fraction(0)
-
-
-def next_path(p: Path, func: Mapping[str, str]) -> Path:
-    """Componentwise image under a level map, re-canonicalised."""
-    tail = func[p.tail]
-    prefix = [func[w] for w in p.prefix]
-    while prefix and prefix[-1] == tail:
-        prefix.pop()
-    return Path(tuple(prefix), tail)
 
 
 def _steps(frame: Frame) -> tuple[list[int], list[int], int]:
@@ -256,8 +229,10 @@ def verify_lim_pmorphism(
       successors), has a mate m with t -> m -> t, so step to m and back.
       The new path has limit v and differs from p first at n0 + 1 > k.
       This holds on any ``Frame``, transitive or not.
-    - Commuting on eventually-constant paths: ``next_path(p, f).tail ==
-      f[p.tail]`` by definition.
+    - Commuting on eventually-constant paths: the image of a path p
+      under a level map f is the sequence of the images of its worlds,
+      re-canonicalised.  It is eventually constant with tail f(p.tail),
+      so its limit is f(lim p) by definition.
 
     The tests check forth and back by brute force over enumerated paths.
     """

@@ -283,18 +283,6 @@ def _set_masks(frame: Frame, sets: Sequence[Iterable[str]]) -> list[int]:
     return [frame.mask(s) for s in sets]
 
 
-def tangled_derivative(frame: Frame, sets: Sequence[Iterable[str]]) -> frozenset[str]:
-    """Largest A such that every given set is dense in A (fixed-point iteration)."""
-    masks = _set_masks(frame, sets)
-    out, _ = tangle_fixpoint(frame.down_mask, frame.full_mask, masks)
-    return frame.names(out)
-
-
-def tangle_iterations(frame: Frame, sets: Sequence[Iterable[str]]) -> int:
-    masks = _set_masks(frame, sets)
-    return tangle_fixpoint(frame.down_mask, frame.full_mask, masks)[1]
-
-
 def tangled_oracle_subsets(frame: Frame, sets: Sequence[Iterable[str]]) -> frozenset[str]:
     """Literal definition: union of all subsets A in which every set is dense."""
     if frame.n > 20:

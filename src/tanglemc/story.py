@@ -20,9 +20,10 @@ or I+1 maps, in which case the last one is checked by the stabilising
 condition.  Malformed files (wrong JSON shapes, unknown worlds) fail the
 "structure" condition.
 
-`Story.assembled` glues the levels into one flat dynamic frame, a frame of
-every logic that `story_class` names.  Countermodel search samples those
-frame classes directly with `logic.random_class_frame`.
+Glued into one flat dynamic frame, the disjoint union of its levels with
+its maps joined into one function, a story is a frame of every logic that
+`story_class` names.  Countermodel search samples those frame classes
+directly with `logic.random_class_frame`.
 """
 
 from __future__ import annotations
@@ -162,28 +163,6 @@ class Story:
         if i == self.duration:
             return {w: w for w in self.levels[i].worlds}
         return self.maps[i]
-
-    def assembled(self) -> tuple[Frame, dict[str, frozenset[str]]]:
-        """Flat frame view: disjoint union of levels, maps glued into one
-        function.  Level i's world w is named "i:w"."""
-        worlds: list[str] = []
-        succ: list[int] = []
-        for i, m in enumerate(self.levels):
-            offset = len(worlds)
-            worlds.extend(f"{i}:{w}" for w in m.worlds)
-            succ.extend(mask << offset for mask in m.frame._succ)
-        index = {w: k for k, w in enumerate(worlds)}
-        func = [0] * len(worlds)
-        for i in range(len(self.levels)):
-            tgt = min(i + 1, self.duration)
-            fmap = self.level_map(i)
-            for w in self.levels[i].worlds:
-                func[index[f"{i}:{w}"]] = index[f"{tgt}:{fmap[w]}"]
-        valuation: dict[str, set[str]] = {}
-        for i, m in enumerate(self.levels):
-            for p, names in m.valuation.items():
-                valuation.setdefault(p, set()).update(f"{i}:{w}" for w in names)
-        return Frame(worlds, succ, func), {p: frozenset(s) for p, s in valuation.items()}
 
     def to_dict(self) -> dict:
         """The story file format; the only place story JSON is built."""
@@ -358,46 +337,6 @@ def story_class(story: Story) -> frozenset[str]:
         if serial:
             flags.add("K4DI")
     return frozenset(flags)
-
-
-def compose_moment(
-    x: str,
-    cluster: Sequence[str],
-    q: str,
-    submoments: Sequence[Moment],
-    valuation: Mapping[str, Iterable[str]] | None = None,
-) -> Moment:
-    """Build a moment from a root cluster over a list of submoments.
-
-    ``q`` is "reflexive" or "irreflexive"; an irreflexive root cluster must
-    be a singleton.  The cluster sees every submoment world; submoment
-    relations are kept; internal cluster edges (including loops) exist only
-    for a reflexive cluster.  World names must be globally unique.
-    """
-    cluster = list(cluster)
-    if q not in ("reflexive", "irreflexive"):
-        raise ValueError("q must be 'reflexive' or 'irreflexive'")
-    if x not in cluster:
-        raise ValueError("root must belong to the cluster")
-    if q == "irreflexive" and len(cluster) != 1:
-        raise ValueError("an irreflexive root cluster must be a singleton")
-    worlds = list(cluster)
-    rel: list[tuple[str, str]] = []
-    if q == "reflexive":
-        rel.extend((a, b) for a in cluster for b in cluster)
-    for m in submoments:
-        worlds.extend(m.worlds)
-        rel.extend(m.rel)
-        rel.extend((c, w) for c in cluster for w in m.worlds)
-    if len(set(worlds)) != len(worlds):
-        raise ValueError("world names collide across cluster and submoments")
-    val: dict[str, set[str]] = {}
-    for p, names in (valuation or {}).items():
-        val[p] = set(names) & set(cluster)
-    for m in submoments:
-        for p, names in m.valuation.items():
-            val.setdefault(p, set()).update(names)
-    return validate_moment(worlds, rel, x, {p: frozenset(s) for p, s in val.items()})
 
 
 def story_oplus(story: Story) -> tuple[Story, list[dict[str, str]]]:

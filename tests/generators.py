@@ -4,21 +4,62 @@ The library samples countermodels with ``logic.random_class_frame`` alone;
 these generators only feed the tests: valid stories of a chosen shape for
 the story, oplus and path-space suites, and wide transitive frames for the
 frame and sweep suites.  Each draws from its ``random.Random`` in a fixed
-order, so a seed names one story or frame.
+order, so a seed names one story or frame.  Moments are built bottom-up by
+`compose_moment`, which lives here because no command builds moments that
+way.
 """
 
 import random
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from tanglemc.frame import Frame, FrameError, _bits
 from tanglemc.story import (
     Moment,
     Story,
     _moment_serial,
-    compose_moment,
     validate_moment,
     validate_story,
 )
+
+
+def compose_moment(
+    x: str,
+    cluster: Sequence[str],
+    q: str,
+    submoments: Sequence[Moment],
+    valuation: Mapping[str, Iterable[str]] | None = None,
+) -> Moment:
+    """Build a moment from a root cluster over a list of submoments.
+
+    ``q`` is "reflexive" or "irreflexive"; an irreflexive root cluster must
+    be a singleton.  The cluster sees every submoment world; submoment
+    relations are kept; internal cluster edges (including loops) exist only
+    for a reflexive cluster.  World names must be globally unique.
+    """
+    cluster = list(cluster)
+    if q not in ("reflexive", "irreflexive"):
+        raise ValueError("q must be 'reflexive' or 'irreflexive'")
+    if x not in cluster:
+        raise ValueError("root must belong to the cluster")
+    if q == "irreflexive" and len(cluster) != 1:
+        raise ValueError("an irreflexive root cluster must be a singleton")
+    worlds = list(cluster)
+    rel: list[tuple[str, str]] = []
+    if q == "reflexive":
+        rel.extend((a, b) for a in cluster for b in cluster)
+    for m in submoments:
+        worlds.extend(m.worlds)
+        rel.extend(m.rel)
+        rel.extend((c, w) for c in cluster for w in m.worlds)
+    if len(set(worlds)) != len(worlds):
+        raise ValueError("world names collide across cluster and submoments")
+    val: dict[str, set[str]] = {}
+    for p, names in (valuation or {}).items():
+        val[p] = set(names) & set(cluster)
+    for m in submoments:
+        for p, names in m.valuation.items():
+            val.setdefault(p, set()).update(names)
+    return validate_moment(worlds, rel, x, {p: frozenset(s) for p, s in val.items()})
 
 
 def random_moment(

@@ -493,6 +493,13 @@ def test_oplus_story(capsys):
     assert len(report["result"]["levels"]) == 3
 
 
+@pytest.mark.parametrize("command", ["oplus", "pathspace-verify"])
+def test_close_transitively_with_a_story_exits_2(capsys, command):
+    code, report = run(capsys, command, "--story", str(DEMOS / "story_chain.story.json"),
+                       "--close-transitively")
+    assert code == 2 and report["error"] == "--close-transitively applies to --frame only"
+
+
 def test_pathspace_verify_frame_and_dump(capsys):
     code, report = run(
         capsys, "pathspace-verify", "--frame", str(DEMOS / "f1_oplus.frame.json"),

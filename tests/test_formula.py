@@ -23,7 +23,6 @@ from tanglemc.formula import (
     parse,
     pretty,
     size,
-    subformula_closure,
     top,
     vars_of,
 )
@@ -214,22 +213,6 @@ def test_next_depth_examples():
     assert next_depth(parse("<t>{O p, q}")) == 1
 
 
-def test_subformula_closure_examples():
-    assert subformula_closure(p) == frozenset({p, Neg(p)})
-    assert subformula_closure(Diamond(p)) == frozenset(
-        {Diamond(p), Neg(Diamond(p)), p, Neg(p)}
-    )
-    t = parse("<t>{p, q}")
-    assert subformula_closure(t) == frozenset(
-        {t, Neg(t), p, Neg(p), q, Neg(q)}
-    )
-
-
-def test_closure_collapses_double_negation():
-    c = subformula_closure(Neg(p))
-    assert c == frozenset({p, Neg(p)})
-
-
 formulas = st.recursive(
     st.sampled_from([p, q, r, top(), bot()]),
     lambda sub: st.one_of(
@@ -248,20 +231,6 @@ formulas = st.recursive(
 @given(formulas)
 def test_parse_print_roundtrip(phi):
     assert parse(pretty(phi)) == phi
-
-
-@given(formulas)
-def test_closure_idempotent(phi):
-    c = subformula_closure(phi)
-    again = frozenset().union(*(subformula_closure(f) for f in c))
-    assert again == c
-
-
-@given(formulas)
-def test_closure_monotone_in_subformulas(phi):
-    c = subformula_closure(phi)
-    for kid in children(phi):
-        assert subformula_closure(kid) <= c
 
 
 @given(formulas)

@@ -63,16 +63,16 @@ def test_validate_rejects_bad_references_and_partial_func():
 
 
 def test_down_examples():
-    f = frame_f1()
-    assert f.down(set()) == frozenset()
-    assert f.down({"b"}) == {"a", "b"}
-    assert f.down({"a"}) == frozenset()
+    f = frame_f1()  # a -> b -> b
+    assert f.down_mask(0) == 0
+    assert f.down_mask(0b10) == 0b11
+    assert f.down_mask(0b01) == 0
 
 
 def test_cluster_examples():
-    assert frame_f1().clusters() == [frozenset({"a"}), frozenset({"b"})]
-    assert frame_f3().clusters() == [frozenset({"q1", "q2"}), frozenset({"o"})]
-    assert frame_f2().clusters() == [frozenset({"o"})]
+    assert frame_f1().cluster_masks() == [0b01, 0b10]
+    assert frame_f3().cluster_masks() == [0b011, 0b100]  # {q1, q2}, {o}
+    assert frame_f2().cluster_masks() == [0b1]
 
 
 def test_classify_examples():

@@ -1,5 +1,6 @@
 """The package's start-up footprint, its lazy exports and its frozen records."""
 
+import ast
 import importlib
 import json
 import os
@@ -17,6 +18,8 @@ from tanglemc.semantics import Countermodel, Verdict
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
+# the north star's oracles: exported for the tests, not called by a command
+ORACLES = {"check_frame_pmorphism", "tangled_oracle_subsets", "tangled_oracle_clusters"}
 
 
 def _python(*args):
@@ -51,6 +54,18 @@ def test_lazy_exports_resolve_to_their_home_objects():
     assert {n for n in namespace if n != "__builtins__"} == set(tanglemc.__all__)
     with pytest.raises(AttributeError, match="no_such_name"):
         tanglemc.no_such_name
+
+
+def test_every_export_but_the_oracles_is_used_inside_the_package():
+    used = set()
+    for module in (ROOT / "src" / "tanglemc").glob("*.py"):
+        if module.name != "__init__.py":
+            for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    assert sorted(set(tanglemc.__all__) - ORACLES - used) == []
 
 
 def test_records_keep_the_frozen_dataclass_semantics():

@@ -12,9 +12,6 @@ from tanglemc.pathspace import (
     build_limit_assignment,
     enumerate_paths,
     format_path,
-    next_path,
-    parse_path,
-    path_metric,
     verify_lim_pmorphism,
 )
 from tanglemc.semantics import Model, truth_set
@@ -40,6 +37,23 @@ def single_level(frame):
     return Story((moment_from_frame(frame),), (), immersive=True)
 
 
+def path_metric(u, v):
+    """Exact dyadic distance 2^-n at the first differing index n."""
+    for n in range(max(len(u.prefix), len(v.prefix)) + 1):
+        if u.value(n) != v.value(n):
+            return Fraction(1, 2 ** n)
+    return Fraction(0)
+
+
+def next_path(p, func):
+    """Componentwise image under a level map, re-canonicalised."""
+    tail = func[p.tail]
+    prefix = [func[w] for w in p.prefix]
+    while prefix and prefix[-1] == tail:
+        prefix.pop()
+    return Path(tuple(prefix), tail)
+
+
 def test_path_canonical_form_enforced():
     with pytest.raises(ValueError):
         Path(("a", "b"), "b")
@@ -49,8 +63,12 @@ def test_path_canonical_form_enforced():
 
 def test_format_parse_roundtrip():
     p = Path(("a", "b"), "c")
-    assert parse_path(format_path(p)) == p
-    assert parse_path(";c") == Path((), "c")
+    assert format_path(p) == str(p) == "a,b;c"
+    assert format_path(Path((), "c")) == ";c"
+    # a --dump-paths line splits back into its path at its last ";"
+    for p in enumerate_paths(f1_oplus(), 3):
+        head, _, tail = format_path(p).rpartition(";")
+        assert Path(tuple(head.split(",")) if head else (), tail) == p
 
 
 def test_metric_examples():
