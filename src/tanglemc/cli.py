@@ -5,7 +5,7 @@ error (an unknown option or a bad option value too), 3 internal error; both
 errors print a report with an `error`.  Reports are printed to stdout with
 a stable schema version; runs with identical inputs and seed produce
 byte-identical reports.  The environment variable
-``TANGLEMC_SEED`` supplies the default seed.
+``TANGLEMC_SEED`` supplies the default seed; a negative seed exits 2.
 
 `main` reuses one argument parser per process: `build_parser` builds it
 at its first call and returns the same parser afterwards, so a program
@@ -91,9 +91,10 @@ def _load_story(path: str):
 
 
 def _default_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("TANGLEMC_SEED", "0"))
+    seed = args.seed if args.seed is not None else int(os.environ.get("TANGLEMC_SEED", "0"))
+    if seed < 0:  # random.Random seeds from |n|: -n would repeat the run of n
+        raise ValueError("seed must be >= 0")
+    return seed
 
 
 def _cmd_parse(args) -> int:

@@ -296,47 +296,44 @@ class SuiteReport:
 def _union_failures(drawn, trials, programs: dict[int, Program]) -> set[tuple[int, int]]:
     """The (trial, schema) positions of the instances of `trials`, indices
     into `drawn`, a list of (frame, draws), that miss a world under some
-    valuation in one run of their schema's program on the disjoint union of
-    the trial frames.  Truth on a disjoint union is truth on each part, and
-    [[phi[psi/A]]] is [[phi]] with A read as [[psi]]: so each instance reads
-    all its valuation codes in its trial's worlds, and each metavariable as
-    its slot formula's truth set, from `programs` (node identity -> program),
-    which gains the slot formulas it lacks.  Every instance has at most 12
-    bits (worlds times variables): the one pass per schema and set size is
-    as wide as its instance with the most bits, and the codes of one with
-    fewer repeat."""
+    valuation.  The trial frames have one world count n, and their disjoint
+    union is checked by one evaluator of 4^n lanes, where p and q hold all
+    4^n valuation codes in every trial's worlds.  An instance's value does
+    not depend on a variable it does not read, and every valuation of the
+    variables it reads is among the codes, so each instance meets all of
+    its valuations.  Truth on a disjoint union is truth on each part, and
+    [[phi[psi/A]]] is [[phi]] with A read as [[psi]]: so each distinct slot
+    formula, from `programs` (node identity -> program), which gains the
+    slot formulas it lacks, runs once on the union, and each (schema, set
+    size) group runs its schema's program once, each metavariable read in
+    an instance's worlds as that instance's slot formula (a trial holds
+    one instance of each schema)."""
     chunk = [drawn[t] for t in trials]
-    offsets = list(itertools.accumulate([frame.n for frame, _ in chunk], initial=0))
-    parts = [(frame, off) for (frame, _), off in zip(chunk, offsets)]
-    union = Frame([f"w{w}" for w in range(offsets[-1])],
-                  [f.succ_mask(w) << off for f, off in parts for w in range(f.n)],
-                  [f.func_index(w) + off for f, off in parts for w in range(f.n)])
+    n = chunk[0][0].n
+    lanes = 1 << n * len(SUITE_VARIABLES)
+    span = n * lanes  # the bits of one trial's worlds
+    union = Frame([f"w{w}" for w in range(n * len(chunk))],
+                  [f.succ_mask(w) << t * n for t, (f, _) in enumerate(chunk) for w in range(n)],
+                  [f.func_index(w) + t * n for t, (f, _) in enumerate(chunk) for w in range(n)])
+    ev = Evaluator(union, lanes)
+    regions = [((1 << span) - 1) << t * span for t in range(len(chunk))]
+    every = sum(1 << t * span for t in range(len(chunk)))  # copies a trial's mask to all
+    codes = next(_exhaustive_blocks(n, len(SUITE_VARIABLES), n * len(SUITE_VARIABLES), 1))
+    env = {v: m * every for v, m in zip(SUITE_VARIABLES, codes)}
     groups: dict[tuple[str, int], list] = {}  # (schema, set size) -> its instances
-    for t, (frame, draws) in enumerate(chunk):
+    for t, (_, draws) in enumerate(chunk):
         for i, (name, (formulas, formula_set, theta), _) in enumerate(draws):
             slots = [programs.get(id(f)) or programs.setdefault(id(f), Program(f))
                      for f in (*formulas, *(formula_set or ()), *([theta] if theta else []))]
-            variables = sorted(set().union(*[p.variables for p in slots]))
-            groups.setdefault((name, len(formula_set or ())), []).append(
-                (t, i, frame.n * len(variables), slots, variables))
-    evaluators, failing = {}, set()
+            groups.setdefault((name, len(formula_set or ())), []).append((t, i, slots))
+    values = {p: ev.compile(p)(env)
+              for p in dict.fromkeys(p for m in groups.values() for _, _, s in m for p in s)}
+    failing = set()
     for (name, size), members in groups.items():
-        top = max(bits for _, _, bits, _, _ in members)
-        lanes = 1 << top
-        if lanes not in evaluators:
-            evaluators[lanes] = Evaluator(union, lanes), [
-                ((1 << (f.n * lanes)) - 1) << (off * lanes) for f, off in parts]
-        ev, regions = evaluators[lanes]
-        env: dict[str, int] = {}
-        for t, _, bits, _, vs in members:
-            masks = next(_exhaustive_blocks(chunk[t][0].n, len(vs), bits, 1 << (top - bits)))
-            for v, m in zip(vs, masks):
-                env[v] = env.get(v, 0) | m << (offsets[t] * lanes)
-        values = {p: ev.compile(p)(env) for p in {p for m in members for p in m[3]}}
-        for k in range(len(members[0][3])):  # the regions are disjoint: + is |
-            env[f"_{k}"] = sum(values[m[3][k]] & regions[m[0]] for m in members)
-        missing = ev.full ^ ev.compile(_schema_program(name, size))(env)
-        failing.update((trials[t], i) for t, i, *_ in members if missing & regions[t])
+        metas = {f"_{k}": sum(values[s[k]] & regions[t] for t, _, s in members)
+                 for k in range(len(members[0][2]))}  # the regions are disjoint: + is |
+        missing = ev.full ^ ev.compile(_schema_program(name, size))(metas)
+        failing.update((trials[t], i) for t, i, _ in members if missing & regions[t])
     return failing
 
 
@@ -357,8 +354,10 @@ def soundness_suite(
     codes fit one pass of at most 4096 lanes, are screened under all of
     them by :func:`_union_failures`, in chunks of one world count whose
     distance masks (``2(2n - 1)`` per world and lane at most) stay within
-    ``PACKED_BITS_LIMIT`` bits; every instance of a larger trial skips the
-    screen.  Each flagged or unscreened instance is built and checked alone
+    ``PACKED_BITS_LIMIT`` bits.  A chunk takes one evaluator of 4^n lanes
+    on the union of its frames, one run per distinct slot formula and one
+    per (schema, set size) group; every instance of a larger trial skips
+    the screen.  Each flagged or unscreened instance is built and checked alone
     by :func:`valid_on_frame`, once, in `mode` and with its own seed, so
     its countermodel is that of a sweep per instance; its samples are some
     of its codes, so the screen misses none that its sweep refutes.

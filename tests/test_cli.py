@@ -457,6 +457,20 @@ def test_seed_env_var_default(capsys, monkeypatch):
     assert report["seed"] == 33
 
 
+@pytest.mark.parametrize("argv", [
+    ["axioms", "--logic", "K4C", "--trials", "30", "--max-worlds", "8"],
+    ["validity", "--frame", str(DEMOS / "f3.frame.json"), "--formula", "p -> O p",
+     "--mode", "sampled"],
+])
+def test_negative_seed_exits_2(capsys, monkeypatch, argv):
+    # random.Random seeds from |n|, so -12 would repeat the run of 12
+    code, report = run(capsys, *argv, "--seed", "-12")
+    assert code == 2 and report["error"] == "seed must be >= 0"
+    monkeypatch.setenv("TANGLEMC_SEED", "-3")
+    code, report = run(capsys, *argv)
+    assert code == 2 and report["error"] == "seed must be >= 0"
+
+
 def test_story_validate_and_class(capsys):
     code, report = run(capsys, "story-validate", "--story",
                        str(DEMOS / "story_chain.story.json"))

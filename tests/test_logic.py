@@ -5,7 +5,8 @@ import random
 import pytest
 
 from tanglemc import logic, semantics
-from tanglemc.formula import Var, parse, pretty
+from tanglemc.formula import Diamond, Neg, Next, Var, parse, pretty
+from tanglemc.frame import Frame
 from tanglemc.logic import (
     LOGICS,
     SCHEMAS,
@@ -165,12 +166,11 @@ def test_suite_builds_one_evaluator_per_union_chunk(monkeypatch):
     monkeypatch.setattr(semantics.Evaluator, "__init__", counted)
     report = soundness_suite("K4DC", trials=100, seed=14)
     # nine schemas a trial; the frames of each world count, 1 to 4, make
-    # one union, screened under all 4^n valuations of p and q on n worlds,
-    # and under the one empty valuation for D, which has no variable
+    # one union, screened by one evaluator under all 4^n valuations of p
+    # and q on n worlds, D's instances, which read no variable, included
     assert report.instances_checked == 900
-    assert [lanes for _, lanes, _ in built] == [4, 1, 16, 1, 64, 1, 256, 1]
-    assert [n for n, _, _ in built[::2]] == [n for n, _, _ in built[1::2]]
-    assert 100 < sum(n for n, _, _ in built[::2]) < 400
+    assert [lanes for _, lanes, _ in built] == [4, 16, 64, 256]
+    assert 100 < sum(n for n, _, _ in built) < 400
     assert all(bits <= PACKED_BITS_LIMIT for _, _, bits in built)
     # exhaustive codes of two variables on n worlds take 4^n lanes and at
     # most 2(2n - 1) distances a world: up to 6 worlds, a union of several
@@ -180,6 +180,65 @@ def test_suite_builds_one_evaluator_per_union_chunk(monkeypatch):
     assert max(lanes for _, lanes, _ in built) == 4096
     assert all(bits <= PACKED_BITS_LIMIT or n <= 6 for n, _, bits in built)
     assert max(n for n, _, _ in built) > 6
+
+
+def test_union_screen_flags_instances_that_read_fewer_variables():
+    # p and q hold all 4^n codes in every trial's worlds, so an instance
+    # that reads p only, q only or no variable (D) meets all of its
+    # valuations too.  C-dia, CTan-dia and D are not sound on some of
+    # these monotone frames, so some instances are invalid; as in a
+    # suite, a trial holds one instance of each schema
+    draws = [(name, slots, 0) for name, slots in [
+        ("4", ([Diamond(p)], None, None)),
+        ("C-dia", ([q], None, None)),
+        ("Next-neg", ([Next(q)], None, None)),
+        ("D", ([], None, None)),
+        ("CTan-dia", ([], [p], None)),
+        ("Fix-tan", ([], [q, Neg(q)], None)),
+        ("K", ([p, q], None, None)),
+        ("Ind-tan", ([], [q], p)),
+    ]]
+    frames = [Frame([f"w{w}" for w in range(len(succ))], succ, func) for succ, func in [
+        ([0, 0], [0, 1]), ([0, 1, 0], [1, 1, 0]), ([0, 1, 15, 3], [1, 1, 3, 1]),
+        ([1, 0], [1, 1]), ([7, 7, 7], [1, 1, 1]), ([15, 15, 15, 15], [2, 3, 1, 2]),
+        ([3, 3], [0, 1]), ([4, 0, 0], [2, 2, 2]), ([0, 0, 6, 0], [3, 3, 3, 0]),
+    ]]
+    drawn = [(frame, draws) for frame in frames]
+    refuted = {(t, i) for t, frame in enumerate(frames)
+               for i, (name, slots, _) in enumerate(draws)
+               if not valid_on_frame(frame, SCHEMAS[name].instantiate(*slots), "exhaustive").valid}
+    flagged = set()
+    for n in (2, 3, 4):  # a screen takes the trials of one world count
+        flagged |= _union_failures(drawn, [t for t, f in enumerate(frames) if f.n == n], {})
+    assert flagged == refuted
+    # refuted instances read q only (1), nothing (3) and p only (4)
+    assert {i for _, i in refuted} == {1, 3, 4}
+    assert {t for t, _ in refuted} == {0, 1, 2, 3, 7, 8}
+
+
+def test_suite_compiles_each_slot_formula_once_per_chunk(monkeypatch):
+    # a chunk runs each distinct slot formula once on its union, then
+    # each (schema, set size) group's schema program once
+    chunks, compiled = [], []
+    screen, compile_ = logic._union_failures, semantics.Evaluator.compile
+
+    def recorded(drawn, trials, programs):
+        chunks.append([drawn[t][1] for t in trials])
+        return screen(drawn, trials, programs)
+
+    monkeypatch.setattr(logic, "_union_failures", recorded)
+    monkeypatch.setattr(semantics.Evaluator, "compile",
+                        lambda self, phi: compiled.append(phi) or compile_(self, phi))
+    assert soundness_suite("K4DC", trials=100, seed=14).ok  # no instance is swept alone
+    expected = 0
+    for chunk in chunks:
+        slots, groups = set(), set()
+        for draws in chunk:
+            for name, (formulas, formula_set, theta), _ in draws:
+                slots.update(map(id, (*formulas, *(formula_set or ()), *([theta] if theta else []))))
+                groups.add((name, len(formula_set or ())))
+        expected += len(slots) + len(groups)
+    assert len(chunks) == 4 and len(compiled) == expected
 
 
 def per_instance_suite(logic, trials, seed, max_worlds, mode, samples):
@@ -245,7 +304,9 @@ def test_union_suite_matches_one_sweep_per_instance(monkeypatch, mode, samples, 
         small = [t for t, (frame, _) in enumerate(chunk) if frame.n <= 6]
         large = [t for t, (frame, _) in enumerate(chunk) if frame.n > 6]
         assert sorted(screened_worlds) == sorted(chunk[t][0].n for t in small)
-        screened = _union_failures(chunk, small, {}) if small else set()
+        screened = set()  # a screen takes the trials of one world count
+        for n in {chunk[t][0].n for t in small}:
+            screened |= _union_failures(chunk, [t for t in small if chunk[t][0].n == n], {})
         small_invalid = {(t, i) for t, i in invalid if chunk[t][0].n <= 6}
         assert small_invalid <= screened
         if mode == "exhaustive":
