@@ -296,18 +296,17 @@ class SuiteReport:
 def _union_failures(drawn, trials, programs: dict[int, Program]) -> set[tuple[int, int]]:
     """The (trial, schema) positions of the instances of `trials`, indices
     into `drawn`, a list of (frame, draws), that miss a world under some
-    valuation.  The trial frames have one world count n, and their disjoint
-    union is checked by one evaluator of 4^n lanes, where p and q hold all
-    4^n valuation codes in every trial's worlds.  An instance's value does
-    not depend on a variable it does not read, and every valuation of the
-    variables it reads is among the codes, so each instance meets all of
-    its valuations.  Truth on a disjoint union is truth on each part, and
-    [[phi[psi/A]]] is [[phi]] with A read as [[psi]]: so each distinct slot
-    formula, from `programs` (node identity -> program), which gains the
-    slot formulas it lacks, runs once on the union, and each (schema, set
-    size) group runs its schema's program once, each metavariable read in
-    an instance's worlds as that instance's slot formula (a trial holds
-    one instance of each schema)."""
+    valuation.  The trial frames have one world count n, and one evaluator
+    of 4^n lanes checks their disjoint union, where p and q hold all 4^n
+    valuation codes in every trial's worlds: an instance's value does not
+    depend on a variable it does not read, so each instance meets every
+    valuation of its variables.  Truth on a disjoint union is truth on
+    each part, and [[phi[psi/A]]] is [[phi]] with A read as [[psi]]: so
+    each distinct slot formula, from `programs` (node identity -> program),
+    which gains the slot formulas it lacks, runs once on the union, and
+    each schema position (one instance a trial, even where a logic lists a
+    schema twice) and set size runs its schema's program once, each
+    metavariable read in an instance's worlds as its slot formula."""
     chunk = [drawn[t] for t in trials]
     n = chunk[0][0].n
     lanes = 1 << n * len(SUITE_VARIABLES)
@@ -320,20 +319,20 @@ def _union_failures(drawn, trials, programs: dict[int, Program]) -> set[tuple[in
     every = sum(1 << t * span for t in range(len(chunk)))  # copies a trial's mask to all
     codes = next(_exhaustive_blocks(n, len(SUITE_VARIABLES), n * len(SUITE_VARIABLES), 1))
     env = {v: m * every for v, m in zip(SUITE_VARIABLES, codes)}
-    groups: dict[tuple[str, int], list] = {}  # (schema, set size) -> its instances
+    groups: dict[tuple[int, str, int], list] = {}  # (position, schema, set size) -> instances
     for t, (_, draws) in enumerate(chunk):
         for i, (name, (formulas, formula_set, theta), _) in enumerate(draws):
             slots = [programs.get(id(f)) or programs.setdefault(id(f), Program(f))
                      for f in (*formulas, *(formula_set or ()), *([theta] if theta else []))]
-            groups.setdefault((name, len(formula_set or ())), []).append((t, i, slots))
+            groups.setdefault((i, name, len(formula_set or ())), []).append((t, slots))
     values = {p: ev.compile(p)(env)
-              for p in dict.fromkeys(p for m in groups.values() for _, _, s in m for p in s)}
+              for p in dict.fromkeys(p for m in groups.values() for _, s in m for p in s)}
     failing = set()
-    for (name, size), members in groups.items():
-        metas = {f"_{k}": sum(values[s[k]] & regions[t] for t, _, s in members)
-                 for k in range(len(members[0][2]))}  # the regions are disjoint: + is |
+    for (i, name, size), members in groups.items():
+        metas = {f"_{k}": sum(values[s[k]] & regions[t] for t, s in members)
+                 for k in range(len(members[0][1]))}  # the regions are disjoint: + is |
         missing = ev.full ^ ev.compile(_schema_program(name, size))(metas)
-        failing.update((trials[t], i) for t, i, _ in members if missing & regions[t])
+        failing.update((trials[t], i) for t, _ in members if missing & regions[t])
     return failing
 
 
@@ -356,8 +355,8 @@ def soundness_suite(
     distance masks (``2(2n - 1)`` per world and lane at most) stay within
     ``PACKED_BITS_LIMIT`` bits.  A chunk takes one evaluator of 4^n lanes
     on the union of its frames, one run per distinct slot formula and one
-    per (schema, set size) group; every instance of a larger trial skips
-    the screen.  Each flagged or unscreened instance is built and checked alone
+    per schema position and set size; every instance of a larger trial
+    skips the screen.  Each flagged or unscreened instance is built and checked alone
     by :func:`valid_on_frame`, once, in `mode` and with its own seed, so
     its countermodel is that of a sweep per instance; its samples are some
     of its codes, so the screen misses none that its sweep refutes.

@@ -186,15 +186,18 @@ def test_union_screen_flags_instances_that_read_fewer_variables():
     # p and q hold all 4^n codes in every trial's worlds, so an instance
     # that reads p only, q only or no variable (D) meets all of its
     # valuations too.  C-dia, CTan-dia and D are not sound on some of
-    # these monotone frames, so some instances are invalid; as in a
-    # suite, a trial holds one instance of each schema
+    # these monotone frames, so some instances are invalid; C-dia and
+    # CTan-dia come more than once a trial, as where a logic lists a
+    # schema twice
     draws = [(name, slots, 0) for name, slots in [
-        ("4", ([Diamond(p)], None, None)),
+        ("4", ([p], None, None)),
+        ("C-dia", ([Diamond(p)], None, None)),
         ("C-dia", ([q], None, None)),
         ("Next-neg", ([Next(q)], None, None)),
         ("D", ([], None, None)),
         ("CTan-dia", ([], [p], None)),
-        ("Fix-tan", ([], [q, Neg(q)], None)),
+        ("CTan-dia", ([], [q, Neg(q)], None)),
+        ("CTan-dia", ([], [Diamond(q)], None)),
         ("K", ([p, q], None, None)),
         ("Ind-tan", ([], [q], p)),
     ]]
@@ -211,8 +214,8 @@ def test_union_screen_flags_instances_that_read_fewer_variables():
     for n in (2, 3, 4):  # a screen takes the trials of one world count
         flagged |= _union_failures(drawn, [t for t, f in enumerate(frames) if f.n == n], {})
     assert flagged == refuted
-    # refuted instances read q only (1), nothing (3) and p only (4)
-    assert {i for _, i in refuted} == {1, 3, 4}
+    # refuted instances read p only (1, 5), q only (2, 7) and nothing (4)
+    assert {i for _, i in refuted} == {1, 2, 4, 5, 7}
     assert {t for t, _ in refuted} == {0, 1, 2, 3, 7, 8}
 
 
@@ -236,7 +239,7 @@ def test_suite_compiles_each_slot_formula_once_per_chunk(monkeypatch):
         for draws in chunk:
             for name, (formulas, formula_set, theta), _ in draws:
                 slots.update(map(id, (*formulas, *(formula_set or ()), *([theta] if theta else []))))
-                groups.add((name, len(formula_set or ())))
+                groups.add((name, len(formula_set or ())))  # a schema comes once a trial
         expected += len(slots) + len(groups)
     assert len(chunks) == 4 and len(compiled) == expected
 
@@ -323,6 +326,16 @@ def test_union_suite_matches_one_sweep_per_instance(monkeypatch, mode, samples, 
         assert flagged > 0 if samples > 1 else missed > 0
     if max_worlds == 8:  # seed 33 refutes an instance past 6 worlds
         assert beyond > 0
+
+
+def test_suite_screens_a_schema_listed_twice_per_position():
+    # two instances of one schema in a trial must not share a screen run:
+    # their truth sets would add up in one region and hide a violation
+    k4c = LOGICS["K4C"]
+    doubled = Logic("K4C", k4c.schemas + ("CTan-dia", "CTan-dia"), k4c.serial, k4c.strict)
+    report, _, _ = per_instance_suite(doubled, 60, 0, 4, "exhaustive", 32)
+    assert soundness_suite(doubled, 60, 0, 4, "exhaustive") == report
+    assert len(report.violations) == 5
 
 
 def test_sound_suite_never_builds_an_instance(monkeypatch):
