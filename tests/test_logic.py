@@ -238,7 +238,8 @@ def test_suite_compiles_each_slot_formula_once_per_chunk(monkeypatch):
         slots, groups = set(), set()
         for draws in chunk:
             for name, (formulas, formula_set, theta), _ in draws:
-                slots.update(map(id, (*formulas, *(formula_set or ()), *([theta] if theta else []))))
+                slots.update(map(id, (*formulas, *(formula_set or ()),
+                                      *([theta] if theta else []))))
                 groups.add((name, len(formula_set or ())))  # a schema comes once a trial
         expected += len(slots) + len(groups)
     assert len(chunks) == 4 and len(compiled) == expected
