@@ -187,11 +187,12 @@ def children(phi: Formula) -> tuple[Formula, ...]:
     return ()
 
 
-def _tree_measures(phi: Formula) -> tuple[int, int]:
-    """Tree size and O-depth of phi, from one post-order pass that visits
-    each distinct node object once: a subtree shared by several parents
-    counts once per parent, but is measured once."""
+def _tree_measures(phi: Formula) -> tuple[int, int, set[str]]:
+    """Tree size, O-depth and variable names of phi, from one post-order
+    pass that visits each distinct node object once: a subtree shared by
+    several parents counts once per parent, but is measured once."""
     done: dict[int, tuple[int, int]] = {}
+    names: set[str] = set()
     stack = [(phi, False)]
     while stack:
         f, ready = stack.pop()
@@ -202,13 +203,15 @@ def _tree_measures(phi: Formula) -> tuple[int, int]:
             stack.append((f, True))
             stack.extend((c, False) for c in kids if id(c) not in done)
             continue
+        if isinstance(f, Var):
+            names.add(f.name)
         nodes, depth = 1, 0
         for c in kids:
             n, d = done[id(c)]
             nodes += n
             depth = max(depth, d)
         done[id(f)] = nodes, depth + isinstance(f, Next)
-    return done[id(phi)]
+    return *done[id(phi)], names
 
 
 def size(phi: Formula) -> int:
@@ -223,20 +226,7 @@ def vars_of(phi: Formula) -> frozenset[str]:
     Each distinct node object is visited once, so a subtree shared by
     several parents (as dotted operators share their argument) costs once.
     """
-    names = set()
-    seen = set()
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if id(f) in seen:
-            continue
-        seen.add(id(f))
-        if isinstance(f, Var):
-            names.add(f.name)
-        else:
-            stack.extend(children(f))
-    names.discard(RESERVED_VAR)
-    return frozenset(names)
+    return frozenset(_tree_measures(phi)[2] - {RESERVED_VAR})
 
 
 def next_depth(phi: Formula) -> int:

@@ -391,8 +391,7 @@ def duplicate_reflexive(frame: Frame) -> tuple[Frame, dict[str, str]]:
 
     The copy of w keeps w's name; the second copy gets a tick suffix chosen
     to avoid collisions.  Edges relate copies exactly as their originals;
-    the map sends a copy to the same-index copy of the image when that
-    exists, and to the primary copy otherwise.  Returns the new frame and
+    the map is lifted by :func:`_lift_map`.  Returns the new frame and
     the projection onto original names, which is a frame p-morphism.
     """
     refl = [w for i, w in enumerate(frame.worlds) if frame.is_reflexive(i)]
@@ -404,38 +403,32 @@ def duplicate_reflexive(frame: Frame) -> tuple[Frame, dict[str, str]]:
         ticks += 1
     tick = "'" * ticks
 
-    new_worlds: list[str] = []
-    origin: dict[str, str] = {}
-    copy_of: dict[str, int] = {}
+    origin: dict[str, str] = {}  # new world -> original, in the new order
+    copies = []  # original index -> the mask of its copies
     for i, w in enumerate(frame.worlds):
-        new_worlds.append(w)
-        origin[w] = w
-        copy_of[w] = 0
-        if frame.is_reflexive(i):
-            d = w + tick
-            new_worlds.append(d)
-            origin[d] = w
-            copy_of[d] = 1
-    n2 = len(new_worlds)
-    old_index = [frame.index(origin[w]) for w in new_worlds]
+        names = (w, w + tick) if frame.is_reflexive(i) else (w,)
+        copies.append(((1 << len(names)) - 1) << len(origin))
+        origin.update((d, w) for d in names)
     succ2 = []
-    for a in range(n2):
-        m = frame.succ_mask(old_index[a])
-        s = 0
-        for b in range(n2):
-            if (m >> old_index[b]) & 1:
-                s |= 1 << b
-        succ2.append(s)
-    index2 = {w: i for i, w in enumerate(new_worlds)}
-    func2 = []
-    for a, w in enumerate(new_worlds):
-        g = frame.worlds[frame.func_index(old_index[a])]
-        if copy_of[w] == 1 and frame.is_reflexive(frame.index(g)):
-            func2.append(index2[g + tick])
-        else:
-            func2.append(index2[g])
-    new_frame = Frame(new_worlds, succ2, func2)
-    return new_frame, origin
+    for i, m in enumerate(copies):
+        row = 0
+        for j in _bits(frame.succ_mask(i)):
+            row |= copies[j]
+        succ2 += [row] * m.bit_count()
+    worlds = list(origin)
+    index2 = {w: k for k, w in enumerate(worlds)}
+    func2 = _lift_map(frame.func_map(), origin, origin)
+    return Frame(worlds, succ2, [index2[func2[w]] for w in worlds]), origin
+
+
+def _lift_map(fmap: Mapping[str, str], projection: Mapping[str, str],
+              image_projection: Mapping[str, str]) -> dict[str, str]:
+    """A map lifted to reflexive duplications of its source and target, given
+    their projections: a second copy goes to the second copy of its image
+    if the image has one, and every other world to the image."""
+    second = {o: w for w, o in image_projection.items() if w != o}
+    return {w: fmap[o] if w == o else second.get(fmap[o], fmap[o])
+            for w, o in projection.items()}
 
 
 def pullback_valuation(

@@ -54,7 +54,7 @@ from .frame import (
 )
 from .semantics import (
     _BLOCK_BITS, EXHAUSTIVE_BITS_LIMIT, PACKED_BITS_LIMIT, Evaluator, Program, _exhaustive_blocks,
-    exhaustive_sweep, sampled_sweep, valid_on_frame,
+    exhaustive_passes, sampled_passes, sweep, valid_on_frame,
 )
 from .record import record
 
@@ -589,18 +589,20 @@ def countermodel_search(
     these, and ``frames_checked`` counts them (frames of the class up to
     isomorphism; a relation with automorphisms still has isomorphic maps
     among its own).  phi's :class:`~tanglemc.semantics.Program` is made
-    once per search; the maps of one relation go in chunks, one evaluator
-    a chunk, as map slots of lanes next to the valuation codes: as many
-    maps per chunk as fit in 2^12 lanes, one map per chunk past 12 bits.
-    That keeps the order and the counts of one frame and one valuation at
-    a time.  The bound is not what finishes: on a 2-vCPU host ``[d]p ->
-    [d][d]p`` takes about 0.035 s in K4DC at 4 worlds (5,151 frames),
-    1.8-2.5 s CPU in K4C at 5 worlds (409,952 frames) and 62 s in K4C at
-    6 worlds (16,293,935 frames).  Like exhaustive validity it raises
-    ``ValueError`` before the first world count whose frames would need
-    more than 2^``EXHAUSTIVE_BITS_LIMIT`` valuations each (world count
-    times the number of variables); a countermodel on fewer worlds is
-    still found and returned.  Beyond the world bound it samples
+    once per search, and each relation takes one
+    :func:`~tanglemc.semantics.sweep` of its maps: they go in chunks, one
+    evaluator a chunk, as map slots of lanes next to the valuation codes,
+    as many maps per chunk as fit in 2^12 lanes (the last chunk holds only
+    the maps left), one map per chunk past 12 bits.  That keeps the order
+    and the counts of one frame and one valuation at a time, and the count
+    of a refutation names its map.  The bound is not what finishes: on a
+    2-vCPU host ``[d]p -> [d][d]p`` takes about 0.035 s in K4DC at 4
+    worlds (5,151 frames), 1.2-1.8 s CPU in K4C at 5 worlds (409,952
+    frames) and 62 s in K4C at 6 worlds (16,293,935 frames).  Like
+    exhaustive validity it raises ``ValueError`` before the first world
+    count whose frames would need more than 2^``EXHAUSTIVE_BITS_LIMIT``
+    valuations each (world count times the number of variables); a
+    countermodel on fewer worlds is still found and returned.  Beyond the world bound it samples
     ``samples`` random class frames of at most ``max_worlds`` worlds
     (:func:`random_class_frame`), with 8 random valuations per frame in
     one 8-lane pass, drawn as 8 draws one at a time would be.
@@ -639,9 +641,11 @@ def _search_exhaustive(program: Program, logic: Logic, max_worlds: int) -> Searc
         if logic.serial and not all(succ):
             continue
         maps = _monotone_maps(succ, logic.strict)
-        checked, index, cm = exhaustive_sweep(Frame(worlds, succ, maps[0]), program, maps)
+        passes = exhaustive_passes(Frame(worlds, succ, maps[0]), len(program.variables), maps)
+        checked, cm = sweep(program, passes)
         vals += checked
         if cm is not None:
+            index = (checked - 1) >> bits
             return SearchResult(
                 "countermodel", frame=Frame(worlds, succ, maps[index]),
                 valuation=cm.valuation, world=cm.world,
@@ -660,7 +664,7 @@ def _search_random(
     for _ in range(samples):
         frame = random_class_frame(rng, max_worlds, logic)
         frames += 1
-        checked, cm = sampled_sweep(frame, program, rng, 8)
+        checked, cm = sweep(program, sampled_passes(frame, len(program.variables), rng, 8))
         vals += checked
         if cm is not None:
             return SearchResult(

@@ -26,12 +26,13 @@ evaluator is made, each with its own map on the frame's relation; by
 default one slot holds the frame's own map.  The tangle is the same
 fixed-point loop on packed ints.
 
-Validity sweeps run in blocks of lanes and keep the canonical order of a
-one-valuation-at-a-time loop: exhaustive mode counts valuation codes
-upwards, sampled mode draws from the seed in the same order, and the first
-failing lane of the first failing block is the reported countermodel.  The
-exhaustive sweep also takes several maps of one relation, one per slot,
-and the lowest failing lane names the map and the valuation that come
+Validity is one loop, :func:`sweep`, over passes of lanes from one of two
+generators, and keeps the canonical order of a one-valuation-at-a-time
+loop: :func:`exhaustive_passes` counts valuation codes upwards under each
+of several maps of one relation in turn, one map per slot, and
+:func:`sampled_passes` draws from the seed in the same order.  The first
+failing lane of the first failing pass is the reported countermodel, and
+the count of lanes up to it names the map and the valuation that come
 first in (map, valuation code) order.
 """
 
@@ -128,10 +129,11 @@ class Evaluator:
     A lane is a valuation under a map: the lanes fall into ``len(maps)``
     equal runs, the map slots, and O reads ``maps[j]`` in slot j (by
     default one slot holds the frame's own map).  The slots are placed
-    here and never change.  O takes one distance step per distinct
-    f(w) - w, at most ``2n - 1``; <d> is the frame's ``down_mask`` with one
-    lane and a step per distance of a relation pair with more.  A step's
-    mask takes ``n * lanes`` bits.
+    here and never change; each holds a map of its own, so an exhaustive
+    pass over the maps of a relation checks no map twice.  O takes one
+    distance step per distinct f(w) - w, at most ``2n - 1``; <d> is the
+    frame's ``down_mask`` with one lane and a step per distance of a
+    relation pair with more.  A step's mask takes ``n * lanes`` bits.
     """
 
     def __init__(self, frame: Frame, lanes: int = 1,
@@ -400,69 +402,59 @@ def _sample_widths(samples: int, bits: int):
         checked += lanes
 
 
-def exhaustive_sweep(
-    frame: Frame, program: Program,
-    maps: Sequence[Sequence[int]] | None = None,
-) -> tuple[int, int | None, Countermodel | None]:
-    """Evaluate a program under every valuation of its variables and every
-    map of `maps` on the frame's relation, maps outermost and valuation
-    codes ascending.  `maps` defaults to the frame's own map; given maps
-    replace it.
+def exhaustive_passes(frame: Frame, count: int, maps: Sequence[Sequence[int]]):
+    """The passes of every valuation of `count` variables under every map of
+    `maps` on the frame's relation, maps outermost and valuation codes
+    ascending: (evaluator, masks) pairs for :func:`sweep`.
 
     The maps go in chunks of as many map slots as fit in 2^12 lanes, one
-    evaluator a chunk.  A pass is one call of it on 2^min(bits, 12) codes
-    in each slot; past 12 bits a chunk holds one map and its codes take
-    2^(bits - 12) passes.  The first failing lane of the
-    first failing pass is the first refutation in that order.  Returns the
-    number of valuations checked up to and including it, the index of its
-    map and the refutation (None twice when it holds under every map).
-    """
-    variables = program.variables
-    n, count = frame.n, len(variables)
-    bits = n * count
-    lane_bits = min(bits, _BLOCK_BITS)
-    total = 1 if maps is None else len(maps)
-    slots = min(total, 1 << (_BLOCK_BITS - lane_bits))
-    for first in range(0, total, slots):
-        chunk = None
-        if maps is not None:
-            chunk = maps[first:first + slots]
-            # a short last chunk repeats its last map: a repeat fails only
-            # after the lanes of its original, so it never reports first
-            chunk += chunk[-1:] * (slots - len(chunk))
-        ev = Evaluator(frame, slots << lane_bits, chunk)
-        fn = ev.compile(program)
-        for block, masks in enumerate(_exhaustive_blocks(n, count, lane_bits, slots)):
-            env = dict(zip(variables, masks))
-            hit = ev.refutation(fn(env), env, variables)
-            if hit is not None:
-                slot, code = divmod(hit[0], 1 << lane_bits)
-                index = first + slot
-                return (index << bits) + (block << lane_bits) + code + 1, index, hit[1]
-    return total << bits, None, None
+    evaluator a chunk; the last chunk holds only the maps left.  A pass
+    covers 2^min(bits, 12) codes in each slot; past 12 bits a chunk holds
+    one map and its codes take 2^(bits - 12) passes.  Either way the lanes
+    run in (map, valuation code) order, so valuation k of map i is lane
+    ``(i << bits) + k`` of the sweep."""
+    n = frame.n
+    lane_bits = min(n * count, _BLOCK_BITS)
+    slots = 1 << (_BLOCK_BITS - lane_bits)
+    for first in range(0, len(maps), slots):
+        chunk = maps[first:first + slots]
+        ev = Evaluator(frame, len(chunk) << lane_bits, chunk)
+        for masks in _exhaustive_blocks(n, count, lane_bits, len(chunk)):
+            yield ev, masks
 
 
-def sampled_sweep(frame: Frame, program: Program, rng: random.Random,
-                  samples: int) -> tuple[int, Countermodel | None]:
-    """Evaluate a program under `samples` valuations drawn from `rng`, each
-    one ``rng.getrandbits(n)`` per variable of the program in order.  A block
-    holds as many lanes as have been checked so far, at least 64 and at
-    most 4096, or one lane when its distance masks would take more than
-    ``PACKED_BITS_LIMIT`` bits.  The draws do not depend on the blocks, so
-    neither does the result.
-    Returns what :func:`exhaustive_sweep` returns, without the map index."""
-    variables, n = program.variables, frame.n
-    checked = 0
+def sampled_passes(frame: Frame, count: int, rng: random.Random, samples: int):
+    """The passes of `samples` valuations of `count` variables drawn from
+    `rng`, each one ``rng.getrandbits(n)`` per variable in order: as many
+    lanes a pass as have been checked so far, at least 64 and at most 4096,
+    or one lane when its distance masks would take more than
+    ``PACKED_BITS_LIMIT`` bits.  A pass is drawn only when it is asked for,
+    so a sweep that stops early leaves the rest of `rng` untouched, and
+    the draws do not depend on the passes."""
     ev = None
     for lanes in _sample_widths(samples, _mask_bits(frame)):
         if ev is None or ev.lanes != lanes:
             ev = Evaluator(frame, lanes)
-            fn = ev.compile(program)
-        env = dict(zip(variables, _sample_block(rng, n, len(variables), lanes)))
+        yield ev, _sample_block(rng, frame.n, count, lanes)
+
+
+def sweep(program: Program, passes) -> tuple[int, Countermodel | None]:
+    """Run a program on each pass of `passes`, (evaluator, masks of the
+    program's variables) pairs, binding it once per evaluator, up to the
+    first pass with a failing lane.  Returns the number of lanes checked up
+    to and including the first failing one, and its refutation; all lanes
+    and None when the program holds on every lane."""
+    variables = program.variables
+    checked = 0
+    bound = None
+    for ev, masks in passes:
+        if ev is not bound:
+            bound, fn = ev, ev.compile(program)
+        env = dict(zip(variables, masks))
         hit = ev.refutation(fn(env), env, variables)
         if hit is not None:
             return checked + hit[0] + 1, hit[1]
-        checked += lanes
+        checked += ev.lanes
     return checked, None
 
 
@@ -473,31 +465,30 @@ def valid_on_frame(
     samples: int = 1000,
     seed: int = 0,
 ) -> Verdict:
-    """Check validity of phi over valuations of the frame.
+    """Check validity of phi over valuations of the frame: one
+    :func:`sweep` of the passes of the mode.
 
     Exhaustive mode covers all valuations of the variables of phi (guarded
-    by ``|worlds| * |vars| <= 24``) in ascending valuation-code order, in
-    blocks of 2^min(bits, 12) lanes; sampled mode draws `samples`
-    pseudo-random valuations from the seed, in blocks of 64 lanes growing
-    to 4096 (one lane per pass where the distance masks of a packed block
-    would pass ``PACKED_BITS_LIMIT``).  Blocks do not change the order: the
-    first failing (valuation, world) in it is reported, with the count of
+    by ``|worlds| * |vars| <= 24``) in ascending valuation-code order
+    (:func:`exhaustive_passes` with the frame's own map); sampled mode
+    draws `samples` pseudo-random valuations from the seed
+    (:func:`sampled_passes`).  Passes do not change the order: the first
+    failing (valuation, world) in it is reported, with the count of
     valuations up to it, exactly as a sweep of one valuation at a time
-    would report it.  phi may be given as its :class:`Program`, which is then not made again.
+    would report it.  phi may be given as its :class:`Program`, which is
+    then not made again.
     """
     program = phi if isinstance(phi, Program) else Program(phi)
+    count = len(program.variables)
     if mode == "exhaustive":
-        bits = frame.n * len(program.variables)
-        if bits > EXHAUSTIVE_BITS_LIMIT:
-            raise ValueError(
-                f"exhaustive validity needs |worlds|*|vars| <= {EXHAUSTIVE_BITS_LIMIT}, got {bits}"
-            )
-        checked, _, cm = exhaustive_sweep(frame, program)
+        if frame.n * count > EXHAUSTIVE_BITS_LIMIT:
+            raise ValueError(f"exhaustive validity needs |worlds|*|vars| <= "
+                             f"{EXHAUSTIVE_BITS_LIMIT}, got {frame.n * count}")
+        checked, cm = sweep(program, exhaustive_passes(frame, count, [frame._func]))
         return Verdict(cm is None, mode, checked, cm)
     if mode == "sampled":
         if samples < 1:
             raise ValueError("samples must be >= 1")
-        rng = random.Random(seed)
-        checked, cm = sampled_sweep(frame, program, rng, samples)
+        checked, cm = sweep(program, sampled_passes(frame, count, random.Random(seed), samples))
         return Verdict(cm is None, mode, checked, cm, seed=seed)
     raise ValueError(f"unknown mode {mode!r}")

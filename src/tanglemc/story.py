@@ -3,8 +3,7 @@
 A moment is a finite rooted tree-like transitive frame with a valuation;
 it holds its `Frame`, its root and its valuation.  No story or path-space
 code reads the map of a moment's frame; a story's own maps join its
-levels.  (`story_oplus` lifts that map along with each level frame, but
-`Story.to_dict` drops it before `validate_story` rebuilds the levels.)
+levels.  (`story_oplus` lifts that map along with each level frame.)
 A story of duration I stacks I+1 moments joined by maps f_0..f_{I-1};
 the map on the last level is the identity.  The five story conditions are
 checked in a fixed order, each with a concrete witness:
@@ -34,6 +33,7 @@ from .frame import (
     Frame,
     FrameError,
     _bits,
+    _lift_map,
     _monotone_witness,
     _relation,
     _transitivity_witness,
@@ -56,7 +56,8 @@ class Moment:
     """A rooted tree-like frame plus a valuation.
 
     The frame's map is ignored: `validate_moment` gives it the identity,
-    and `moment_from_frame` keeps the map of the frame it is given.
+    `moment_from_frame` keeps the map of the frame it is given, and
+    `story_oplus` lifts it.
 
     `worlds` are the frame's worlds in declared order; `rel` lists its
     relation pairs sorted by name.
@@ -342,12 +343,14 @@ def story_class(story: Story) -> frozenset[str]:
 def story_oplus(story: Story) -> tuple[Story, list[dict[str, str]]]:
     """Level-wise reflexive duplication of a story.
 
-    Each level is lifted by `duplicate_reflexive`.  The maps send a second
-    copy to the second copy of its image when the image has one, and every
-    other world to the image itself.  Returns the lifted story and
-    per-level projections.  Raises StoryError when the lift is not a story,
-    which happens exactly when an irreflexive world maps onto a reflexive
-    one.
+    Each level is lifted by `duplicate_reflexive`, and each map by the
+    rule that lifts a frame's own map there: a second copy goes to the
+    second copy of its image when the image has one, and every other world
+    to the image itself.  The lifted levels keep the moments' checks, so
+    only the five story conditions are checked again.  Returns the lifted
+    story and per-level projections.  Raises StoryError when the lift is
+    not a story, which happens exactly when an irreflexive world maps onto
+    a reflexive one.
     """
     lifted = [duplicate_reflexive(m.frame) for m in story.levels]
     projections = [proj for _, proj in lifted]
@@ -355,12 +358,6 @@ def story_oplus(story: Story) -> tuple[Story, list[dict[str, str]]]:
         Moment(f, m.root, pullback_valuation(proj, m.valuation))
         for m, (f, proj) in zip(story.levels, lifted)
     )
-    maps = []
-    for i, fmap in enumerate(story.maps):
-        second = {o: w for w, o in projections[i + 1].items() if w != o}
-        maps.append({
-            w: second.get(fmap[o], fmap[o]) if w != o else fmap[o]
-            for w, o in projections[i].items()
-        })
-    unchecked = Story(levels, tuple(maps), immersive=False)
-    return validate_story(unchecked.to_dict()), projections
+    maps = tuple(_lift_map(fmap, projections[i], projections[i + 1])
+                 for i, fmap in enumerate(story.maps))
+    return Story(levels, maps, _check_conditions(levels, maps, None)), projections

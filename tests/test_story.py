@@ -3,7 +3,9 @@ import random
 import pytest
 
 from tanglemc.frame import Frame, check_frame_pmorphism, duplicate_reflexive, transitive_closure
+from tanglemc import story as story_module
 from tanglemc.story import (
+    Story,
     StoryError,
     moment_from_frame,
     story_class,
@@ -381,6 +383,51 @@ def test_story_oplus_rejects_irreflexive_to_reflexive():
     story = validate_story(data)
     with pytest.raises(StoryError):
         story_oplus(story)
+
+
+def test_story_oplus_matches_its_story_file():
+    # the lift checks only the story conditions; rebuilding it from its
+    # story file, which checks every level again, gives the same story
+    rng = random.Random(41)
+    for _ in range(40):
+        story = random_story(rng, rng.randint(0, 2), allow_clusters=True,
+                             max_level_worlds=12)
+        lifted, _ = story_oplus(story)
+        assert lifted == validate_story(lifted.to_dict())
+
+
+def reflexive_image_story(rng):
+    """A random two-level story whose map copies its first level onto a
+    second in which one irreflexive world has become reflexive."""
+    while True:
+        m = random_moment(rng, prefix="a")
+        irreflexive = [w for i, w in enumerate(m.worlds) if not m.frame.is_reflexive(i)]
+        if irreflexive:
+            break
+    level = Story((m,), (), False).to_dict()["levels"][0]
+    x = rng.choice(irreflexive)
+    upper = dict(level, rel=level["rel"] + [[x, x]])
+    return validate_story({"levels": [level, upper],
+                           "maps": [{w: w for w in level["worlds"]}]})
+
+
+def test_story_oplus_rejects_as_its_story_file_does(monkeypatch):
+    stories = [validate_story({
+        "levels": [single_world_level("x", False), single_world_level("y", True)],
+        "maps": [{"x": "y"}],
+    })]
+    rng = random.Random(47)
+    stories += [reflexive_image_story(rng) for _ in range(5)]
+    for story in stories:
+        with monkeypatch.context() as patched:
+            patched.setattr(story_module, "_check_conditions", lambda *args: False)
+            unchecked, _ = story_oplus(story)
+        with pytest.raises(StoryError) as expected:
+            validate_story(unchecked.to_dict())
+        with pytest.raises(StoryError) as raised:
+            story_oplus(story)
+        assert raised.value.condition == expected.value.condition
+        assert str(raised.value) == str(expected.value)
 
 
 def test_moment_from_frame_infers_root():

@@ -403,3 +403,14 @@ def test_exhaustive_search_matches_oracle_at_three_worlds():
             env = {v: frame.mask(ws) for v, ws in result.valuation.items()}
             assert oracle_sweep(frame, phi, [env]) == (
                 1, Countermodel(result.valuation, result.world))
+
+
+def test_search_evaluates_only_counted_valuations(monkeypatch):
+    # K holds on every frame, so the search sweeps every map of every
+    # relation up to 4 worlds: each lane of each evaluator is one
+    # valuation under one map, and none of them repeats a map of its chunk
+    widths = recorded_widths(monkeypatch)
+    result = countermodel_search(parse("[d](p -> q) -> [d]p -> [d]q"), "K4DI", max_worlds=4)
+    assert not result.found
+    assert len(widths) == 303
+    assert sum(widths) == result.valuations_checked == 986_516
