@@ -321,6 +321,9 @@ def test_story_oplus_yields_story_with_fat_clusters():
         story = random_story(rng, rng.randint(0, 2), allow_clusters=True,
                              max_level_worlds=12)
         lifted, projections = story_oplus(story)
+        # the lift checks only the story conditions; rebuilt from its story
+        # file, which checks every level again, it is the same story
+        assert lifted == validate_story(lifted.to_dict())
         for m in lifted.levels:
             f = m.frame
             for c in f.cluster_masks():
@@ -374,28 +377,6 @@ def test_story_oplus_preserves_immersive():
     assert lifted.immersive
 
 
-def test_story_oplus_rejects_irreflexive_to_reflexive():
-    # legal story (singleton clusters on both sides) whose lift is not one
-    data = {
-        "levels": [single_world_level("x", False), single_world_level("y", True)],
-        "maps": [{"x": "y"}],
-    }
-    story = validate_story(data)
-    with pytest.raises(StoryError):
-        story_oplus(story)
-
-
-def test_story_oplus_matches_its_story_file():
-    # the lift checks only the story conditions; rebuilding it from its
-    # story file, which checks every level again, gives the same story
-    rng = random.Random(41)
-    for _ in range(40):
-        story = random_story(rng, rng.randint(0, 2), allow_clusters=True,
-                             max_level_worlds=12)
-        lifted, _ = story_oplus(story)
-        assert lifted == validate_story(lifted.to_dict())
-
-
 def reflexive_image_story(rng):
     """A random two-level story whose map copies its first level onto a
     second in which one irreflexive world has become reflexive."""
@@ -411,7 +392,10 @@ def reflexive_image_story(rng):
                            "maps": [{w: w for w in level["worlds"]}]})
 
 
-def test_story_oplus_rejects_as_its_story_file_does(monkeypatch):
+def test_story_oplus_rejects_irreflexive_to_reflexive(monkeypatch):
+    # legal stories whose lifts are not stories: a singleton cluster on
+    # both sides, and random copies that make one irreflexive world
+    # reflexive; each is rejected as its lift's story file is
     stories = [validate_story({
         "levels": [single_world_level("x", False), single_world_level("y", True)],
         "maps": [{"x": "y"}],
@@ -419,7 +403,7 @@ def test_story_oplus_rejects_as_its_story_file_does(monkeypatch):
     rng = random.Random(47)
     stories += [reflexive_image_story(rng) for _ in range(5)]
     for story in stories:
-        with monkeypatch.context() as patched:
+        with monkeypatch.context() as patched:  # the lift, unchecked
             patched.setattr(story_module, "_check_conditions", lambda *args: False)
             unchecked, _ = story_oplus(story)
         with pytest.raises(StoryError) as expected:
