@@ -12,17 +12,30 @@ at its first call and returns the same parser afterwards, so a program
 that calls `main` many times pays for building it once.  A fresh
 ``python -m tanglemc`` process builds it once, as before.
 
-Every process pays for its imports before it does any work.  The story
-and path-space modules serve four commands only (``story-validate``,
-``story-class``, ``oplus --story`` and ``pathspace-verify``), so those
-commands import them in their handlers, and the formula, frame and logic
-commands never load them.  The handlers look the story and path-space
-functions up as module attributes (``story_mod.validate_story``) at each
-call, as before.  The functions the formula, frame and logic commands
-call (`parse`, `frame_from_dict`, `truth_set`, `valid_on_frame`,
-`countermodel_search`, `soundness_suite`) stay globals of this module,
-imported at start-up: a tracer that wraps a boundary replaces the name
-where the caller looks it up, here in this module's namespace.
+Every process pays for its imports before it does any work, so at
+start-up this module loads no module of the package: each handler imports
+what its command runs when it is called, and `record`, which the modules
+share, comes with the first of them.
+
+- ``parse`` loads `formula`.
+- ``check`` and ``validity`` also load `frame` and `semantics`.
+- ``search`` and ``axioms`` also load `logic`.
+- ``oplus --frame`` loads `frame`.
+- ``story-validate``, ``story-class`` and ``oplus --story`` load `frame`
+  and `story`; ``pathspace-verify`` also loads `pathspace`.  None of them
+  loads `formula`, `semantics` or `logic`.
+
+A tracer wraps a boundary by replacing the name where the caller looks
+it up.  The handlers look the
+story and path-space functions up as module attributes
+(``story_mod.validate_story``) at each call.  The six functions the
+formula, frame and logic commands call (`parse`, `frame_from_dict`,
+`truth_set`, `valid_on_frame`, `countermodel_search`, `soundness_suite`)
+are functions of this module that import their home module and call
+through, and the handlers look them up in this module's namespace.  They
+are plain functions, not names a module ``__getattr__`` resolves at first
+use, because a tracer reads the function it wraps from this module's
+``__dict__`` and restores that namespace exactly afterwards.
 """
 
 from __future__ import annotations
@@ -34,17 +47,53 @@ import json
 import os
 import sys
 
-from .formula import next_depth, parse, pretty, size, vars_of
-from .frame import (
-    Frame,
-    duplicate_reflexive,
-    frame_from_dict,
-    pullback_valuation,
-)
-from .logic import EXHAUSTIVE_SEARCH_LIMIT, LOGICS, countermodel_search, soundness_suite
-from .semantics import Model, truth_set, valid_on_frame
-
 SCHEMA_VERSION = 1
+
+# The parser's --logic choices and the world bound its search help quotes:
+# copies of ``sorted(logic.LOGICS)`` and ``logic.EXHAUSTIVE_SEARCH_LIMIT``,
+# so that building the parser loads no logic (tests/test_package.py pins
+# them to the originals).
+_LOGIC_NAMES = ("K4C", "K4DC", "K4DI", "K4I")
+_EXHAUSTIVE_SEARCH_LIMIT = 8
+
+
+# The six boundaries a tracer wraps in this module's namespace: each loads
+# its home module at its first call and calls through.
+
+def parse(text):
+    from . import formula
+
+    return formula.parse(text)
+
+
+def frame_from_dict(data, close_transitively=False):
+    from . import frame
+
+    return frame.frame_from_dict(data, close_transitively=close_transitively)
+
+
+def truth_set(model, phi):
+    from . import semantics
+
+    return semantics.truth_set(model, phi)
+
+
+def valid_on_frame(frame, phi, **options):
+    from . import semantics
+
+    return semantics.valid_on_frame(frame, phi, **options)
+
+
+def countermodel_search(phi, logic, **options):
+    from . import logic as logic_mod
+
+    return logic_mod.countermodel_search(phi, logic, **options)
+
+
+def soundness_suite(logic, trials, seed, **options):
+    from . import logic as logic_mod
+
+    return logic_mod.soundness_suite(logic, trials, seed, **options)
 
 
 def _emit(report: dict) -> None:
@@ -78,7 +127,8 @@ def _load(path: str, convert):
             gc.enable()
 
 
-def _load_frame(args) -> tuple[Frame, dict]:
+def _load_frame(args):
+    """Decode a frame file; returns the frame and its valuation."""
     return _load(args.frame, lambda data: frame_from_dict(
         data, close_transitively=args.close_transitively))
 
@@ -98,6 +148,8 @@ def _default_seed(args) -> int:
 
 
 def _cmd_parse(args) -> int:
+    from .formula import next_depth, pretty, size, vars_of
+
     phi = parse(args.formula)
     _emit(_report(
         "parse",
@@ -111,6 +163,9 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .formula import pretty
+    from .semantics import Model
+
     frame, valuation = _load_frame(args)
     phi = parse(args.formula)
     ts = truth_set(Model(frame, valuation), phi)
@@ -130,6 +185,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_validity(args) -> int:
+    from .formula import pretty
+
     frame, _ = _load_frame(args)
     phi = parse(args.formula)
     seed = _default_seed(args)
@@ -163,6 +220,8 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .formula import pretty
+
     phi = parse(args.formula)
     seed = _default_seed(args)
     result = countermodel_search(
@@ -230,6 +289,8 @@ def _cmd_oplus(args) -> int:
             projections=[dict(sorted(p.items())) for p in projections],
         ))
         return 0
+    from .frame import duplicate_reflexive, pullback_valuation
+
     frame, valuation = _load_frame(args)
     lifted, projection = duplicate_reflexive(frame)
     _emit(_report(
@@ -318,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_validity)
 
     p = sub.add_parser("axioms", help="run the soundness suite for a logic")
-    p.add_argument("--logic", choices=sorted(LOGICS), required=True)
+    p.add_argument("--logic", choices=_LOGIC_NAMES, required=True)
     p.add_argument("--trials", type=int, default=100,
                    help="random class frames, each checked on every schema")
     p.add_argument("--max-worlds", type=int, default=4, help="most worlds a frame may have")
@@ -330,14 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_axioms)
 
     p = sub.add_parser("search", help="search a logic's frame class for a countermodel: "
-                       f"all frames up to {EXHAUSTIVE_SEARCH_LIMIT} worlds, random "
+                       f"all frames up to {_EXHAUSTIVE_SEARCH_LIMIT} worlds, random "
                        "class frames past that")
-    p.add_argument("--logic", choices=sorted(LOGICS), required=True)
+    p.add_argument("--logic", choices=_LOGIC_NAMES, required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--max-worlds", type=int, default=3)
     p.add_argument("--samples", type=int, default=2000,
                    help="random frames drawn when --max-worlds is over "
-                   f"{EXHAUSTIVE_SEARCH_LIMIT}")
+                   f"{_EXHAUSTIVE_SEARCH_LIMIT}")
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_search)
 

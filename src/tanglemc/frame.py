@@ -132,6 +132,19 @@ class Frame:
     def func_map(self) -> dict[str, str]:
         return {w: self.worlds[self._func[i]] for i, w in enumerate(self.worlds)}
 
+    def with_identity_map(self) -> Frame:
+        """This frame if its map is the identity, else the frame of the same
+        worlds and relation with the identity map; that one shares this
+        frame's masks instead of building them again."""
+        identity = tuple(range(len(self.worlds)))
+        if self._func == identity:
+            return self
+        twin = object.__new__(Frame)
+        for name in Frame.__slots__:
+            object.__setattr__(twin, name, getattr(self, name))
+        object.__setattr__(twin, "_func", identity)
+        return twin
+
     def rel_pairs(self) -> list[tuple[str, str]]:
         return [
             (self.worlds[i], self.worlds[j])

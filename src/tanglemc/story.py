@@ -55,9 +55,10 @@ class StoryError(ValueError):
 class Moment:
     """A rooted tree-like frame plus a valuation.
 
-    The frame's map is ignored: `validate_moment` gives it the identity,
-    `moment_from_frame` keeps the map of the frame it is given, and
-    `story_oplus` lifts it.
+    The frame's map is the identity, which no story or path-space code
+    reads: `validate_moment` and `moment_from_frame` give it that map, and
+    `story_oplus` lifts it to the identity of the lifted level.  Moments
+    are equal when their frames, roots and valuations are.
 
     `worlds` are the frame's worlds in declared order; `rel` lists its
     relation pairs sorted by name.
@@ -136,12 +137,15 @@ def moment_from_frame(frame: Frame,
     """View a frame as a moment rooted at its first world that reaches
     every world.
 
-    The moment keeps `frame` itself, whose map no story or path-space code
-    reads.  The relation must be transitive, as that of every frame
+    The moment's frame is `frame` with the identity map
+    (:meth:`~tanglemc.frame.Frame.with_identity_map`), the map
+    :func:`validate_moment` gives a moment.  The relation must be
+    transitive, as that of every frame
     :func:`~tanglemc.frame.validate_frame` builds is; it is not checked
     again.  The other checks and their messages are those of
     :func:`validate_moment`.
     """
+    frame = frame.with_identity_map()
     full = frame.full_mask
     for i, w in enumerate(frame.worlds):
         if frame.succ_mask(i) | (1 << i) == full:

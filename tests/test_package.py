@@ -29,11 +29,63 @@ def _python(*args):
 
 
 def test_parser_start_up_loads_no_heavy_or_story_modules():
-    heavy = ("dataclasses", "typing", "inspect", "tanglemc.story", "tanglemc.pathspace")
+    heavy = ("dataclasses", "typing", "inspect", "tanglemc.story", "tanglemc.pathspace",
+             "tanglemc.formula", "tanglemc.frame", "tanglemc.semantics", "tanglemc.logic",
+             "tanglemc.record")
     run = _python("-c", "import sys, tanglemc.cli; tanglemc.cli.build_parser(); "
                         f"print([m for m in {heavy!r} if m in sys.modules])")
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+DEMOS = ROOT / "demos"
+FORMULA = ("formula", "record")
+FRAME = ("frame", "record")
+SEMANTICS = (*FORMULA, "frame", "semantics")
+STORY = (*FRAME, "story")
+
+
+def _command(name, *argv, code=0, loaded=()):
+    return pytest.param([*map(str, argv)], code, loaded, id=name)
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    _command("help", "--help"),
+    _command("parse", "parse", "--formula", "[d]p", loaded=FORMULA),
+    _command("check", "check", "--frame", DEMOS / "f1.frame.json", "--formula", "p",
+             loaded=SEMANTICS),
+    _command("validity", "validity", "--frame", DEMOS / "f1.frame.json", "--formula", "p",
+             code=1, loaded=SEMANTICS),
+    _command("search", "search", "--logic", "K4C", "--formula", "p",
+             code=1, loaded=(*SEMANTICS, "logic")),
+    _command("axioms", "axioms", "--logic", "K4C", "--trials", "2",
+             loaded=(*SEMANTICS, "logic")),
+    _command("story-validate", "story-validate", "--story", DEMOS / "story_chain.story.json",
+             loaded=STORY),
+    _command("story-class", "story-class", "--story", DEMOS / "story_chain.story.json",
+             loaded=STORY),
+    _command("oplus-story", "oplus", "--story", DEMOS / "story_chain.story.json",
+             loaded=STORY),
+    _command("oplus-frame", "oplus", "--frame", DEMOS / "f1.frame.json", loaded=FRAME),
+    _command("pathspace-verify", "pathspace-verify", "--frame", DEMOS / "f1_oplus.frame.json",
+             loaded=(*STORY, "pathspace")),
+])
+def test_each_command_loads_only_its_own_modules(argv, code, loaded):
+    # one fresh process per command, run as `python -m tanglemc` is
+    run = _python("-c", "import runpy, sys\n"
+                        "try:\n    runpy.run_module('tanglemc', run_name='__main__')\n"
+                        "finally:\n    sys.stderr.write(repr(sorted(m for m in sys.modules "
+                        "if m.startswith('tanglemc'))))", *argv)
+    assert run.returncode == code, run.stderr
+    expected = {"tanglemc", "tanglemc.cli"} | {f"tanglemc.{m}" for m in loaded}
+    assert ast.literal_eval(run.stderr) == sorted(expected)
+
+
+def test_parser_copies_the_logic_names_and_the_search_bound():
+    from tanglemc import cli, logic
+
+    assert cli._LOGIC_NAMES == tuple(sorted(logic.LOGICS))
+    assert cli._EXHAUSTIVE_SEARCH_LIMIT == logic.EXHAUSTIVE_SEARCH_LIMIT
 
 
 def test_story_command_in_a_fresh_process():

@@ -453,9 +453,21 @@ def test_moment_from_frame_checks_as_validate_moment():
 
 
 def test_moment_from_frame_keeps_the_frame():
-    frame = Frame(["r", "x"], [0b10, 0b10], [1, 1])
-    m = moment_from_frame(frame)
-    assert m.frame is frame and m.root == "r"
+    # a frame with the identity map is kept; any other map is replaced by
+    # the identity, the map validate_moment gives a moment
+    frame = Frame(["r", "x"], [0b10, 0b10], [0, 1])
+    assert moment_from_frame(frame).frame is frame
+    m = moment_from_frame(Frame(["r", "x"], [0b10, 0b10], [1, 1]))
+    assert m.frame == frame and m.root == "r"
+
+
+def test_moment_from_frame_round_trips_through_its_story_file():
+    # frame_f1 maps both worlds to b; the story file has no frame maps.
+    # A one-level story is immersive, as pathspace-verify --frame builds it
+    story = Story((moment_from_frame(frame_f1()),), (), True)
+    assert story == validate_story(story.to_dict())
+    lifted, _ = story_oplus(story)
+    assert lifted == validate_story(lifted.to_dict())
 
 
 def test_random_moment_is_valid():
