@@ -236,6 +236,7 @@ def _cmd_search(args) -> int:
         verdict=result.verdict,
         frames_checked=result.frames_checked,
         valuations_checked=result.valuations_checked,
+        **({"stats": result.stats} if args.stats else {}),
     )
     if result.found:
         report["countermodel"] = {
@@ -400,6 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random frames drawn when --max-worlds is over "
                    f"{_EXHAUSTIVE_SEARCH_LIMIT}")
     p.add_argument("--seed", type=int)
+    p.add_argument("--stats", action="store_true",
+                   help="report the relation classes enumerated, the frames and valuations "
+                   "swept (one map a relation when the formula has no O), the evaluators "
+                   "built and worlds_covered, the most worlds searched in full")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("story-validate", help="check the five story conditions")
@@ -449,6 +454,8 @@ def main(argv=None) -> int:
         _emit(_report(command, error=message))
         return 2
     try:
+        if getattr(args, "samples", 0) < 0:  # validity, axioms and search, in every mode
+            raise ValueError("samples must be >= 0")
         return args.fn(args)
     except (ValueError, OSError) as e:  # parse, frame, story and JSON errors too
         _emit(_report(args.command, error=str(e)))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 
@@ -424,6 +425,7 @@ class SearchResult:
     world: str | None = None
     frames_checked: int = 0
     valuations_checked: int = 0
+    stats: dict | None = None  # the counts of _STATS
 
     @property
     def found(self) -> bool:
@@ -585,30 +587,33 @@ def countermodel_search(
     change when worlds are renamed, and a renaming that carries one
     relation onto another carries its (strictly) monotone maps onto the
     other's, so the search takes one relation per isomorphism class with
-    all of its maps: every frame of the class is isomorphic to one of
-    these, and ``frames_checked`` counts them (frames of the class up to
-    isomorphism; a relation with automorphisms still has isomorphic maps
-    among its own).  phi's :class:`~tanglemc.semantics.Program` is made
-    once per search, and each relation takes one
-    :func:`~tanglemc.semantics.sweep` of its maps: they go in chunks, one
-    evaluator a chunk, as map slots of lanes next to the valuation codes,
-    as many maps per chunk as fit in 2^12 lanes (the last chunk holds only
-    the maps left), one map per chunk past 12 bits.  That keeps the order
-    and the counts of one frame and one valuation at a time, and the count
-    of a refutation names its map.  The bound is not what finishes: on a
-    2-vCPU host ``[d]p -> [d][d]p`` takes about 0.035 s in K4DC at 4
-    worlds (5,151 frames), 1.2-1.8 s CPU in K4C at 5 worlds (409,952
-    frames) and 62 s in K4C at 6 worlds (16,293,935 frames).  Like
-    exhaustive validity it raises ``ValueError`` before the first world
-    count whose frames would need more than 2^``EXHAUSTIVE_BITS_LIMIT``
-    valuations each (world count times the number of variables); a
-    countermodel on fewer worlds is still found and returned.  Beyond the world bound it samples
-    ``samples`` random class frames of at most ``max_worlds`` worlds
-    (:func:`random_class_frame`), with 8 random valuations per frame in
-    one 8-lane pass, drawn as 8 draws one at a time would be.
-    "none-within-bounds" is not a validity claim, and a search that could
-    check no frame raises ``ValueError`` instead: ``max_worlds < 1``, or
-    ``samples < 1`` past the world bound.
+    all of its maps (a relation with automorphisms still has isomorphic
+    maps among its own).  ``frames_checked`` counts the frames covered,
+    not those swept: a formula without O reads no map, so a relation's
+    first map stands for all of them, and where it fails the walk fails
+    first.  phi's :class:`~tanglemc.semantics.Program` is made once and
+    swept over chunks of frames of one world count, across relations, one
+    evaluator a chunk and a slot of lanes a frame, as many as fit in 2^12
+    lanes (one past 12 bits); the counts and the countermodel are those of
+    one frame and valuation at a time.  ``stats`` counts the relation
+    classes enumerated, the frames and valuations swept, the evaluators
+    built and ``worlds_covered``, the most worlds searched in full.  The
+    bound is not what finishes: on a 2-vCPU host ``[d]p -> [d][d]p``
+    takes about 0.011 s CPU in K4DC at 4 worlds (5,151 frames), 0.4-0.7 s
+    in K4C at 5 worlds (409,952 frames) and 20 s at 6 (16,293,935
+    frames); ``<d>O p -> O <d>p``, which reads O, 0.7-1.2 s in K4I at 5
+    worlds (206,821 frames).
+    Like exhaustive validity it raises ``ValueError`` before the first
+    world count whose frames would need more than
+    2^``EXHAUSTIVE_BITS_LIMIT`` valuations each (world count times the
+    number of variables); a countermodel on fewer worlds is still found.
+    Beyond the world bound it samples ``samples`` random class frames of
+    at most ``max_worlds`` worlds (:func:`random_class_frame`), 8 random
+    valuations each in one 8-lane pass, drawn as 8 draws one at a time
+    would be; each frame counts as a relation, a frame swept and an
+    evaluator.  "none-within-bounds" is not a validity claim, and a
+    search that could check no frame raises ``ValueError`` instead:
+    ``max_worlds < 1``, or ``samples < 1`` past the world bound.
     """
     if isinstance(logic, str):
         logic = LOGICS[logic]
@@ -621,54 +626,88 @@ def countermodel_search(
     return _search_random(Program(phi), logic, max_worlds, seed, samples)
 
 
-def _search_exhaustive(program: Program, logic: Logic, max_worlds: int) -> SearchResult:
-    frames = 0
-    vals = 0
+def _reads_map(program: Program) -> bool:
+    """Whether the program has an O; a program without one reads no map."""
+    return any(op is Next for op, _, _ in program.code)
+
+
+# what a search's stats report of its tally, which also counts what it covers
+_STATS = ("relations", "frames_swept", "valuations_swept", "evaluators", "worlds_covered")
+
+
+def _result(tally: Counter, frame: Frame | None = None, cm=None) -> SearchResult:
+    """The search's result from its tally; refuted on `frame` when `cm` is given."""
+    return SearchResult(
+        "none-within-bounds" if cm is None else "countermodel", frame,
+        None if cm is None else cm.valuation, None if cm is None else cm.world,
+        tally["frames"], tally["valuations"], {k: tally[k] for k in _STATS})
+
+
+def _search_chunks(logic: Logic, max_worlds: int, count: int, every_map: bool, tally: Counter):
+    """The class frames of the exhaustive search in its order as (world
+    count, slots, weights) chunks of at most 2^(12 - bits) slots of one
+    world count: a slot is a (relation, map) pair, and its weight is 1,
+    or the relation's map count when not `every_map`, where the first map
+    stands for all.  The tally counts the relations and, once a world
+    count's chunks are all taken, ``worlds_covered``."""
     classes = _transitive_classes()
     next(classes)  # the relation on no worlds
-    worlds: list[str] = []
+    slots, weights = [], []
+    n = 0
     for succ in classes:
-        if len(succ) > len(worlds):  # the first class on one more world
+        if len(succ) > n:  # the first class on one more world
+            if slots:
+                yield n, slots, weights
+                slots, weights = [], []
+            tally["worlds_covered"] = n
             n = len(succ)
             if n > max_worlds:
-                break
-            bits = n * len(program.variables)
-            if bits > EXHAUSTIVE_BITS_LIMIT:
-                raise ValueError(
-                    f"exhaustive search needs |worlds|*|vars| <= {EXHAUSTIVE_BITS_LIMIT}, got {bits}"
-                )
-            worlds = [f"w{i}" for i in range(n)]
+                return
+            if n * count > EXHAUSTIVE_BITS_LIMIT:
+                raise ValueError(f"exhaustive search needs |worlds|*|vars| <= "
+                                 f"{EXHAUSTIVE_BITS_LIMIT}, got {n * count}")
+            per = 1 << max(0, _BLOCK_BITS - n * count)
         if logic.serial and not all(succ):
             continue
+        tally["relations"] += 1
         maps = _monotone_maps(succ, logic.strict)
-        passes = exhaustive_passes(Frame(worlds, succ, maps[0]), len(program.variables), maps)
-        checked, cm = sweep(program, passes)
-        vals += checked
-        if cm is not None:
-            index = (checked - 1) >> bits
-            return SearchResult(
-                "countermodel", frame=Frame(worlds, succ, maps[index]),
-                valuation=cm.valuation, world=cm.world,
-                frames_checked=frames + index + 1, valuations_checked=vals,
-            )
-        frames += len(maps)
-    return SearchResult("none-within-bounds", frames_checked=frames, valuations_checked=vals)
+        if every_map:
+            slots += [(succ, f) for f in maps]
+            weights += [1] * len(maps)
+        else:
+            slots.append((succ, maps[0]))
+            weights.append(len(maps))
+        while len(slots) >= per:
+            yield n, slots[:per], weights[:per]
+            del slots[:per], weights[:per]
+
+
+def _search_exhaustive(program: Program, logic: Logic, max_worlds: int) -> SearchResult:
+    count = len(program.variables)
+    tally = Counter()
+    for n, slots, weights in _search_chunks(logic, max_worlds, count, _reads_map(program), tally):
+        worlds = [f"w{i}" for i in range(n)]
+        bits = n * count
+        checked, cm = sweep(program, exhaustive_passes(Frame(worlds, *slots[0]), count, slots))
+        held = len(slots) if cm is None else (checked - 1) >> bits  # the slots that hold
+        covered, found = sum(weights[:held]), cm is not None
+        tally.update(evaluators=1, frames_swept=held + found, valuations_swept=checked,
+                     frames=covered + found, valuations=((covered - held) << bits) + checked)
+        if found:
+            return _result(tally, Frame(worlds, *slots[held]), cm)
+    return _result(tally)
 
 
 def _search_random(
     program: Program, logic: Logic, max_worlds: int, seed: int, samples: int
 ) -> SearchResult:
     rng = random.Random(seed)
-    frames = 0
-    vals = 0
+    tally = Counter()
     for _ in range(samples):
         frame = random_class_frame(rng, max_worlds, logic)
-        frames += 1
         checked, cm = sweep(program, sampled_passes(frame, len(program.variables), rng, 8))
-        vals += checked
+        tally.update(frames=1, relations=1, frames_swept=1, evaluators=1,
+                     valuations=checked, valuations_swept=checked)
         if cm is not None:
-            return SearchResult(
-                "countermodel", frame=frame, valuation=cm.valuation,
-                world=cm.world, frames_checked=frames, valuations_checked=vals,
-            )
-    return SearchResult("none-within-bounds", frames_checked=frames, valuations_checked=vals)
+            return _result(tally, frame, cm)
+    return _result(tally)

@@ -17,23 +17,25 @@ each part, so one run on a union checks all of its parts.
 
 A truth set is one int of ``n * lanes`` bits grouped by world: world w
 owns bits ``[w*lanes, (w+1)*lanes)``, one bit per lane, so one lane is
-the plain world mask.  O is a distance step at every lane count: world w
-reads the group of world w + d through one mask, shift and OR per
-distance d = f(w) - w of a map.  <d> is the frame's ``down_mask`` with
-one lane and the same steps over the distances of relation pairs with
-more.  The lanes fall into map slots of equal width, fixed when the
-evaluator is made, each with its own map on the frame's relation; by
-default one slot holds the frame's own map.  The tangle is the same
-fixed-point loop on packed ints.
+the plain world mask.  The lanes fall into slots of equal width, fixed
+when the evaluator is made, each a frame of its own on the evaluator's
+worlds: a relation and a map (by default one slot holds the frame's
+own).  So one run checks many frames of one world count, which is truth
+on their disjoint union.  O is a distance step at every lane count:
+world w reads the group of world w + d through one mask, shift and OR
+per distance d = f(w) - w of a slot's map.  <d> is the frame's
+``down_mask`` when one lane holds the frame's own relation, and the same
+steps over the distances of each slot's relation pairs otherwise.  The
+tangle is the same fixed-point loop on packed ints.
 
 Validity is one loop, :func:`sweep`, over passes of lanes from one of two
 generators, and keeps the canonical order of a one-valuation-at-a-time
-loop: :func:`exhaustive_passes` counts valuation codes upwards under each
-of several maps of one relation in turn, one map per slot, and
-:func:`sampled_passes` draws from the seed in the same order.  The first
-failing lane of the first failing pass is the reported countermodel, and
-the count of lanes up to it names the map and the valuation that come
-first in (map, valuation code) order.
+loop: :func:`exhaustive_passes` counts valuation codes upwards on each
+of several frames in turn, one slot each, and :func:`sampled_passes`
+draws from the seed in the same order.  The first failing lane of the
+first failing pass is the reported countermodel, and the count of lanes
+up to it names the slot and the valuation that come first in (slot,
+valuation code) order.
 """
 
 from __future__ import annotations
@@ -126,35 +128,44 @@ class Verdict:
 class Evaluator:
     """Compiles formulas against one frame; a call evaluates `lanes` models.
 
-    A lane is a valuation under a map: the lanes fall into ``len(maps)``
-    equal runs, the map slots, and O reads ``maps[j]`` in slot j (by
-    default one slot holds the frame's own map).  The slots are placed
-    here and never change; each holds a map of its own, so an exhaustive
-    pass over the maps of a relation checks no map twice.  O takes one
-    distance step per distinct f(w) - w, at most ``2n - 1``; <d> is the
-    frame's ``down_mask`` with one lane and a step per distance of a
-    relation pair with more.  A step's mask takes ``n * lanes`` bits.
+    A lane is a valuation on a frame of the frame's worlds: the lanes fall
+    into ``len(slots)`` equal runs, the slots, and slot j holds
+    ``slots[j]``, a pair (successor rows, map) on those worlds (by default
+    one slot holds the frame's own relation and map).  The slots are
+    placed here and never change, so one evaluator can check many frames
+    of one world count at once, each against its own valuations.  O takes
+    one distance step per distinct f(w) - w, at most ``2n - 1``; <d> is
+    the frame's ``down_mask`` when one lane holds the frame's own
+    relation, and otherwise a step per distance of a relation pair, each
+    run of slots that share one relation taking that relation's pairs
+    once.  A step's mask takes ``n * lanes`` bits.
     """
 
     def __init__(self, frame: Frame, lanes: int = 1,
-                 maps: Sequence[Sequence[int]] | None = None):
+                 slots: Sequence[tuple[Sequence[int], Sequence[int]]] | None = None):
         self.frame = frame
         self.lanes = lanes
         n = frame.n
         self.full = (1 << (n * lanes)) - 1
-        if lanes > 1:
-            group = (1 << lanes) - 1
-            read = {}  # distance d -> the groups of the worlds v that v - d sees
-            for w in range(n):
-                for v in _bits(frame.succ_mask(w)):
-                    read[v - w] = read.get(v - w, 0) | group << (v * lanes)
+        if slots is None:
+            slots = [(frame._succ, frame._func)]
+        width = lanes // len(slots)
+        self._down_steps = None
+        if lanes > 1 or slots[0][0] != frame._succ:
+            read = {}  # distance d -> the lanes of the worlds v that v - d sees
+            start = 0
+            for j, (rows, _) in enumerate(slots):
+                if j + 1 < len(slots) and slots[j + 1][0] == rows:
+                    continue  # the run of slots with one relation goes on
+                run = ((1 << (j + 1 - start) * width) - 1) << (start * width)
+                start = j + 1
+                for w, row in enumerate(rows):
+                    for v in _bits(row):
+                        read[v - w] = read.get(v - w, 0) | run << (v * lanes)
             self._down_steps = tuple((d * lanes, m) for d, m in read.items())
-        if maps is None:
-            maps = [[frame.func_index(w) for w in range(n)]]
-        width = lanes // len(maps)
         slot = (1 << width) - 1
         images = {}  # w * n + v -> the lanes of the slots whose map sends w to v
-        for j, func in enumerate(maps):
+        for j, (_, func) in enumerate(slots):
             run = slot << (j * width)
             for w, v in enumerate(func):
                 images[w * n + v] = images.get(w * n + v, 0) | run
@@ -169,7 +180,8 @@ class Evaluator:
     @property
     def down(self) -> Callable[[int], int]:
         """`<d>` on truth sets."""
-        return self.frame.down_mask if self.lanes == 1 else partial(_move, steps=self._down_steps)
+        steps = self._down_steps
+        return self.frame.down_mask if steps is None else partial(_move, steps=steps)
 
     @property
     def preimage(self) -> Callable[[int], int]:
@@ -340,7 +352,7 @@ def _block_layout(n: int, count: int, lane_bits: int, slots: int):
 def _exhaustive_blocks(n: int, count: int, lane_bits: int, slots: int):
     """Lane-packed masks of `count` variables, one list per block of
     2^lane_bits valuation codes in ascending order, repeated in each of
-    `slots` map slots.  Bit i*n + w of a code puts world w in variable i:
+    `slots` slots.  Bit i*n + w of a code puts world w in variable i:
     below `lane_bits` it is a fixed pattern across the lanes, above it
     all-ones or zero for the whole block."""
     base, high = _block_layout(n, count, lane_bits, slots)
@@ -402,22 +414,24 @@ def _sample_widths(samples: int, bits: int):
         checked += lanes
 
 
-def exhaustive_passes(frame: Frame, count: int, maps: Sequence[Sequence[int]]):
-    """The passes of every valuation of `count` variables under every map of
-    `maps` on the frame's relation, maps outermost and valuation codes
-    ascending: (evaluator, masks) pairs for :func:`sweep`.
+def exhaustive_passes(frame: Frame, count: int,
+                      slots: Sequence[tuple[Sequence[int], Sequence[int]]]):
+    """The passes of every valuation of `count` variables on each frame of
+    `slots`, (relation, map) pairs on the frame's worlds, slots outermost
+    and valuation codes ascending: (evaluator, masks) pairs for
+    :func:`sweep`.
 
-    The maps go in chunks of as many map slots as fit in 2^12 lanes, one
-    evaluator a chunk; the last chunk holds only the maps left.  A pass
-    covers 2^min(bits, 12) codes in each slot; past 12 bits a chunk holds
-    one map and its codes take 2^(bits - 12) passes.  Either way the lanes
-    run in (map, valuation code) order, so valuation k of map i is lane
+    The slots go in chunks of as many as fit in 2^12 lanes, one evaluator
+    a chunk; the last chunk holds only the slots left.  A pass covers
+    2^min(bits, 12) codes in each slot; past 12 bits a chunk holds one
+    slot and its codes take 2^(bits - 12) passes.  Either way the lanes
+    run in (slot, valuation code) order, so valuation k of slot i is lane
     ``(i << bits) + k`` of the sweep."""
     n = frame.n
     lane_bits = min(n * count, _BLOCK_BITS)
-    slots = 1 << (_BLOCK_BITS - lane_bits)
-    for first in range(0, len(maps), slots):
-        chunk = maps[first:first + slots]
+    per = 1 << (_BLOCK_BITS - lane_bits)
+    for first in range(0, len(slots), per):
+        chunk = slots[first:first + per]
         ev = Evaluator(frame, len(chunk) << lane_bits, chunk)
         for masks in _exhaustive_blocks(n, count, lane_bits, len(chunk)):
             yield ev, masks
@@ -484,7 +498,7 @@ def valid_on_frame(
         if frame.n * count > EXHAUSTIVE_BITS_LIMIT:
             raise ValueError(f"exhaustive validity needs |worlds|*|vars| <= "
                              f"{EXHAUSTIVE_BITS_LIMIT}, got {frame.n * count}")
-        checked, cm = sweep(program, exhaustive_passes(frame, count, [frame._func]))
+        checked, cm = sweep(program, exhaustive_passes(frame, count, [(frame._succ, frame._func)]))
         return Verdict(cm is None, mode, checked, cm)
     if mode == "sampled":
         if samples < 1:

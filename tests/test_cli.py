@@ -204,6 +204,22 @@ def test_sample_counts_below_one_exit_2(capsys):
     assert code == 2 and "samples" in report["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["validity", "--frame", str(DEMOS / "f1.frame.json"), "--formula", "p"],
+    ["validity", "--frame", str(DEMOS / "f1.frame.json"), "--formula", "p", "--mode", "sampled"],
+    ["axioms", "--logic", "K4C", "--mode", "exhaustive"],
+    ["axioms", "--logic", "K4C", "--mode", "sampled"],
+    ["search", "--logic", "K4C", "--formula", "p", "--max-worlds", "3"],
+    ["search", "--logic", "K4C", "--formula", "p", "--max-worlds", "9"],
+])
+def test_negative_sample_count_exits_2_in_every_mode(capsys, argv):
+    # exhaustive modes and searches within the world bound draw no sample,
+    # yet a negative count is still bad input
+    code, report = run(capsys, *argv, "--samples", "-1")
+    assert code == 2 and report == {"schema_version": cli.SCHEMA_VERSION, "command": argv[0],
+                                    "error": "samples must be >= 0"}
+
+
 def test_axioms_world_bound_below_one_exits_2(capsys):
     code, report = run(capsys, "axioms", "--logic", "K4C", "--max-worlds", "0")
     assert code == 2 and report["error"] == "max_worlds must be >= 1"
@@ -440,6 +456,29 @@ def test_search_counts_one_relation_per_isomorphism_class(capsys):
                        "--formula", "[d]p -> [d][d]p", "--max-worlds", "4")
     assert code == 0 and report["verdict"] == "none-within-bounds"
     assert report["frames_checked"] == 5151 and report["valuations_checked"] == 80418
+
+
+def test_search_stats_come_only_with_the_flag(capsys):
+    # the K4DC case above: "4" reads no O, so each of the 115 serial
+    # classes on 1-4 worlds sweeps its first map, 2^n valuations, and each
+    # world count takes one evaluator
+    argv = ["search", "--logic", "K4DC", "--formula", "[d]p -> [d][d]p", "--max-worlds", "4"]
+    main(argv)
+    plain = capsys.readouterr().out
+    code, report = run(capsys, *argv, "--stats")
+    assert code == 0 and report.pop("stats") == {
+        "relations": 115, "frames_swept": 115, "valuations_swept": 1642,
+        "evaluators": 4, "worlds_covered": 4}
+    assert json.dumps(report, indent=2) + "\n" == plain
+    # a countermodel on 2 worlds: 1 world was searched in full
+    code, report = run(capsys, "search", "--logic", "K4C", "--formula", "<d>O p -> O <d>p",
+                       "--stats")
+    assert code == 1 and report["stats"]["worlds_covered"] == 1
+    assert report["stats"]["frames_swept"] == report["frames_checked"]
+    assert report["stats"]["valuations_swept"] == report["valuations_checked"]
+    with pytest.raises(SystemExit):
+        main(["search", "--help"])
+    assert "--stats" in capsys.readouterr().out
 
 
 def test_reports_are_byte_identical_for_same_seed(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -352,7 +353,7 @@ def test_sound_suite_never_builds_an_instance(monkeypatch):
             assert soundness_suite(name, trials=10, seed=16, mode=mode).ok
 
 
-def test_search_makes_one_program_and_one_evaluator_per_relation_class(monkeypatch):
+def test_search_makes_one_program_and_one_evaluator_per_chunk(monkeypatch):
     programs, evaluators = [], []
     program_init, evaluator_init = semantics.Program.__init__, semantics.Evaluator.__init__
 
@@ -366,14 +367,29 @@ def test_search_makes_one_program_and_one_evaluator_per_relation_class(monkeypat
 
     monkeypatch.setattr(semantics.Program, "__init__", counted_program)
     monkeypatch.setattr(semantics.Evaluator, "__init__", counted_evaluator)
+    # a formula without O takes one slot per relation class: the 2, 8 and
+    # 39 classes on 1, 2 and 3 worlds fit one chunk of 2^(12 - n) slots each
     phi = parse("[d]p -> [d][d]p")
     result = countermodel_search(phi, "K4C", max_worlds=3)
     assert not result.found
-    # the relation classes on 1, 2 and 3 worlds, each with all of its maps
-    assert programs == [phi] and len(evaluators) == 2 + 8 + 39
+    assert programs == [phi] and len(evaluators) == result.stats["evaluators"] == 3
+    assert result.stats["relations"] == result.stats["frames_swept"] == 2 + 8 + 39
+    # a formula with O takes one slot per frame: every strictly monotone
+    # map of every class, in chunks of 2^(12 - n) slots of one world count
     programs.clear()
     evaluators.clear()
-    result = countermodel_search(phi, "K4C", max_worlds=10, seed=5, samples=30)
+    phi = parse("<d>O p -> O <d>p")
+    result = countermodel_search(phi, "K4I", max_worlds=4)
+    assert not result.found
+    frames = [0] * 5
+    for succ in itertools.takewhile(lambda succ: len(succ) <= 4, logic._transitive_classes()):
+        frames[len(succ)] += len(logic._monotone_maps(succ, True))
+    chunks = sum(-(-frames[n] // (1 << 12 - n)) for n in range(1, 5))
+    assert frames[4] > 1 << 8 and result.frames_checked == sum(frames[1:])
+    assert programs == [phi] and len(evaluators) == result.stats["evaluators"] == chunks
+    programs.clear()
+    evaluators.clear()
+    result = countermodel_search(phi, "K4I", max_worlds=10, seed=5, samples=30)
     assert programs == [phi] and len(evaluators) == result.frames_checked == 30
 
 

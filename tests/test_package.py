@@ -133,7 +133,7 @@ def test_records_keep_the_frozen_dataclass_semantics():
                              "Countermodel(valuation={'p': ('a',)}, world='a'), seed=3)")
     assert repr(SearchResult("none-within-bounds")) == (
         "SearchResult(verdict='none-within-bounds', frame=None, valuation=None, "
-        "world=None, frames_checked=0, valuations_checked=0)")
+        "world=None, frames_checked=0, valuations_checked=0, stats=None)")
     assert SearchResult(verdict="countermodel", world="a").frames_checked == 0
     for obj, field in ((p, "name"), (plain, "seed"), (WorldPath(("a",), "b"), "tail")):
         with pytest.raises(AttributeError):

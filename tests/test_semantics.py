@@ -270,12 +270,13 @@ def lane_mask(value, n, lanes, lane):
 
 
 def test_packed_operators_match_down_mask_and_the_image_map():
-    # <d> and O as distance steps give, lane by lane, the frame's one-lane
-    # down_mask and the preimage under each slot's map: on random frames,
-    # whose maps need not be monotone, on disjoint unions of them and on
-    # the identity map and the map onto w0 (the fewest and the most
-    # distances), with the frame's own map or random maps in slots, drawn
-    # from two so that slots next to each other or apart share a map
+    # <d> and O as distance steps give, lane by lane, the one-lane
+    # down_mask of each slot's relation and the preimage under its map: on
+    # random frames, whose maps need not be monotone, on disjoint unions of
+    # them and on the identity map and the map onto w0 (the fewest and the
+    # most distances), with the frame's own relation and map or random
+    # ones in slots, drawn from two each so that slots next to each other
+    # or apart share a relation or a map, and one lane on another relation
     rng = random.Random(31)
     for trial in range(60):
         parts = [_random_frame(rng, 6) for _ in range(rng.choice((1, 1, 2, 4)))]
@@ -285,21 +286,23 @@ def test_packed_operators_match_down_mask_and_the_image_map():
             func = list(range(n)) if trial == 0 else [0] * n
             frame = Frame(frame.worlds, [frame.succ_mask(w) for w in range(n)], func)
         lanes = rng.choice((1, 2, 8, 12))
-        maps = [[frame.func_index(w) for w in range(n)]]
+        own = (tuple(frame.succ_mask(w) for w in range(n)), [frame.func_index(w) for w in range(n)])
+        slots = [own]
         if trial >= 2 and rng.random() < 0.5:
-            slots = rng.choice([k for k in (1, 2, 4) if lanes % k == 0])
-            pool = [[rng.randrange(n) for _ in range(n)] for _ in range(2)]
-            maps = [rng.choice(pool) for _ in range(slots)]
-            ev = Evaluator(frame, lanes, maps)
+            count = rng.choice([k for k in (1, 2, 4) if lanes % k == 0])
+            relations = [own[0], tuple(rng.getrandbits(n) for _ in range(n))]
+            maps = [[rng.randrange(n) for _ in range(n)] for _ in range(2)]
+            slots = [(rng.choice(relations), rng.choice(maps)) for _ in range(count)]
+            ev = Evaluator(frame, lanes, slots)
         else:
             ev = Evaluator(frame, lanes)
-        width = lanes // len(maps)
+        width = lanes // len(slots)
         for _ in range(3):
             x = rng.getrandbits(n * lanes)
             down, pre = ev.down(x), ev.preimage(x)
             for lane in range(lanes):
-                m, func = lane_mask(x, n, lanes, lane), maps[lane // width]
-                assert lane_mask(down, n, lanes, lane) == frame.down_mask(m)
+                m, (rows, func) = lane_mask(x, n, lanes, lane), slots[lane // width]
+                assert lane_mask(down, n, lanes, lane) == Frame(frame.worlds, rows, func).down_mask(m)
                 assert lane_mask(pre, n, lanes, lane) == sum(
                     1 << w for w in range(n) if m >> func[w] & 1)
 

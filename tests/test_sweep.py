@@ -20,6 +20,7 @@ from tanglemc.formula import (
     And, Box, Diamond, Implies, Neg, Next, Or, Tangle, Var, dot_diamond, parse, vars_of,
 )
 from tanglemc.frame import Frame, _monotone_witness, _transitivity_witness
+from tanglemc import logic
 from tanglemc.logic import (
     LOGICS, SCHEMAS, _monotone_maps, _schema_program, _transitive_classes,
     countermodel_search, random_class_frame, random_formula,
@@ -35,28 +36,42 @@ from test_semantics import disjoint_union
 
 
 def oracle_mask(frame, phi, env):
-    full, ev = frame.full_mask, lambda f: oracle_mask(frame, f, env)
-    if isinstance(phi, Var):
-        return env.get(phi.name, 0)
-    if isinstance(phi, (And, Or, Implies)):
-        a, b = ev(phi.left), ev(phi.right)
-        return a & b if isinstance(phi, And) else a | b if isinstance(phi, Or) else (full ^ a) | b
-    if isinstance(phi, Neg):
-        return full ^ ev(phi.child)
-    if isinstance(phi, (Diamond, Box)):
-        c = ev(phi.child)
-        return frame.down_mask(c) if isinstance(phi, Diamond) else full ^ frame.down_mask(full ^ c)
-    if isinstance(phi, Next):
-        c = ev(phi.child)
-        return sum(1 << w for w in range(frame.n) if c >> frame.func_index(w) & 1)
-    a = full
-    while True:
-        new = a
-        for f in phi.args:
-            new &= frame.down_mask(ev(f) & a)
-        if new == a:
-            return a
-        a = new
+    """phi's world mask under env, node by node down the tree: <d> through
+    the frame's down_mask, O through its map, the tangle by its decreasing
+    iteration."""
+    full, down = frame.full_mask, frame.down_mask
+    func = [frame.func_index(w) for w in range(frame.n)]
+
+    def ev(phi):
+        kind = type(phi)
+        if kind is Var:
+            return env.get(phi.name, 0)
+        if kind is And:
+            return ev(phi.left) & ev(phi.right)
+        if kind is Or:
+            return ev(phi.left) | ev(phi.right)
+        if kind is Implies:
+            return (full ^ ev(phi.left)) | ev(phi.right)
+        if kind is Neg:
+            return full ^ ev(phi.child)
+        if kind is Diamond:
+            return down(ev(phi.child))
+        if kind is Box:
+            return full ^ down(full ^ ev(phi.child))
+        if kind is Next:
+            c = ev(phi.child)
+            return sum(1 << w for w, v in enumerate(func) if c >> v & 1)
+        assert kind is Tangle
+        a = full
+        while True:
+            new = a
+            for f in phi.args:
+                new &= down(ev(f) & a)
+            if new == a:
+                return a
+            a = new
+
+    return ev(phi)
 
 
 def oracle_sweep(frame, phi, envs):
@@ -220,6 +235,7 @@ def brute_canonical_form(succ):
     )
 
 
+@functools.cache
 def brute_monotone_maps(succ, strict):
     n = len(succ)
     return [func for func in itertools.product(range(n), repeat=n)
@@ -405,12 +421,82 @@ def test_exhaustive_search_matches_oracle_at_three_worlds():
                 1, Countermodel(result.valuation, result.world))
 
 
+def search_report(result):
+    return (result.verdict, result.frames_checked, result.valuations_checked, result.frame,
+            result.valuation, result.world)
+
+
+def test_chunks_of_frames_across_relations_match_the_oracle():
+    # Each world count's frames share chunks of 2^(12 - bits) slots.  A
+    # formula without O takes one slot per relation, its first map, which
+    # stands for all of its maps: "[d][d]p -> [d]p" and "<d>[d]p -> [d]<d>p"
+    # first fail at the eighth and the third serial class on 3 worlds, "<d>p
+    # -> [d]p" at the fifth class on 2 worlds, past slot 0 of a chunk of
+    # 17 and 8 slots.  "<d><d>p & O p -> O <d><d>p | p" first fails on a K4I
+    # frame of 4 worlds with 992 before it on 4 worlds, past three chunks of
+    # 256 slots.  Without variables a slot is one lane: "<d>T", "[d]F", "T"
+    # and "O <d>T -> <d>T", and the one serial class on one world is a
+    # chunk of one lane.  Two variables at 3 worlds make chunks of 64 slots.
+    classes = classes_by_size(4)
+    for text, logics, worlds in (
+        ("[d][d]p -> [d]p", ("K4DC", "K4DI"), 3),
+        ("<d>[d]p -> [d]<d>p", ("K4DC",), 3),
+        ("<d>p -> [d]p", ("K4C",), 3),
+        ("<d><d>p & O p -> O <d><d>p | p", ("K4I",), 4),
+        ("<d>T", LOGICS, 3), ("[d]F", LOGICS, 3), ("T", LOGICS, 3),
+        ("O <d>T -> <d>T", LOGICS, 3),
+        ("O (p & q) -> O p & O <d.>q", ("K4C", "K4DI"), 3),
+        ("<d>(p & O q) -> O <d>(p | q)", ("K4I",), 3),
+    ):
+        phi = parse(text)
+        for name in logics:
+            result = countermodel_search(phi, name, max_worlds=worlds)
+            assert search_report(result)[1:] == oracle_search(phi, LOGICS[name], worlds, classes)
+
+    def slot(text, name, worlds):
+        """The refuting relation's place among the logic's classes on its worlds."""
+        frame = countermodel_search(parse(text), name, max_worlds=worlds).frame
+        level = [s for s in classes[frame.n] if all(s) or not LOGICS[name].serial]
+        return frame.n, level.index(tuple(frame.succ_mask(w) for w in range(frame.n)))
+
+    assert slot("[d][d]p -> [d]p", "K4DI", 3) == slot("[d][d]p -> [d]p", "K4DC", 3) == (3, 7)
+    assert slot("<d>[d]p -> [d]<d>p", "K4DC", 3) == (3, 2)
+    assert slot("<d>p -> [d]p", "K4C", 3) == (2, 4)
+    with_o = countermodel_search(parse("<d><d>p & O p -> O <d><d>p | p"), "K4I", max_worlds=4)
+    assert with_o.frame.n == 4 and with_o.frames_checked == 2 + 22 + 351 + 993
+
+
+def test_one_slot_per_relation_gives_the_reports_of_every_map(monkeypatch):
+    # with the rule patched off, a formula without O sweeps every map: the
+    # theorems and non-theorems without O, and those with O as a control
+    formulas = [parse(t) for t in (
+        "[d]p -> [d][d]p", "<t>{p, <d>p} -> <d>p", "[d][d]p -> [d]p", "<d>[d]p -> [d]<d>p",
+        "[d](p | q) -> [d]p | [d]q", "<d>T", "<d>O p -> O <d>p",
+        "<d><d>p & O p -> O <d><d>p | p", "<t>{O p} -> O <t>{p}")]
+    for name in LOGICS:
+        for worlds in (3, 4):
+            fast = [search_report(countermodel_search(phi, name, max_worlds=worlds))
+                    for phi in formulas]
+            with monkeypatch.context() as patched:
+                patched.setattr(logic, "_reads_map", lambda program: True)
+                full = [search_report(countermodel_search(phi, name, max_worlds=worlds))
+                        for phi in formulas]
+            assert fast == full
+
+
 def test_search_evaluates_only_counted_valuations(monkeypatch):
-    # K holds on every frame, so the search sweeps every map of every
-    # relation up to 4 worlds: each lane of each evaluator is one
-    # valuation under one map, and none of them repeats a map of its chunk
+    # C-dia holds on every K4DI frame and reads O, so the search sweeps
+    # every map of every relation up to 4 worlds: each lane of each
+    # evaluator is one valuation on one frame, counted once
     widths = recorded_widths(monkeypatch)
-    result = countermodel_search(parse("[d](p -> q) -> [d]p -> [d]q"), "K4DI", max_worlds=4)
+    result = countermodel_search(parse("<d>O p -> O <d>p"), "K4DI", max_worlds=4)
     assert not result.found
-    assert len(widths) == 303
-    assert sum(widths) == result.valuations_checked == 986_516
+    assert result.frames_checked == result.stats["frames_swept"]
+    assert sum(widths) == result.valuations_checked == result.stats["valuations_swept"]
+    # K reads no map: each relation's first map stands for all of them, so
+    # fewer frames and valuations are swept than the search covers
+    widths.clear()
+    result = countermodel_search(parse("[d](p -> q) -> [d]p -> [d]q"), "K4DI", max_worlds=4)
+    assert not result.found and result.valuations_checked == 986_516
+    assert result.stats["frames_swept"] < result.frames_checked
+    assert sum(widths) == result.stats["valuations_swept"] < result.valuations_checked

@@ -2,6 +2,7 @@
 checks that every one of them still exists and is restored afterwards."""
 
 import importlib.util
+import json
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -73,3 +74,24 @@ def test_traced_story_commands_record_their_spans():
             rec.uninstall()
         assert code == 0
         assert rec.totals[span][0] == 1
+
+
+def test_search_stats_count_the_evaluators_the_tracer_sees():
+    tracer = _load_tracer()
+    for argv in (["--logic", "K4C", "--formula", "[d]p -> [d][d]p", "--max-worlds", "4"],
+                 ["--logic", "K4I", "--formula", "<d>O p -> O <d>p", "--max-worlds", "4"],
+                 ["--logic", "K4C", "--formula", "O p -> O O p", "--max-worlds", "4"],
+                 ["--logic", "K4DI", "--formula", "p -> O p", "--max-worlds", "9",
+                  "--samples", "40"]):
+        rec = tracer.Recorder()
+        out = StringIO()
+        try:
+            tracer.install(rec)
+            with redirect_stdout(out):
+                cli.main(["search", *argv, "--stats"])
+        finally:
+            rec.uninstall()
+        report = json.loads(out.getvalue())
+        metrics = tracer.layer_metrics(rec)
+        assert report["stats"]["evaluators"] == metrics["semantics.evaluators"] > 0
+        assert report["frames_checked"] == metrics["logic.frames_checked"]
