@@ -483,61 +483,65 @@ def _canonical_code(succ: Sequence[int], keys: Sequence[int]) -> int:
     return best
 
 
-def _transitive_classes():
-    """One transitive relation per isomorphism class, on 0, 1, 2, ...
-    worlds in turn; each relation is a tuple of successor masks.
+@lru_cache(maxsize=None)
+def _transitive_classes(n: int) -> tuple[tuple[int, ...], ...]:
+    """One transitive relation per isomorphism class on n worlds; each
+    relation is a tuple of successor masks.
 
-    The classes on n + 1 worlds come from those on n worlds, kept from
-    the level before: deleting a world of a transitive relation leaves a
-    transitive relation, so every class on n + 1 worlds is a class on n
-    worlds plus a last world x.  x's row S is closed under successors,
-    its column C under predecessors, every world of C sees all of S, and
-    x is reflexive when S and C meet; these four conditions are exactly
-    what keeps the extension transitive, so every candidate is.  A
-    candidate stands when x has the greatest (loop, out-degree,
-    in-degree) key of its worlds, since every class has such an
-    extension (delete a world of greatest key), and when its
-    :func:`_canonical_code` is new.  Parents go in their own order, then
-    S, then C ascending, then the loop off before on.  The counts on
-    0-6 worlds are 1, 2, 8, 39, 242, 1895 and 19051; on a 2-vCPU host
-    the classes on up to 5 worlds take about 0.07 s, on 6 worlds 0.7 s.
+    The classes on n worlds come from those on n - 1 worlds: deleting a
+    world of a transitive relation leaves a transitive relation, so every
+    class on n worlds is a class on n - 1 worlds plus a last world x.
+    x's row S is closed under successors, its column C under
+    predecessors, every world of C sees all of S, and x is reflexive when
+    S and C meet; these four conditions are exactly what keeps the
+    extension transitive, so every candidate is.  A candidate stands when
+    x has the greatest (loop, out-degree, in-degree) key of its worlds,
+    since every class has such an extension (delete a world of greatest
+    key), and when its :func:`_canonical_code` is new.  Parents go in
+    their own order, then S, then C ascending, then the loop off before
+    on.  The counts on 0-6 worlds are 1, 2, 8, 39, 242, 1895 and 19051.
+
+    A level is memoised for the process, as :func:`_schema_program` is,
+    and built whole before a search sweeps its first frame: on a 2-vCPU
+    host the levels up to 5 worlds take about 0.07 s and the 6-world
+    level 0.7 s, which a search that stops early inside that level pays
+    in full.  The levels through 6 worlds keep about 2.2 MB.  A level
+    whose build raises is not kept.
     """
-    level = [()]
-    yield ()
-    while True:
-        n = len(level[0])
-        new = 1 << n
-        shift = (n + 1).bit_length()  # a key packs (loop, out, in) into one int
-        seen = set()
-        grown = []
-        for succ in level:
-            pred = [0] * n
-            for w, row in enumerate(succ):
-                for v in _bits(row):
-                    pred[v] |= 1 << w
-            down_sets = _closed_sets(pred)
-            for s in _closed_sets(succ):
-                sees_s = sum(1 << a for a in range(n) if not s & ~succ[a])
-                for c in down_sets:
-                    if c & ~sees_s:
+    if n == 0:
+        return ((),)
+    m = n - 1  # the parents' worlds
+    new = 1 << m
+    shift = n.bit_length()  # a key packs (loop, out, in) into one int
+    seen = set()
+    grown = []
+    for succ in _transitive_classes(m):
+        pred = [0] * m
+        for w, row in enumerate(succ):
+            for v in _bits(row):
+                pred[v] |= 1 << w
+        down_sets = _closed_sets(pred)
+        for s in _closed_sets(succ):
+            sees_s = sum(1 << a for a in range(m) if not s & ~succ[a])
+            for c in down_sets:
+                if c & ~sees_s:
+                    continue
+                rows = [row | new if c >> w & 1 else row for w, row in enumerate(succ)]
+                keys = [((row >> w & 1) << shift | row.bit_count()) << shift
+                        | (pred[w] | (new if s >> w & 1 else 0)).bit_count()
+                        for w, row in enumerate(rows)]
+                most = max(keys, default=0)
+                for loop in ((1,) if s & c else (0, 1)):
+                    key = ((loop << shift | s.bit_count() + loop) << shift
+                           | c.bit_count() + loop)
+                    if key < most:
                         continue
-                    rows = [row | new if c >> w & 1 else row for w, row in enumerate(succ)]
-                    keys = [((row >> w & 1) << shift | row.bit_count()) << shift
-                            | (pred[w] | (new if s >> w & 1 else 0)).bit_count()
-                            for w, row in enumerate(rows)]
-                    most = max(keys, default=0)
-                    for loop in ((1,) if s & c else (0, 1)):
-                        key = ((loop << shift | s.bit_count() + loop) << shift
-                               | c.bit_count() + loop)
-                        if key < most:
-                            continue
-                        cand = (*rows, s | new * loop)
-                        code = _canonical_code(cand, keys + [key])
-                        if code not in seen:
-                            seen.add(code)
-                            grown.append(cand)
-                            yield cand
-        level = grown
+                    cand = (*rows, s | new * loop)
+                    code = _canonical_code(cand, keys + [key])
+                    if code not in seen:
+                        seen.add(code)
+                        grown.append(cand)
+    return tuple(grown)
 
 
 def _monotone_maps(succ: Sequence[int], strict: bool) -> list[tuple[int, ...]]:
@@ -571,6 +575,18 @@ def _monotone_maps(succ: Sequence[int], strict: bool) -> list[tuple[int, ...]]:
     return level
 
 
+@lru_cache(maxsize=None)
+def _first_map(succ: tuple[int, ...], strict: bool) -> tuple[tuple[int, ...], int]:
+    """The relation's first (strictly) monotone map and its map count, all
+    that a search of a formula without O reads of its maps; memoised for
+    the process, so :func:`_monotone_maps` lists them once per class and
+    strictness, and only for the classes a search reaches.  After O-free
+    searches of K4C and K4I at 5 worlds, the classes and this memo keep
+    about 1.5 MB."""
+    maps = _monotone_maps(succ, strict)
+    return maps[0], len(maps)
+
+
 def countermodel_search(
     phi: Formula,
     logic: Logic | str,
@@ -598,11 +614,15 @@ def countermodel_search(
     one frame and valuation at a time.  ``stats`` counts the relation
     classes enumerated, the frames and valuations swept, the evaluators
     built and ``worlds_covered``, the most worlds searched in full.  The
-    bound is not what finishes: on a 2-vCPU host ``[d]p -> [d][d]p``
-    takes about 0.011 s CPU in K4DC at 4 worlds (5,151 frames), 0.4-0.7 s
-    in K4C at 5 worlds (409,952 frames) and 20 s at 6 (16,293,935
-    frames); ``<d>O p -> O <d>p``, which reads O, 0.7-1.2 s in K4I at 5
-    worlds (206,821 frames).
+    bound is not what finishes: on a 2-vCPU host, as the first search in
+    a process, ``[d]p -> [d][d]p`` takes about 0.011 s CPU in K4DC at 4
+    worlds (5,151 frames), 0.4-0.7 s in K4C at 5 worlds (409,952 frames)
+    and 20 s at 6 (16,293,935 frames); ``<d>O p -> O <d>p``, which reads
+    O, 0.7-1.2 s in K4I at 5 worlds (206,821 frames).  The relation
+    classes, and the first map and map count of each class that a
+    formula without O reaches, are kept for the process, so a repeated
+    O-free search skips the enumeration: the K4C one at 5 worlds then
+    takes about 0.02 s.
     Like exhaustive validity it raises ``ValueError`` before the first
     world count whose frames would need more than
     2^``EXHAUSTIVE_BITS_LIMIT`` valuations each (world count times the
@@ -648,38 +668,35 @@ def _search_chunks(logic: Logic, max_worlds: int, count: int, every_map: bool, t
     count, slots, weights) chunks of at most 2^(12 - bits) slots of one
     world count: a slot is a (relation, map) pair, and its weight is 1,
     or the relation's map count when not `every_map`, where the first map
-    stands for all.  The tally counts the relations and, once a world
-    count's chunks are all taken, ``worlds_covered``."""
-    classes = _transitive_classes()
-    next(classes)  # the relation on no worlds
-    slots, weights = [], []
-    n = 0
-    for succ in classes:
-        if len(succ) > n:  # the first class on one more world
-            if slots:
-                yield n, slots, weights
-                slots, weights = [], []
-            tally["worlds_covered"] = n
-            n = len(succ)
-            if n > max_worlds:
-                return
-            if n * count > EXHAUSTIVE_BITS_LIMIT:
-                raise ValueError(f"exhaustive search needs |worlds|*|vars| <= "
-                                 f"{EXHAUSTIVE_BITS_LIMIT}, got {n * count}")
-            per = 1 << max(0, _BLOCK_BITS - n * count)
-        if logic.serial and not all(succ):
-            continue
-        tally["relations"] += 1
-        maps = _monotone_maps(succ, logic.strict)
-        if every_map:
-            slots += [(succ, f) for f in maps]
-            weights += [1] * len(maps)
-        else:
-            slots.append((succ, maps[0]))
-            weights.append(len(maps))
-        while len(slots) >= per:
-            yield n, slots[:per], weights[:per]
-            del slots[:per], weights[:per]
+    stands for all.  The world counts go up one memoised level of
+    :func:`_transitive_classes` at a time, so a level ends where its
+    classes do, and a formula without O reads each class's first map and
+    map count from :func:`_first_map`.  The tally counts the relations
+    and, once a world count's chunks are all taken, ``worlds_covered``."""
+    for n in range(1, max_worlds + 1):
+        if n * count > EXHAUSTIVE_BITS_LIMIT:
+            raise ValueError(f"exhaustive search needs |worlds|*|vars| <= "
+                             f"{EXHAUSTIVE_BITS_LIMIT}, got {n * count}")
+        per = 1 << max(0, _BLOCK_BITS - n * count)
+        slots, weights = [], []
+        for succ in _transitive_classes(n):
+            if logic.serial and not all(succ):
+                continue
+            tally["relations"] += 1
+            if every_map:
+                maps = _monotone_maps(succ, logic.strict)
+                slots += [(succ, f) for f in maps]
+                weights += [1] * len(maps)
+            else:
+                first, total = _first_map(succ, logic.strict)
+                slots.append((succ, first))
+                weights.append(total)
+            while len(slots) >= per:
+                yield n, slots[:per], weights[:per]
+                del slots[:per], weights[:per]
+        if slots:
+            yield n, slots, weights
+        tally["worlds_covered"] = n
 
 
 def _search_exhaustive(program: Program, logic: Logic, max_worlds: int) -> SearchResult:

@@ -14,6 +14,7 @@ import gc
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tanglemc.formula import (
@@ -244,22 +245,87 @@ def brute_monotone_maps(succ, strict):
 
 def classes_by_size(max_worlds):
     """The generator's relations on at most max_worlds worlds, by size."""
-    by_size = [[] for _ in range(max_worlds + 1)]
-    for succ in _transitive_classes():
-        if len(succ) > max_worlds:
-            return by_size
-        by_size[len(succ)].append(succ)
+    return [list(_transitive_classes(n)) for n in range(max_worlds + 1)]
 
 
-def test_transitive_relations_match_brute_force():
-    # one relation per isomorphism class: transitive, pairwise non-isomorphic,
-    # and every labelled transitive relation is isomorphic to one of them
-    for n, relations in enumerate(classes_by_size(4)):
+@functools.cache
+def brute_class_forms(n):
+    """The canonical forms of every labelled transitive relation on n worlds."""
+    return frozenset(brute_canonical_form(succ) for succ in brute_transitive_succs(n))
+
+
+def check_levels(levels):
+    """One relation per isomorphism class on 0, 1, ... worlds: transitive,
+    pairwise non-isomorphic, every labelled transitive relation isomorphic
+    to one of them, and in the generator's order: by parent (the relation
+    on the first n - 1 worlds, a class of the level before), then the last
+    world's row, then its column, then its loop."""
+    for n, relations in enumerate(levels):
         assert len(relations) == (1, 2, 8, 39, 242)[n]
         assert all(_transitivity_witness(succ) is None for succ in relations)
         forms = [brute_canonical_form(succ) for succ in relations]
         assert len(set(forms)) == len(forms)
-        assert set(forms) == {brute_canonical_form(succ) for succ in brute_transitive_succs(n)}
+        assert set(forms) == brute_class_forms(n)
+        if n:
+            last = 1 << n - 1
+            order = [(levels[n - 1].index(tuple(row & ~last for row in succ[:-1])),
+                      succ[-1] & ~last,
+                      sum(1 << w for w, row in enumerate(succ[:-1]) if row & last),
+                      succ[-1] & last) for succ in relations]
+            assert order == sorted(order)
+
+
+def test_transitive_relations_match_brute_force():
+    check_levels(classes_by_size(4))
+
+
+def test_levels_and_first_maps_are_kept_across_searches(monkeypatch):
+    # The relation classes of each world count, and the first map and map
+    # count of each class, are kept for the process.  Each logic's searches
+    # with and without O give the same results cold and warm; once warm, a
+    # search without O enumerates nothing; and the levels rebuilt after the
+    # memo is cleared equal the kept ones, in order.
+    o_free = [parse("[d]p -> [d][d]p"), parse("<d>[d]p -> [d]<d>p")]
+    cases = [(phi, name, worlds) for phi in (*o_free, parse("<d>O p -> O <d>p"))
+             for name in LOGICS for worlds in (3, 4)]
+    kept = classes_by_size(4)
+    logic._transitive_classes.cache_clear()
+    logic._first_map.cache_clear()
+    cold = [countermodel_search(*case) for case in cases]
+    assert [countermodel_search(*case) for case in cases] == cold
+
+    def enumerate_again(*args):
+        raise AssertionError("a warm search without O enumerated classes or maps")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(logic, "_monotone_maps", enumerate_again)
+        patched.setattr(logic, "_canonical_code", enumerate_again)
+        for case, result in zip(cases, cold):
+            if case[0] in o_free:
+                assert countermodel_search(*case) == result
+    assert classes_by_size(4) == kept
+    check_levels(kept)
+
+
+def test_a_level_whose_build_raises_is_not_kept(monkeypatch):
+    # a level is kept only once it is built whole: an error in the middle
+    # of level 4 leaves none of it behind, and the next call builds it anew
+    logic._transitive_classes.cache_clear()
+    logic._transitive_classes(3)
+    canonical_code, calls = logic._canonical_code, []
+
+    def interrupted(*args):
+        calls.append(args)
+        if len(calls) == 100:
+            raise RuntimeError("interrupted")
+        return canonical_code(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(logic, "_canonical_code", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            logic._transitive_classes(4)
+    assert all(len(succ) == 4 for succ, _ in calls)
+    check_levels(classes_by_size(4))
 
 
 def test_monotone_maps_match_brute_force():
