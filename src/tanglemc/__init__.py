@@ -21,7 +21,7 @@ _HOMES = {
     ),
     "logic": (
         "LOGICS", "SCHEMAS", "Logic", "Schema", "countermodel_search",
-        "random_class_frame", "random_formula", "soundness_suite",
+        "random_class_frame", "soundness_suite",
     ),
     "pathspace": (
         "LimitAssignment", "Path", "build_limit_assignment", "enumerate_paths",

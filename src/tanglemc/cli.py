@@ -281,8 +281,6 @@ def _cmd_oplus(args) -> int:
     if args.story is not None:
         from . import story as story_mod
 
-        if args.close_transitively:  # a story's levels are never closed
-            raise ValueError("--close-transitively applies to --frame only")
         st = _load_story(args.story)
         lifted, projections = story_mod.story_oplus(st)
         _emit(_report(
@@ -306,8 +304,6 @@ def _cmd_pathspace_verify(args) -> int:
     from . import pathspace, story as story_mod
 
     if args.story is not None:
-        if args.close_transitively:  # a story's levels are never closed
-            raise ValueError("--close-transitively applies to --frame only")
         st = _load_story(args.story)
         source = args.story
     else:
@@ -456,6 +452,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "samples", 0) < 0:  # validity, axioms and search, in every mode
             raise ValueError("samples must be >= 0")
+        if getattr(args, "story", None) is not None and getattr(args, "close_transitively", False):
+            # oplus and pathspace-verify: a story's levels are never closed
+            raise ValueError("--close-transitively applies to --frame only")
         return args.fn(args)
     except (ValueError, OSError) as e:  # parse, frame, story and JSON errors too
         _emit(_report(args.command, error=str(e)))

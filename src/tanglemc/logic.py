@@ -54,8 +54,8 @@ from .frame import (
     transitive_closure,
 )
 from .semantics import (
-    _BLOCK_BITS, EXHAUSTIVE_BITS_LIMIT, PACKED_BITS_LIMIT, Evaluator, Program, _exhaustive_blocks,
-    exhaustive_passes, sampled_passes, sweep, valid_on_frame,
+    _BLOCK_BITS, EXHAUSTIVE_BITS_LIMIT, Program, exhaustive_passes, sampled_passes, sweep,
+    valid_on_frame,
 )
 from .record import record
 
@@ -164,29 +164,6 @@ LOGICS: dict[str, Logic] = {
 # ---------------------------------------------------------------------------
 # random generation
 
-def random_formula(
-    rng: random.Random, variables: Sequence[str], depth: int, nodes: dict | None = None
-) -> Formula:
-    """A random formula of at most `depth` nested operators over `variables`.
-
-    Its nodes are hash-consed in `nodes` (a fresh table when None), as
-    :func:`~tanglemc.formula.parse` does: a variable by its name, any other
-    node by its type and the identities of its children, which are shared
-    already.  So equal formulas drawn into one table are one object, while
-    the table, which holds them, lives."""
-    if nodes is None:
-        nodes = {}
-    if depth <= 0 or rng.random() < 0.3:
-        key = (Var, rng.choice(variables))
-        return nodes.get(key) or nodes.setdefault(key, Var(key[1]))
-    kind = rng.choice((Neg, And, Or, Implies, Diamond, Box, Next, Tangle))
-    count = rng.choice((1, 2)) if kind is Tangle else 2 if kind in (And, Or, Implies) else 1
-    kids = [random_formula(rng, variables, depth - 1, nodes) for _ in range(count)]
-    key = (Tangle, frozenset(map(id, kids))) if kind is Tangle else (kind, *map(id, kids))
-    return nodes.get(key) or nodes.setdefault(
-        key, Tangle(tuple(kids)) if kind is Tangle else kind(*kids))
-
-
 FUNC_TRIES = 64  # random maps tried for a monotone one before the identity
 
 
@@ -221,28 +198,54 @@ def random_class_frame(rng: random.Random, max_worlds: int, logic: Logic) -> Fra
 
 
 SUITE_VARIABLES = ("p", "q")  # the variables of the suite's schema instances
-SUITE_DEPTH = 1  # the depth of the random formulas filling their slots
+_p, _q = map(Var, SUITE_VARIABLES)
+# the formulas that fill the slots of the suite's instances: those of depth
+# at most 1 over its variables, the variables, 8 unary, 12 binary and 3
+# tangles.  A slot takes formula i with chance SLOT_WEIGHTS[i] / 640, the
+# chance of a draw that takes a variable with chance 0.3 and otherwise one
+# of Neg, Diamond, Box, Next, And, Or, Implies and a tangle of one or two
+# arguments, each operator with chance 0.7 / 8 and each argument a uniform
+# variable: a one-variable tangle comes from one argument or two equal ones
+SLOT_FORMULAS = (
+    _p, _q,
+    *[op(v) for op in (Neg, Diamond, Box, Next) for v in (_p, _q)],
+    *[op(a, b) for op in (And, Or, Implies) for a in (_p, _q) for b in (_p, _q)],
+    Tangle((_p,)), Tangle((_q,)), Tangle((_p, _q)),
+)
+SLOT_WEIGHTS = (96, 96, *[28] * 8, *[14] * 12, 21, 21, 14)
+_SLOT_CUM_WEIGHTS = tuple(itertools.accumulate(SLOT_WEIGHTS))
+_SLOT_PROGRAMS = tuple(map(Program, SLOT_FORMULAS))  # made once per process
 
 
-def _random_slots(
-    rng: random.Random, schema: Schema, nodes: dict | None = None
-) -> tuple[list[Formula], list[Formula] | None, Formula | None]:
-    """The arguments of a random instance for :meth:`Schema.instantiate`,
-    drawn in order: the formula slots, the set (its size first), theta,
-    each hash-consed in `nodes` by :func:`random_formula`."""
-    def draw():
-        return random_formula(rng, SUITE_VARIABLES, SUITE_DEPTH, nodes)
+def _random_slots(rng: random.Random, schema: Schema) -> list[int]:
+    """The `SLOT_FORMULAS` indices that fill a random instance's slots, one
+    ``rng.random()`` each, in the order of :func:`_schema_program`'s
+    metavariables: the formula slots, the set (its size drawn first),
+    theta."""
+    def draw(k: int) -> list[int]:
+        return rng.choices(range(len(SLOT_FORMULAS)), cum_weights=_SLOT_CUM_WEIGHTS, k=k)
 
-    formulas = [draw() for _ in range(schema.formula_slots)]
-    formula_set = [draw() for _ in range(rng.choice((1, 2)))] if schema.set_slot else None
-    theta = draw() if schema.theta_slot else None
-    return formulas, formula_set, theta
+    slots = draw(schema.formula_slots)
+    if schema.set_slot:
+        slots += draw(rng.choice((1, 2)))
+    return slots + draw(1) if schema.theta_slot else slots
+
+
+def _instance(name: str, slots: Sequence[int]) -> Formula:
+    """The instance of the named schema whose slots, in
+    :func:`_random_slots` order, hold these `SLOT_FORMULAS`."""
+    schema = SCHEMAS[name]
+    args = [SLOT_FORMULAS[i] for i in slots]
+    theta = args.pop() if schema.theta_slot else None
+    k = schema.formula_slots
+    return schema.instantiate(args[:k], args[k:] if schema.set_slot else None, theta)
 
 
 @lru_cache(maxsize=None)
 def _schema_program(name: str, size: int) -> Program:
     """The program of a schema with a set of `size`, over unparseable
-    metavariables ``_0``, ``_1``, ... in :func:`_random_slots` order."""
+    metavariables ``_0``, ``_1``, ... in the order of the slots that
+    :func:`_random_slots` draws."""
     schema = SCHEMAS[name]
     k = schema.formula_slots
     metas = [Var(f"_{i}") for i in range(k + size + schema.theta_slot)]
@@ -294,46 +297,45 @@ class SuiteReport:
         }
 
 
-def _union_failures(drawn, trials, programs: dict[int, Program]) -> set[tuple[int, int]]:
+def _union_failures(drawn, trials) -> set[tuple[int, int]]:
     """The (trial, schema) positions of the instances of `trials`, indices
     into `drawn`, a list of (frame, draws), that miss a world under some
-    valuation.  The trial frames have one world count n, and one evaluator
-    of 4^n lanes checks their disjoint union, where p and q hold all 4^n
-    valuation codes in every trial's worlds: an instance's value does not
-    depend on a variable it does not read, so each instance meets every
-    valuation of its variables.  Truth on a disjoint union is truth on
-    each part, and [[phi[psi/A]]] is [[phi]] with A read as [[psi]]: so
-    each distinct slot formula, from `programs` (node identity -> program),
-    which gains the slot formulas it lacks, runs once on the union, and
-    each schema position (one instance a trial, even where a logic lists a
-    schema twice) and set size runs its schema's program once, each
-    metavariable read in an instance's worlds as its slot formula."""
-    chunk = [drawn[t] for t in trials]
-    n = chunk[0][0].n
-    lanes = 1 << n * len(SUITE_VARIABLES)
-    span = n * lanes  # the bits of one trial's worlds
-    union = Frame([f"w{w}" for w in range(n * len(chunk))],
-                  [f.succ_mask(w) << t * n for t, (f, _) in enumerate(chunk) for w in range(n)],
-                  [f.func_index(w) + t * n for t, (f, _) in enumerate(chunk) for w in range(n)])
-    ev = Evaluator(union, lanes)
-    regions = [((1 << span) - 1) << t * span for t in range(len(chunk))]
-    every = sum(1 << t * span for t in range(len(chunk)))  # copies a trial's mask to all
-    codes = next(_exhaustive_blocks(n, len(SUITE_VARIABLES), n * len(SUITE_VARIABLES), 1))
-    env = {v: m * every for v, m in zip(SUITE_VARIABLES, codes)}
-    groups: dict[tuple[int, str, int], list] = {}  # (position, schema, set size) -> instances
-    for t, (_, draws) in enumerate(chunk):
-        for i, (name, (formulas, formula_set, theta), _) in enumerate(draws):
-            slots = [programs.get(id(f)) or programs.setdefault(id(f), Program(f))
-                     for f in (*formulas, *(formula_set or ()), *([theta] if theta else []))]
-            groups.setdefault((i, name, len(formula_set or ())), []).append((t, slots))
-    values = {p: ev.compile(p)(env)
-              for p in dict.fromkeys(p for m in groups.values() for _, s in m for p in s)}
+    valuation.  The trial frames have one world count n, at most 6, and
+    each trial is an evaluator slot of 4^n lanes, where p and q hold all
+    4^n valuation codes: an instance's value does not depend on a variable
+    it does not read, so each instance meets every valuation of its
+    variables.  The slots go in chunks of as many as fit in 2^12 lanes,
+    one evaluator a chunk, as :func:`exhaustive_passes` makes them.
+    [[phi[psi/A]]] is [[phi]] with A read as [[psi]]: so a chunk runs the
+    program of each of the 25 `SLOT_FORMULAS` once, and each schema
+    position (one instance a trial, even where a logic lists a schema
+    twice) and set size runs its schema's program once, each metavariable
+    read in a trial's lanes as that trial's slot formula."""
+    frame = drawn[trials[0]][0]
+    n = frame.n
+    width = 1 << n * len(SUITE_VARIABLES)  # the lanes of a trial
+    passes = exhaustive_passes(frame, len(SUITE_VARIABLES),
+                               [(drawn[t][0]._succ, drawn[t][0]._func) for t in trials])
     failing = set()
-    for (i, name, size), members in groups.items():
-        metas = {f"_{k}": sum(values[s[k]] & regions[t] for t, s in members)
-                 for k in range(len(members[0][1]))}  # the regions are disjoint: + is |
-        missing = ev.full ^ ev.compile(_schema_program(name, size))(metas)
-        failing.update((trials[t], i) for t, _ in members if missing & regions[t])
+    first = 0
+    for ev, masks in passes:  # one pass a chunk: its lanes hold every code
+        chunk = trials[first:first + ev.lanes // width]
+        first += len(chunk)
+        column = sum(1 << w * ev.lanes for w in range(n))  # lane 0 of every world
+        regions = [((1 << width) - 1 << j * width) * column for j in range(len(chunk))]
+        env = dict(zip(SUITE_VARIABLES, masks))
+        values = [ev.compile(p)(env) for p in _SLOT_PROGRAMS]
+        groups: dict[tuple[int, str, int], list] = {}  # (position, schema, slots) -> members
+        for j, t in enumerate(chunk):
+            for i, (name, slots, _) in enumerate(drawn[t][1]):
+                groups.setdefault((i, name, len(slots)), []).append((j, slots))
+        for (i, name, count), members in groups.items():
+            schema = SCHEMAS[name]
+            program = _schema_program(name, count - schema.formula_slots - schema.theta_slot)
+            metas = {f"_{k}": sum(values[s[k]] & regions[j] for j, s in members)
+                     for k in range(count)}  # the regions are disjoint: + is |
+            missing = ev.full ^ ev.compile(program)(metas)
+            failing.update((chunk[j], i) for j, _ in members if missing & regions[j])
     return failing
 
 
@@ -348,25 +350,22 @@ def soundness_suite(
     """Check every schema of the logic on random frames of its class.
 
     Each trial draws a frame with :func:`random_class_frame`, then for each
-    schema the slot formulas of an instance, over `SUITE_VARIABLES` of
-    depth `SUITE_DEPTH` and hash-consed for this call, and a sampling seed.
+    schema the slots of an instance, one index into the fixed catalogue
+    `SLOT_FORMULAS` a slot (:func:`_random_slots`), and a sampling seed.
     One rule, in both modes: trials of up to 6 worlds, whose 4^n valuation
     codes fit one pass of at most 4096 lanes, are screened under all of
-    them by :func:`_union_failures`, in chunks of one world count whose
-    distance masks (``2(2n - 1)`` per world and lane at most) stay within
-    ``PACKED_BITS_LIMIT`` bits.  A chunk takes one evaluator of 4^n lanes
-    on the union of its frames, one run per distinct slot formula and one
-    per schema position and set size; every instance of a larger trial
-    skips the screen.  Each flagged or unscreened instance is built and checked alone
-    by :func:`valid_on_frame`, once, in `mode` and with its own seed, so
-    its countermodel is that of a sweep per instance; its samples are some
-    of its codes, so the screen misses none that its sweep refutes.
-    Violations come in (trial, schema) order.  A sound logic reports zero
-    violations; a `Logic` whose schemas or class do not match gives a
-    misconfigured suite.  An unknown `mode` raises ``ValueError`` before
-    the first trial, as does exhaustive mode when a frame of `max_worlds`
-    worlds could pass ``EXHAUSTIVE_BITS_LIMIT`` (worlds times the number
-    of `SUITE_VARIABLES`).
+    them by :func:`_union_failures`, each trial an evaluator slot, in
+    chunks of 2^12 lanes of one world count; every instance of a larger
+    trial skips the screen.  Each flagged or unscreened instance is built
+    and checked alone by :func:`valid_on_frame`, once, in `mode` and with
+    its own seed, so its countermodel is that of a sweep per instance; its
+    samples are some of its codes, so the screen misses none that its
+    sweep refutes.  Violations come in (trial, schema) order.  A sound
+    logic reports zero violations; a `Logic` whose schemas or class do not
+    match gives a misconfigured suite.  An unknown `mode` raises
+    ``ValueError`` before the first trial, as does exhaustive mode when a
+    frame of `max_worlds` worlds could pass ``EXHAUSTIVE_BITS_LIMIT``
+    (worlds times the number of `SUITE_VARIABLES`).
     """
     if isinstance(logic, str):
         logic = LOGICS[logic]
@@ -384,28 +383,21 @@ def soundness_suite(
             f"exhaustive suite needs max_worlds*|vars| <= {EXHAUSTIVE_BITS_LIMIT}, got {bits}"
         )
     rng = random.Random(seed)
-    # the slot formulas' nodes and their programs by node identity, for
-    # this call only: the nodes, and so the identities, die with it
-    nodes: dict = {}
-    programs: dict[int, Program] = {}
     drawn = [(random_class_frame(rng, max_worlds, logic),
-              [(name, _random_slots(rng, SCHEMAS[name], nodes), rng.getrandbits(32))
+              [(name, _random_slots(rng, SCHEMAS[name]), rng.getrandbits(32))
                for name in logic.schemas]) for _ in range(trials)]
     suspects = set()
     for n in sorted({frame.n for frame, _ in drawn}):
         same = [t for t, (frame, _) in enumerate(drawn) if frame.n == n]
-        bits = n * len(SUITE_VARIABLES)
-        if bits > _BLOCK_BITS:  # its codes take more than one pass: no screen
+        if n * len(SUITE_VARIABLES) > _BLOCK_BITS:  # more than one pass of codes: no screen
             suspects.update((t, i) for t in same for i in range(len(logic.schemas)))
-            continue
-        step = max(1, PACKED_BITS_LIMIT // (2 * (2 * n - 1) * n << bits))
-        for k in range(0, len(same), step):
-            suspects |= _union_failures(drawn, same[k:k + step], programs)
+        else:
+            suspects |= _union_failures(drawn, same)
     violations = []
     for t, i in sorted(suspects):
         frame, draws = drawn[t]
         name, slots, instance_seed = draws[i]
-        inst = SCHEMAS[name].instantiate(*slots)
+        inst = _instance(name, slots)
         cm = valid_on_frame(frame, inst, mode, samples, instance_seed).countermodel
         if cm is not None:
             violations.append(SchemaViolation(name, pretty(inst), frame.to_dict(cm.valuation),

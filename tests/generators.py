@@ -1,9 +1,9 @@
-"""Random stories and random layered frames for the tests.
+"""Random formulas, random stories and random layered frames for the tests.
 
 The library samples countermodels with ``logic.random_class_frame`` alone;
-these generators only feed the tests: valid stories of a chosen shape for
-the story, oplus and path-space suites, and wide transitive frames for the
-frame and sweep suites.  Each draws from its ``random.Random`` in a fixed
+these generators only feed the tests: formulas of a chosen depth, valid
+stories of a chosen shape for the story, oplus and path-space suites, and
+wide transitive frames for the frame and sweep suites.  Each draws from its ``random.Random`` in a fixed
 order, so a seed names one story or frame.  Moments are built bottom-up by
 `compose_moment`, which lives here because no command builds moments that
 way.
@@ -12,6 +12,7 @@ way.
 import random
 from typing import Iterable, Mapping, Sequence
 
+from tanglemc.formula import And, Box, Diamond, Formula, Implies, Neg, Next, Or, Tangle, Var
 from tanglemc.frame import Frame, FrameError, _bits
 from tanglemc.story import (
     Moment,
@@ -20,6 +21,19 @@ from tanglemc.story import (
     validate_moment,
     validate_story,
 )
+
+
+def random_formula(rng: random.Random, variables: Sequence[str], depth: int) -> Formula:
+    """A random formula of at most `depth` nested operators over `variables`:
+    a variable with chance 0.3, and always at depth 0, else one of eight
+    operators, each equally likely, over random formulas of one depth less,
+    a tangle taking one or two."""
+    if depth <= 0 or rng.random() < 0.3:
+        return Var(rng.choice(variables))
+    kind = rng.choice((Neg, And, Or, Implies, Diamond, Box, Next, Tangle))
+    count = rng.choice((1, 2)) if kind is Tangle else 2 if kind in (And, Or, Implies) else 1
+    kids = [random_formula(rng, variables, depth - 1) for _ in range(count)]
+    return Tangle(tuple(kids)) if kind is Tangle else kind(*kids)
 
 
 def compose_moment(

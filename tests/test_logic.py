@@ -1,24 +1,32 @@
 import hashlib
+import itertools
 import json
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from tanglemc import logic, semantics
-from tanglemc.formula import Diamond, Neg, Next, Var, parse, pretty
+from tanglemc.formula import (
+    And, Box, Diamond, Implies, Neg, Next, Or, Tangle, Var, children, parse, pretty, vars_of,
+)
 from tanglemc.frame import Frame
 from tanglemc.logic import (
     LOGICS,
     SCHEMAS,
+    SLOT_FORMULAS,
+    SLOT_WEIGHTS,
+    SUITE_VARIABLES,
     Logic,
     Schema,
     SchemaViolation,
     SuiteReport,
+    _instance,
     _random_slots,
     _union_failures,
     countermodel_search,
     random_class_frame,
-    random_formula,
     soundness_suite,
 )
 from tanglemc.semantics import PACKED_BITS_LIMIT, Model, truth_set, valid_on_frame
@@ -117,7 +125,7 @@ def test_soundness_suite_reports_misconfigured_schema():
     k4c = LOGICS["K4C"]
     misconfigured = Logic("K4C", k4c.schemas + ("CTan-dia",), k4c.serial, k4c.strict)
     report = soundness_suite(misconfigured, trials=200, seed=3, mode="exhaustive")
-    assert len(report.violations) == 13
+    assert len(report.violations) == 17
     assert not report.ok
     assert {v.schema for v in report.violations} == {"CTan-dia"}
     v = report.violations[0]
@@ -127,59 +135,63 @@ def test_soundness_suite_reports_misconfigured_schema():
     assert v.world not in truth_set(Model(frame, valuation), parse(v.formula))
 
 
-# sha256 of the reports as the suite gave them with one evaluator per
-# schema instance: sharing a trial's evaluators keeps every byte
+# sha256 of the reports of per_instance_suite, one sweep per schema
+# instance, and their violation counts: the screen keeps every byte
 MISCONFIGURED_DIGESTS = {
-    "exhaustive": "8c3e84a6187dd18c5817c3f24056e5bfeb0946150c27db10c05ba8631da72e26",
-    "sampled": "f60e9bc0cd8a8e5aa0c354faac9b40ec8e7efbc5e53c0f04eea2e97791150ddc",
+    "exhaustive": "d85760bb9ca8c206b5ef3b4e1f09acc140c632d312652933a2867626cb84ccbb",
+    "sampled": "3d6a4491438872b5f02837c2d624f37e41dd557c31d9ca31bea3535326596990",
 }
-# the same at up to 8 worlds, pinned from union passes over the frames of
-# 7 and 8 worlds: their lone sweeps must give the same bytes
+# the same at up to 8 worlds, where the trials of 7 and 8 worlds skip the
+# screen: their lone sweeps must give the same bytes
 MISCONFIGURED_DIGESTS_8_WORLDS = {
-    "exhaustive": "f0a519c9f3557bfc5948a60f110bfd7652de21e39c0cbf5d95ea731bfb4e4e97",
-    "sampled": "f7696301118906808ff91a2d31d5846f5d212074d889440daa6020c39f8e38c8",
+    "exhaustive": "641293e0ccadce7cfca394fe6fe926680061a7fe2a21a90912cba86d2e293416",
+    "sampled": "22d4abc541f077ba50f96f55d937bc5a4f50f1646f0b8961725928d73a24af03",
 }
 
 
-@pytest.mark.parametrize("mode, max_worlds, digest", [
-    *[pytest.param(mode, 4, digest, id=mode) for mode, digest in MISCONFIGURED_DIGESTS.items()],
-    *[pytest.param(mode, 8, digest, id=f"{mode}-8")
+@pytest.mark.parametrize("mode, max_worlds, digest, count", [
+    *[pytest.param(mode, 4, digest, 5, id=mode) for mode, digest in MISCONFIGURED_DIGESTS.items()],
+    *[pytest.param(mode, 8, digest, 3, id=f"{mode}-8")
       for mode, digest in MISCONFIGURED_DIGESTS_8_WORLDS.items()],
 ])
-def test_misconfigured_suite_reports_are_pinned(mode, max_worlds, digest):
+def test_misconfigured_suite_reports_are_pinned(mode, max_worlds, digest, count):
     k4c = LOGICS["K4C"]
     misconfigured = Logic("K4C", k4c.schemas + ("CTan-dia",), k4c.serial, k4c.strict)
     report = soundness_suite(misconfigured, trials=40, seed=3, max_worlds=max_worlds, mode=mode)
-    assert len(report.violations) == 3
+    assert report == per_instance_suite(misconfigured, 40, 3, max_worlds, mode, 32)[0]
+    assert len(report.violations) == count
     text = json.dumps(report.to_dict(), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_suite_builds_one_evaluator_per_union_chunk(monkeypatch):
+    _, _, chunk = per_instance_suite(LOGICS["K4DC"], 100, 14, 4, "sampled", 32)
     built = []
     init = semantics.Evaluator.__init__
 
     def counted(self, frame, lanes=1, *args):
-        built.append((frame.n, lanes, semantics._mask_bits(frame) * lanes))
         init(self, frame, lanes, *args)
+        steps = len(self._down_steps) + len(self._pre_steps)
+        built.append((frame.n, lanes, steps * frame.n * lanes))  # the bits of its step masks
 
     monkeypatch.setattr(semantics.Evaluator, "__init__", counted)
     report = soundness_suite("K4DC", trials=100, seed=14)
-    # nine schemas a trial; the frames of each world count, 1 to 4, make
-    # one union, screened by one evaluator under all 4^n valuations of p
-    # and q on n worlds, D's instances, which read no variable, included
+    # nine schemas a trial; each trial is a slot of 4^n lanes, all the
+    # valuations of p and q on its n worlds, for D's instances, which read
+    # no variable, too.  The trials of one world count fill evaluators of
+    # at most 2^12 lanes: 16 trials of 4 worlds
     assert report.instances_checked == 900
-    assert [lanes for _, lanes, _ in built] == [4, 16, 64, 256]
-    assert 100 < sum(n for n, _, _ in built) < 400
+    assert Counter(frame.n for frame, _ in chunk) == {1: 23, 2: 28, 3: 28, 4: 21}
+    assert [lanes for _, lanes, _ in built] == [23 * 4, 28 * 16, 28 * 64, 16 * 256, 5 * 256]
     assert all(bits <= PACKED_BITS_LIMIT for _, _, bits in built)
-    # exhaustive codes of two variables on n worlds take 4^n lanes and at
-    # most 2(2n - 1) distances a world: up to 6 worlds, a union of several
-    # frames keeps its masks within the bound, and one of 6 worlds is alone
+    # a lane takes at most 2(2n - 1) distance steps of n bits: up to 5
+    # worlds a chunk of 2^12 lanes keeps its masks within the bound, and
+    # at 6 worlds a chunk is one trial
     built.clear()
     assert soundness_suite("K4DC", trials=30, seed=14, max_worlds=6, mode="exhaustive").ok
-    assert max(lanes for _, lanes, _ in built) == 4096
-    assert all(bits <= PACKED_BITS_LIMIT or n <= 6 for n, _, bits in built)
-    assert max(n for n, _, _ in built) > 6
+    assert max(n for n, _, _ in built) == 6
+    assert all(lanes == 4096 for n, lanes, _ in built if n == 6)
+    assert all(bits <= PACKED_BITS_LIMIT for n, _, bits in built if n < 6)
 
 
 def test_union_screen_flags_instances_that_read_fewer_variables():
@@ -189,17 +201,17 @@ def test_union_screen_flags_instances_that_read_fewer_variables():
     # these monotone frames, so some instances are invalid; C-dia and
     # CTan-dia come more than once a trial, as where a logic lists a
     # schema twice
-    draws = [(name, slots, 0) for name, slots in [
-        ("4", ([p], None, None)),
-        ("C-dia", ([Diamond(p)], None, None)),
-        ("C-dia", ([q], None, None)),
-        ("Next-neg", ([Next(q)], None, None)),
-        ("D", ([], None, None)),
-        ("CTan-dia", ([], [p], None)),
-        ("CTan-dia", ([], [q, Neg(q)], None)),
-        ("CTan-dia", ([], [Diamond(q)], None)),
-        ("K", ([p, q], None, None)),
-        ("Ind-tan", ([], [q], p)),
+    draws = [(name, [SLOT_FORMULAS.index(f) for f in slots], 0) for name, slots in [
+        ("4", [p]),
+        ("C-dia", [Diamond(p)]),
+        ("C-dia", [q]),
+        ("Next-neg", [Next(q)]),
+        ("D", []),
+        ("CTan-dia", [p]),
+        ("CTan-dia", [q, Neg(q)]),
+        ("CTan-dia", [Diamond(q)]),
+        ("K", [p, q]),
+        ("Ind-tan", [q, p]),  # the set {q}, then theta p
     ]]
     frames = [Frame([f"w{w}" for w in range(len(succ))], succ, func) for succ, func in [
         ([0, 0], [0, 1]), ([0, 1, 0], [1, 1, 0]), ([0, 1, 15, 3], [1, 1, 3, 1]),
@@ -209,10 +221,10 @@ def test_union_screen_flags_instances_that_read_fewer_variables():
     drawn = [(frame, draws) for frame in frames]
     refuted = {(t, i) for t, frame in enumerate(frames)
                for i, (name, slots, _) in enumerate(draws)
-               if not valid_on_frame(frame, SCHEMAS[name].instantiate(*slots), "exhaustive").valid}
+               if not valid_on_frame(frame, _instance(name, slots), "exhaustive").valid}
     flagged = set()
     for n in (2, 3, 4):  # a screen takes the trials of one world count
-        flagged |= _union_failures(drawn, [t for t, f in enumerate(frames) if f.n == n], {})
+        flagged |= _union_failures(drawn, [t for t, f in enumerate(frames) if f.n == n])
     assert flagged == refuted
     # refuted instances read p only (1, 5), q only (2, 7) and nothing (4)
     assert {i for _, i in refuted} == {1, 2, 4, 5, 7}
@@ -220,29 +232,27 @@ def test_union_screen_flags_instances_that_read_fewer_variables():
 
 
 def test_suite_compiles_each_slot_formula_once_per_chunk(monkeypatch):
-    # a chunk runs each distinct slot formula once on its union, then
-    # each (schema, set size) group's schema program once
+    # a chunk runs each of the 25 slot formulas once, then each (schema,
+    # slot count) group's schema program once; the trials of n worlds go
+    # in chunks of 2^12 lanes, 4^n lanes a trial
     chunks, compiled = [], []
     screen, compile_ = logic._union_failures, semantics.Evaluator.compile
 
-    def recorded(drawn, trials, programs):
-        chunks.append([drawn[t][1] for t in trials])
-        return screen(drawn, trials, programs)
+    def recorded(drawn, trials):
+        per = 1 << 12 - 2 * drawn[trials[0]][0].n
+        chunks.extend([drawn[t][1] for t in trials[k:k + per]]
+                      for k in range(0, len(trials), per))
+        return screen(drawn, trials)
 
     monkeypatch.setattr(logic, "_union_failures", recorded)
     monkeypatch.setattr(semantics.Evaluator, "compile",
                         lambda self, phi: compiled.append(phi) or compile_(self, phi))
     assert soundness_suite("K4DC", trials=100, seed=14).ok  # no instance is swept alone
     expected = 0
-    for chunk in chunks:
-        slots, groups = set(), set()
-        for draws in chunk:
-            for name, (formulas, formula_set, theta), _ in draws:
-                slots.update(map(id, (*formulas, *(formula_set or ()),
-                                      *([theta] if theta else []))))
-                groups.add((name, len(formula_set or ())))  # a schema comes once a trial
-        expected += len(slots) + len(groups)
-    assert len(chunks) == 4 and len(compiled) == expected
+    for chunk in chunks:  # a schema comes once a trial
+        expected += len(SLOT_FORMULAS) + len({(name, len(slots))
+                                              for draws in chunk for name, slots, _ in draws})
+    assert len(chunks) == 5 and len(compiled) == expected
 
 
 def per_instance_suite(logic, trials, seed, max_worlds, mode, samples):
@@ -257,7 +267,7 @@ def per_instance_suite(logic, trials, seed, max_worlds, mode, samples):
         for i, name in enumerate(logic.schemas):
             slots = _random_slots(rng, SCHEMAS[name])
             draws.append((name, slots, rng.getrandbits(32)))
-            inst = SCHEMAS[name].instantiate(*slots)
+            inst = _instance(name, slots)
             verdict = valid_on_frame(frame, inst, mode=mode, samples=samples, seed=draws[-1][2])
             if not verdict.valid:
                 cm = verdict.countermodel
@@ -274,8 +284,8 @@ def per_instance_suite(logic, trials, seed, max_worlds, mode, samples):
     *[(mode, samples, max_worlds, trials)
       for mode, samples in (("sampled", 16), ("sampled", 32), ("sampled", 100), ("exhaustive", 32))
       for max_worlds, trials in ((1, 6), (6, 10))],
-    ("sampled", 1, 6, 10),
-    ("sampled", 32, 8, 10),
+    ("sampled", 1, 6, 30),
+    ("sampled", 32, 8, 80),
     ("sampled", 32, 12, 10),
     ("exhaustive", 32, 7, 4),
 ])
@@ -291,9 +301,9 @@ def test_union_suite_matches_one_sweep_per_instance(monkeypatch, mode, samples, 
     monkeypatch.setattr(logic, "valid_on_frame", lambda *args: swept.append(args) or
                         valid_on_frame(*args))
 
-    def recorded(drawn, part, programs):
+    def recorded(drawn, part):
         screened_worlds.extend(drawn[t][0].n for t in part)
-        return _union_failures(drawn, part, programs)
+        return _union_failures(drawn, part)
 
     monkeypatch.setattr(logic, "_union_failures", recorded)
     k4c = LOGICS["K4C"]
@@ -310,7 +320,7 @@ def test_union_suite_matches_one_sweep_per_instance(monkeypatch, mode, samples, 
         assert sorted(screened_worlds) == sorted(chunk[t][0].n for t in small)
         screened = set()  # a screen takes the trials of one world count
         for n in {chunk[t][0].n for t in small}:
-            screened |= _union_failures(chunk, [t for t in small if chunk[t][0].n == n], {})
+            screened |= _union_failures(chunk, [t for t in small if chunk[t][0].n == n])
         small_invalid = {(t, i) for t, i in invalid if chunk[t][0].n <= 6}
         assert small_invalid <= screened
         if mode == "exhaustive":
@@ -323,9 +333,9 @@ def test_union_suite_matches_one_sweep_per_instance(monkeypatch, mode, samples, 
         beyond += len(invalid) - len(small_invalid)
     if max_worlds == 1:
         assert flagged == missed == 0
-    elif max_worlds < 12:  # at 12 worlds seed 33 refutes nothing: only the routing is checked
+    else:
         assert flagged > 0 if samples > 1 else missed > 0
-    if max_worlds == 8:  # seed 33 refutes an instance past 6 worlds
+    if max_worlds == 8:  # 80 trials at seed 33 refute an instance past 6 worlds
         assert beyond > 0
 
 
@@ -336,7 +346,7 @@ def test_suite_screens_a_schema_listed_twice_per_position():
     doubled = Logic("K4C", k4c.schemas + ("CTan-dia", "CTan-dia"), k4c.serial, k4c.strict)
     report, _, _ = per_instance_suite(doubled, 60, 0, 4, "exhaustive", 32)
     assert soundness_suite(doubled, 60, 0, 4, "exhaustive") == report
-    assert len(report.violations) == 5
+    assert len(report.violations) == 10
 
 
 def test_sound_suite_never_builds_an_instance(monkeypatch):
@@ -393,33 +403,75 @@ def test_search_makes_one_program_and_one_evaluator_per_chunk(monkeypatch):
     assert programs == [phi] and len(evaluators) == result.frames_checked == 30
 
 
-def test_suite_compiles_each_distinct_slot_formula_once_per_call(monkeypatch):
-    # a suite call hash-conses its slot formulas, so equal draws are one
-    # object with one program; the next call draws and compiles them anew
-    soundness_suite("K4C", trials=100, seed=21)  # the schema programs stay cached
-    drawn, compiled = [], []
-    draw, program_init = logic._random_slots, semantics.Program.__init__
+def depth_one_chances():
+    """Each formula of a depth-1 draw over the suite's variables with its
+    chance, branch by branch: a variable with chance 3/10, else one of
+    eight operators, each as likely, over uniform variables, a tangle
+    taking one or two with chance 1/2 each."""
+    variables = [Var(v) for v in SUITE_VARIABLES]
+    chances = Counter()
+    for v in variables:
+        chances[v] += Fraction(3, 10) / len(variables)
+    kinds = (Neg, And, Or, Implies, Diamond, Box, Next, Tangle)
+    for kind in kinds:
+        counts = (1, 2) if kind is Tangle else (2,) if kind in (And, Or, Implies) else (1,)
+        for count in counts:
+            branches = list(itertools.product(variables, repeat=count))
+            for args in branches:
+                phi = Tangle(args) if kind is Tangle else kind(*args)
+                chances[phi] += Fraction(7, 10) / len(kinds) / len(counts) / len(branches)
+    return chances
 
-    def recorded_draw(*args):
-        formulas, formula_set, theta = slots = draw(*args)
-        drawn[-1].extend([*formulas, *(formula_set or ()), *([theta] if theta else [])])
-        return slots
 
-    def counted_program(self, phi):
-        compiled[-1].append(phi)
-        program_init(self, phi)
+def test_slot_catalogue_is_the_depth_one_draw():
+    chances = depth_one_chances()
+    assert len(SLOT_FORMULAS) == len(set(SLOT_FORMULAS)) == len(chances) == 25
+    for phi, weight in zip(SLOT_FORMULAS, SLOT_WEIGHTS, strict=True):
+        assert Fraction(weight, 640) == chances[phi], pretty(phi)
+        assert all(isinstance(c, Var) for c in children(phi))
+        assert vars_of(phi) <= set(SUITE_VARIABLES)
 
-    monkeypatch.setattr(logic, "_random_slots", recorded_draw)
-    monkeypatch.setattr(semantics.Program, "__init__", counted_program)
-    for _ in range(2):
-        drawn.append([])
-        compiled.append([])
-        assert soundness_suite("K4C", trials=100, seed=21).ok
-    for slots, programs in zip(drawn, compiled):
-        assert len(slots) > 800 and len({id(f) for f in slots}) == len(set(slots)) < 100
-        assert sorted(map(id, programs)) == sorted({id(f) for f in slots})
-    # the first call's formulas are still alive, so no identity is reused
-    assert not {id(f) for f in drawn[0]} & {id(f) for f in drawn[1]}
+
+def test_a_slot_takes_one_random_number_and_its_cumulative_weight():
+    rng = random.Random(5)
+    draw, calls = rng.random, []
+    rng.random = lambda: calls.append(1) or draw()
+    for schema in SCHEMAS.values():
+        calls.clear()
+        assert len(_random_slots(rng, schema)) == len(calls)
+    drawn = Counter()
+    for x in range(640):  # one number in each 640th of [0, 1)
+        rng.random = lambda: (x + 0.5) / 640
+        drawn.update(_random_slots(rng, SCHEMAS["4"]))
+    assert drawn == dict(enumerate(SLOT_WEIGHTS))
+
+
+def test_an_instance_reads_its_slots_in_metavariable_order():
+    # the formula slots, then the set, then theta
+    index = SLOT_FORMULAS.index
+    assert _instance("K", [index(Next(q)), index(p)]) == SCHEMAS["K"].instantiate([Next(q), p])
+    assert (_instance("Ind-tan", [index(q), index(Neg(p)), index(p)])
+            == SCHEMAS["Ind-tan"].instantiate(formula_set=[q, Neg(p)], theta=p))
+    assert _instance("D", []) == SCHEMAS["D"].instantiate()
+
+
+def test_a_second_suite_call_makes_no_slot_program(monkeypatch):
+    # the programs of the slot formulas and of the schemas are made once
+    # per process: a later call makes a program only for an instance that
+    # it sweeps alone, so none for a sound logic
+    k4c = LOGICS["K4C"]
+    misconfigured = Logic("K4C", k4c.schemas + ("CTan-dia",), k4c.serial, k4c.strict)
+    for lg in (k4c, misconfigured):
+        soundness_suite(lg, trials=40, seed=3, mode="exhaustive")
+    made = []
+    init = semantics.Program.__init__
+    monkeypatch.setattr(semantics.Program, "__init__",
+                        lambda self, phi: made.append(phi) or init(self, phi))
+    assert soundness_suite(k4c, trials=40, seed=3, mode="exhaustive").ok
+    assert made == []
+    report = soundness_suite(misconfigured, trials=40, seed=3, mode="exhaustive")
+    assert report.violations  # exhaustive: the screen flags exactly the invalid instances
+    assert [pretty(phi) for phi in made] == [v.formula for v in report.violations]
 
 
 def test_soundness_suite_negative_control_non_serial(monkeypatch):
@@ -487,7 +539,3 @@ def test_randomized_search_refutes_on_class_frames():
     model = Model(result.frame, {k: set(v) for k, v in result.valuation.items()})
     assert result.world not in truth_set(model, phi)
 
-
-def test_random_formula_depth_zero_is_var():
-    rng = random.Random(0)
-    assert isinstance(random_formula(rng, ["p"], 0), Var)

@@ -15,7 +15,6 @@ from tanglemc.pathspace import (
     verify_lim_pmorphism,
 )
 from tanglemc.semantics import Model, truth_set
-from tanglemc.logic import random_formula
 from tanglemc.story import (
     Moment,
     Story,
@@ -24,7 +23,7 @@ from tanglemc.story import (
     validate_story,
 )
 
-from generators import random_story
+from generators import random_formula, random_story
 from test_frame import frame_f1, frame_f2, frame_f3
 
 

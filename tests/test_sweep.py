@@ -24,7 +24,7 @@ from tanglemc.frame import Frame, _monotone_witness, _transitivity_witness
 from tanglemc import logic
 from tanglemc.logic import (
     LOGICS, SCHEMAS, _monotone_maps, _schema_program, _transitive_classes,
-    countermodel_search, random_class_frame, random_formula,
+    countermodel_search, random_class_frame,
 )
 from tanglemc import semantics
 from tanglemc.semantics import (
@@ -32,7 +32,7 @@ from tanglemc.semantics import (
     valid_on_frame,
 )
 
-from generators import random_transitive_frame
+from generators import random_formula, random_transitive_frame
 from test_semantics import disjoint_union
 
 

@@ -13,8 +13,10 @@ every process compiles the modules it loads from source.  Each run times
 one process per side, parent and change interleaved, and which side goes
 first alternates from one run to the next.  The times are wall times of the
 whole process, not calibrated.  The script prints one row per command: the
-minimum and the median of each side and the change of the median.  It exits
-1 if any run's stdout or exit code differs between the two sides.
+minimum, the median and the quartiles of each side and the change of the
+median, so that a change of the median can be read against each side's
+spread.  It exits 1 if any run's stdout or exit code differs between the
+two sides.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import time
 from statistics import median
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_ab import _aligned, export  # noqa: E402
+from bench_ab import _aligned, export, quartiles  # noqa: E402
 
 STORY = "demos/story_chain.story.json"
 COMMANDS = {
@@ -72,8 +74,8 @@ def main(argv=None) -> int:
         trees = {side: os.path.join(work, side) for side in ("parent", "change")}
         for side, tree in trees.items():
             export(getattr(args, side), tree)
-        rows = [("command", "parent min", "parent median", "change min", "change median",
-                 "median")]
+        rows = [("command", "parent min", "parent median", "parent quartiles", "change min",
+                 "change median", "change quartiles", "median")]
         differ = []
         for name, command in COMMANDS.items():
             times = {side: [] for side in trees}
@@ -87,9 +89,12 @@ def main(argv=None) -> int:
                 if outputs["parent"] != outputs["change"] and name not in differ:
                     differ.append(name)
             pa, ch = median(times["parent"]), median(times["change"])
-            rows.append((name, f"{min(times['parent']) * 1e3:.1f} ms", f"{pa * 1e3:.1f} ms",
-                         f"{min(times['change']) * 1e3:.1f} ms", f"{ch * 1e3:.1f} ms",
-                         f"{(ch - pa) / pa:+.1%}"))
+            row = [name]
+            for side in trees:
+                low, high = quartiles(times[side])
+                row += [f"{min(times[side]) * 1e3:.1f} ms", f"{median(times[side]) * 1e3:.1f} ms",
+                        f"{low * 1e3:.1f}-{high * 1e3:.1f} ms"]
+            rows.append((*row, f"{(ch - pa) / pa:+.1%}"))
             print(f"{name}: {pa * 1e3:.1f} -> {ch * 1e3:.1f} ms", file=sys.stderr, flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
