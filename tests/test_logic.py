@@ -31,6 +31,7 @@ from tanglemc.logic import (
 )
 from tanglemc.semantics import PACKED_BITS_LIMIT, Model, truth_set, valid_on_frame
 
+from generators import random_formula
 from test_frame import frame_f3
 
 p, q = Var("p"), Var("q")
@@ -539,3 +540,8 @@ def test_randomized_search_refutes_on_class_frames():
     model = Model(result.frame, {k: set(v) for k, v in result.valuation.items()})
     assert result.world not in truth_set(model, phi)
 
+
+def test_random_formula_depth_zero_is_var():
+    # the tests' formula generator, which the sweep and path-space tests use
+    rng = random.Random(0)
+    assert isinstance(random_formula(rng, ["p"], 0), Var)
