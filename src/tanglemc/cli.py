@@ -49,12 +49,13 @@ import sys
 
 SCHEMA_VERSION = 1
 
-# The parser's --logic choices and the world bound its search help quotes:
-# copies of ``sorted(logic.LOGICS)`` and ``logic.EXHAUSTIVE_SEARCH_LIMIT``,
-# so that building the parser loads no logic (tests/test_package.py pins
-# them to the originals).
+# The parser's --logic choices and the world bounds its help quotes: copies
+# of ``sorted(logic.LOGICS)``, ``logic.EXHAUSTIVE_SEARCH_LIMIT`` and
+# ``logic.MAX_DRAWN_WORLDS``, so that building the parser loads no logic
+# (tests/test_package.py pins them to the originals).
 _LOGIC_NAMES = ("K4C", "K4DC", "K4DI", "K4I")
 _EXHAUSTIVE_SEARCH_LIMIT = 8
+_MAX_DRAWN_WORLDS = 1000
 
 
 # The six boundaries a tracer wraps in this module's namespace: each loads
@@ -379,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logic", choices=_LOGIC_NAMES, required=True)
     p.add_argument("--trials", type=int, default=100,
                    help="random class frames, each checked on every schema")
-    p.add_argument("--max-worlds", type=int, default=4, help="most worlds a frame may have")
+    p.add_argument("--max-worlds", type=int, default=4,
+                   help=f"most worlds a frame may have, at most {_MAX_DRAWN_WORLDS}")
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="sampled",
                    help="check an instance under all valuations or --samples of them")
     p.add_argument("--samples", type=int, default=32,
@@ -392,7 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "class frames past that")
     p.add_argument("--logic", choices=_LOGIC_NAMES, required=True)
     p.add_argument("--formula", required=True)
-    p.add_argument("--max-worlds", type=int, default=3)
+    p.add_argument("--max-worlds", type=int, default=3,
+                   help="most worlds a frame may have; at most "
+                   f"{_MAX_DRAWN_WORLDS} when over {_EXHAUSTIVE_SEARCH_LIMIT}")
     p.add_argument("--samples", type=int, default=2000,
                    help="random frames drawn when --max-worlds is over "
                    f"{_EXHAUSTIVE_SEARCH_LIMIT}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
@@ -50,7 +51,6 @@ from .frame import (
     Frame,
     _bits,
     _image_ranges,
-    _monotone_witness,
     transitive_closure,
 )
 from .semantics import (
@@ -165,36 +165,70 @@ LOGICS: dict[str, Logic] = {
 # random generation
 
 FUNC_TRIES = 64  # random maps tried for a monotone one before the identity
+# the largest max_worlds of a suite or of a search past its world bound: a
+# drawn frame takes n^2 edge draws and a transitive closure of n rows of n
+# bits, and on a 2-vCPU host a draw took 0.10-0.13 s CPU at 433-490
+# worlds, 0.36-0.62 s at 865-979 and 1.6-2.2 s at 1,730-1,958
+MAX_DRAWN_WORLDS = 1000
+
+
+def _check_drawn_worlds(max_worlds: int) -> None:
+    if max_worlds > MAX_DRAWN_WORLDS:
+        raise ValueError(f"drawn frames need max_worlds <= {MAX_DRAWN_WORLDS}, got {max_worlds}")
+
+
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A number in range(n) as ``rng.randrange(n)`` takes it from the
+    stream: ``getrandbits(n.bit_length())``, drawn again while >= n."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def random_class_frame(rng: random.Random, max_worlds: int, logic: Logic) -> Frame:
     """Rejection-sample a frame of the logic's class: random edges, transitive
-    closure, seriality repair, then map resampling with identity fallback."""
-    n = rng.randint(1, max_worlds)
-    p = rng.choice((0.15, 0.3, 0.5, 0.7))
-    succ = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if rng.random() < p:
-                succ[i] |= 1 << j
-    succ = transitive_closure(succ)
+    closure, seriality repair, then map resampling with identity fallback.
+
+    The draw takes from `rng` exactly the numbers that these stdlib calls
+    would, in this order: ``rng.randint(1, max_worlds)`` for the world
+    count n; ``rng.choice((0.15, 0.3, 0.5, 0.7))`` for the edge chance p;
+    ``rng.random() < p`` for each pair (i, j), rows then columns; with
+    seriality, ``rng.randrange(n)`` for the one successor of each world
+    without one, ascending, then the closure again, until none is left;
+    then up to `FUNC_TRIES` maps of n ``rng.randrange(n)`` each, up to the
+    first (strictly) monotone one, else the identity.  ``randint``,
+    ``choice`` and ``randrange`` are the ``getrandbits`` rejection loop
+    of :func:`_below`; each map try is checked against the relation's
+    pairs with its :func:`_image_ranges` made once per frame."""
+    if max_worlds < 1:  # as randint's empty range: _below would never return
+        raise ValueError("max_worlds must be >= 1")
+    getrandbits, random_ = rng.getrandbits, rng.random
+    n = 1 + _below(getrandbits, max_worlds)
+    p = (0.15, 0.3, 0.5, 0.7)[_below(getrandbits, 4)]
+    worlds = range(n)
+    bits = [1 << j for j in worlds]
+    succ = transitive_closure([sum([b for b in bits if random_() < p]) for _ in worlds])
     if logic.serial:
-        while True:
-            holes = [w for w in range(n) if not succ[w]]
-            if not holes:
-                break
+        holes = [w for w in worlds if not succ[w]]
+        while holes:
             for w in holes:
-                succ[w] |= 1 << rng.randrange(n)
+                succ[w] |= bits[_below(getrandbits, n)]
             succ = transitive_closure(succ)
-    func = None
+            holes = [w for w in worlds if not succ[w]]
+    ranges = _image_ranges(succ, logic.strict)
+    pairs = [(w, v) for w in worlds for v in worlds if succ[w] >> v & 1]
     for _ in range(FUNC_TRIES):
-        cand = [rng.randrange(n) for _ in range(n)]
-        if _monotone_witness(succ, succ, cand, logic.strict) is None:
-            func = cand
-            break
-    if func is None:
-        func = list(range(n))  # identity is monotone and strictly monotone
-    return Frame([f"w{i}" for i in range(n)], succ, func)
+        func = [_below(getrandbits, n) for _ in worlds]
+        for w, v in pairs:
+            if not ranges[func[w]] >> func[v] & 1:
+                break  # not (strictly) monotone: try another map
+        else:
+            break  # every pair kept: func is (strictly) monotone
+    else:
+        func = list(worlds)  # identity is monotone and strictly monotone
+    return Frame([f"w{i}" for i in worlds], succ, func)
 
 
 SUITE_VARIABLES = ("p", "q")  # the variables of the suite's schema instances
@@ -214,21 +248,33 @@ SLOT_FORMULAS = (
 )
 SLOT_WEIGHTS = (96, 96, *[28] * 8, *[14] * 12, 21, 21, 14)
 _SLOT_CUM_WEIGHTS = tuple(itertools.accumulate(SLOT_WEIGHTS))
+_SLOT_TOTAL = _SLOT_CUM_WEIGHTS[-1] + 0.0  # a float, as ``choices`` makes it
+_SLOT_LAST = len(SLOT_WEIGHTS) - 1  # the hi that ``choices`` gives ``bisect``
 _SLOT_PROGRAMS = tuple(map(Program, SLOT_FORMULAS))  # made once per process
 
 
 def _random_slots(rng: random.Random, schema: Schema) -> list[int]:
-    """The `SLOT_FORMULAS` indices that fill a random instance's slots, one
-    ``rng.random()`` each, in the order of :func:`_schema_program`'s
-    metavariables: the formula slots, the set (its size drawn first),
-    theta."""
-    def draw(k: int) -> list[int]:
-        return rng.choices(range(len(SLOT_FORMULAS)), cum_weights=_SLOT_CUM_WEIGHTS, k=k)
+    """The `SLOT_FORMULAS` indices that fill a random instance's slots, in
+    the order of :func:`_schema_program`'s metavariables: the formula
+    slots, the set (its size drawn first), theta.
 
-    slots = draw(schema.formula_slots)
+    The draw takes from `rng` exactly the numbers that these stdlib calls
+    would, in this order: ``rng.choices(range(25), cum_weights=_SLOT_CUM_WEIGHTS,
+    k=schema.formula_slots)``; with a set, ``rng.choice((1, 2))`` for its
+    size s (the ``getrandbits`` rejection loop of :func:`_below`), then
+    ``rng.choices(..., k=s)``; with theta, ``rng.choices(..., k=1)``.
+    A slot is one ``rng.random()``, placed by ``bisect`` in the cumulative
+    weights as ``choices`` places it."""
+    random_, k = rng.random, schema.formula_slots
+    slots = [bisect(_SLOT_CUM_WEIGHTS, random_() * _SLOT_TOTAL, 0, _SLOT_LAST)
+             for _ in range(k)] if k else []
+    rest = schema.theta_slot
     if schema.set_slot:
-        slots += draw(rng.choice((1, 2)))
-    return slots + draw(1) if schema.theta_slot else slots
+        rest += 1 + _below(rng.getrandbits, 2)
+    if rest:
+        slots += [bisect(_SLOT_CUM_WEIGHTS, random_() * _SLOT_TOTAL, 0, _SLOT_LAST)
+                  for _ in range(rest)]
+    return slots
 
 
 def _instance(name: str, slots: Sequence[int]) -> Formula:
@@ -310,10 +356,13 @@ def _union_failures(drawn, trials) -> set[tuple[int, int]]:
     program of each of the 25 `SLOT_FORMULAS` once, and each schema
     position (one instance a trial, even where a logic lists a schema
     twice) and set size runs its schema's program once, each metavariable
-    read in a trial's lanes as that trial's slot formula."""
+    read in a trial's lanes as that trial's slot formula.  Trial j's lanes
+    are trial 0's shifted by j slots, and a metavariable takes each slot
+    formula's value once, in the lanes of all the trials it fills."""
     frame = drawn[trials[0]][0]
     n = frame.n
     width = 1 << n * len(SUITE_VARIABLES)  # the lanes of a trial
+    lanes = (1 << width) - 1  # trial 0's lanes in one world
     passes = exhaustive_passes(frame, len(SUITE_VARIABLES),
                                [(drawn[t][0]._succ, drawn[t][0]._func) for t in trials])
     failing = set()
@@ -321,8 +370,8 @@ def _union_failures(drawn, trials) -> set[tuple[int, int]]:
     for ev, masks in passes:  # one pass a chunk: its lanes hold every code
         chunk = trials[first:first + ev.lanes // width]
         first += len(chunk)
-        column = sum(1 << w * ev.lanes for w in range(n))  # lane 0 of every world
-        regions = [((1 << width) - 1 << j * width) * column for j in range(len(chunk))]
+        region = sum(lanes << w * ev.lanes for w in range(n))  # trial 0's lanes, every world
+        regions = [region << j * width for j in range(len(chunk))]
         env = dict(zip(SUITE_VARIABLES, masks))
         values = [ev.compile(p)(env) for p in _SLOT_PROGRAMS]
         groups: dict[tuple[int, str, int], list] = {}  # (position, schema, slots) -> members
@@ -332,10 +381,15 @@ def _union_failures(drawn, trials) -> set[tuple[int, int]]:
         for (i, name, count), members in groups.items():
             schema = SCHEMAS[name]
             program = _schema_program(name, count - schema.formula_slots - schema.theta_slot)
-            metas = {f"_{k}": sum(values[s[k]] & regions[j] for j, s in members)
-                     for k in range(count)}  # the regions are disjoint: + is |
+            metas = {}
+            for k in range(count):
+                where: dict[int, int] = {}  # slot formula -> the regions of the trials it fills
+                for j, s in members:
+                    where[s[k]] = where.get(s[k], 0) | regions[j]
+                metas[f"_{k}"] = sum(values[f] & r for f, r in where.items())  # disjoint: + is |
             missing = ev.full ^ ev.compile(program)(metas)
-            failing.update((chunk[j], i) for j, _ in members if missing & regions[j])
+            if missing:
+                failing.update((chunk[j], i) for j, _ in members if missing & regions[j])
     return failing
 
 
@@ -352,6 +406,11 @@ def soundness_suite(
     Each trial draws a frame with :func:`random_class_frame`, then for each
     schema the slots of an instance, one index into the fixed catalogue
     `SLOT_FORMULAS` a slot (:func:`_random_slots`), and a sampling seed.
+    All trials are drawn first, from one ``random.Random(seed)``, and take
+    from it exactly the numbers that the stdlib calls named in those two
+    docstrings would, then ``rng.getrandbits(32)`` for each seed: trial by
+    trial, a trial's frame first, then schema by schema in the logic's
+    order, the slots before the seed.
     One rule, in both modes: trials of up to 6 worlds, whose 4^n valuation
     codes fit one pass of at most 4096 lanes, are screened under all of
     them by :func:`_union_failures`, each trial an evaluator slot, in
@@ -363,9 +422,10 @@ def soundness_suite(
     sweep refutes.  Violations come in (trial, schema) order.  A sound
     logic reports zero violations; a `Logic` whose schemas or class do not
     match gives a misconfigured suite.  An unknown `mode` raises
-    ``ValueError`` before the first trial, as does exhaustive mode when a
-    frame of `max_worlds` worlds could pass ``EXHAUSTIVE_BITS_LIMIT``
-    (worlds times the number of `SUITE_VARIABLES`).
+    ``ValueError`` before the first trial, as does a `max_worlds` over
+    ``MAX_DRAWN_WORLDS``, or exhaustive mode when a frame of `max_worlds`
+    worlds could pass ``EXHAUSTIVE_BITS_LIMIT`` (worlds times the number
+    of `SUITE_VARIABLES`).
     """
     if isinstance(logic, str):
         logic = LOGICS[logic]
@@ -377,6 +437,7 @@ def soundness_suite(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and samples < 1:
         raise ValueError("samples must be >= 1")
+    _check_drawn_worlds(max_worlds)
     bits = max_worlds * len(SUITE_VARIABLES)
     if mode == "exhaustive" and bits > EXHAUSTIVE_BITS_LIMIT:
         raise ValueError(
@@ -626,7 +687,9 @@ def countermodel_search(
     would be; each frame counts as a relation, a frame swept and an
     evaluator.  "none-within-bounds" is not a validity claim, and a
     search that could check no frame raises ``ValueError`` instead:
-    ``max_worlds < 1``, or ``samples < 1`` past the world bound.
+    ``max_worlds < 1``, or ``samples < 1`` past the world bound.  So does
+    a `max_worlds` past the world bound and over ``MAX_DRAWN_WORLDS``,
+    before the first draw.
     """
     if isinstance(logic, str):
         logic = LOGICS[logic]
@@ -634,6 +697,7 @@ def countermodel_search(
         raise ValueError("max_worlds must be >= 1")
     if max_worlds <= EXHAUSTIVE_SEARCH_LIMIT:
         return _search_exhaustive(Program(phi), logic, max_worlds)
+    _check_drawn_worlds(max_worlds)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     return _search_random(Program(phi), logic, max_worlds, seed, samples)

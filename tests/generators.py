@@ -6,14 +6,18 @@ stories of a chosen shape for the story, oplus and path-space suites, and
 wide transitive frames for the frame and sweep suites.  Each draws from its ``random.Random`` in a fixed
 order, so a seed names one story or frame.  Moments are built bottom-up by
 `compose_moment`, which lives here because no command builds moments that
-way.
+way.  `reference_class_frame` and `reference_slots` are the suite's draws
+written with the stdlib's ``randint``, ``choice``, ``randrange`` and
+``choices``: the oracle that the library's draws must equal number for
+number.
 """
 
 import random
 from typing import Iterable, Mapping, Sequence
 
+from tanglemc import logic
 from tanglemc.formula import And, Box, Diamond, Formula, Implies, Neg, Next, Or, Tangle, Var
-from tanglemc.frame import Frame, FrameError, _bits
+from tanglemc.frame import Frame, FrameError, _bits, _monotone_witness, transitive_closure
 from tanglemc.story import (
     Moment,
     Story,
@@ -34,6 +38,50 @@ def random_formula(rng: random.Random, variables: Sequence[str], depth: int) -> 
     count = rng.choice((1, 2)) if kind is Tangle else 2 if kind in (And, Or, Implies) else 1
     kids = [random_formula(rng, variables, depth - 1) for _ in range(count)]
     return Tangle(tuple(kids)) if kind is Tangle else kind(*kids)
+
+
+def reference_class_frame(rng: random.Random, max_worlds: int, lg: logic.Logic) -> Frame:
+    """``logic.random_class_frame`` through the stdlib's calls: random
+    edges, transitive closure, seriality repair, then map resampling with
+    identity fallback."""
+    n = rng.randint(1, max_worlds)
+    p = rng.choice((0.15, 0.3, 0.5, 0.7))
+    succ = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < p:
+                succ[i] |= 1 << j
+    succ = transitive_closure(succ)
+    if lg.serial:
+        while True:
+            holes = [w for w in range(n) if not succ[w]]
+            if not holes:
+                break
+            for w in holes:
+                succ[w] |= 1 << rng.randrange(n)
+            succ = transitive_closure(succ)
+    func = None
+    for _ in range(logic.FUNC_TRIES):
+        cand = [rng.randrange(n) for _ in range(n)]
+        if _monotone_witness(succ, succ, cand, lg.strict) is None:
+            func = cand
+            break
+    if func is None:
+        func = list(range(n))  # identity is monotone and strictly monotone
+    return Frame([f"w{i}" for i in range(n)], succ, func)
+
+
+def reference_slots(rng: random.Random, schema: logic.Schema) -> list[int]:
+    """``logic._random_slots`` through the stdlib's ``choices`` and
+    ``choice``: the formula slots, the set (its size drawn first), theta."""
+    def draw(k: int) -> list[int]:
+        return rng.choices(range(len(logic.SLOT_FORMULAS)),
+                           cum_weights=logic._SLOT_CUM_WEIGHTS, k=k)
+
+    slots = draw(schema.formula_slots)
+    if schema.set_slot:
+        slots += draw(rng.choice((1, 2)))
+    return slots + draw(1) if schema.theta_slot else slots
 
 
 def compose_moment(

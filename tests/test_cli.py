@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from tanglemc import cli
 from tanglemc.cli import main
 from tanglemc.frame import Frame, frame_from_dict
-from tanglemc.logic import LOGICS
+from tanglemc.logic import LOGICS, MAX_DRAWN_WORLDS
 from tanglemc.pathspace import build_limit_assignment, enumerate_paths, verify_lim_pmorphism
 from tanglemc.semantics import Model, truth_set
 from tanglemc.story import Story, validate_moment
@@ -394,6 +394,56 @@ def test_axioms_reports_are_pinned(capsys, logic, mode):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == AXIOMS_DIGESTS[logic, mode]
+
+
+# sha256 of search reports past the world bound, where frames and valuations
+# are drawn in turn from one random stream, as the stdlib calls drew them
+SEARCH_DIGESTS = {
+    ("K4C", "<t>{O p} -> O <t>{p}", "9"):
+        "88fecf5ae94468bb99647ba0b3e434d6c85b01999922b43e6c87d7f0140e46d4",
+    ("K4C", "<t>{O p} -> O <t>{p}", "12"):
+        "99bc36278a6c8cf715e133e4ea4f32f1ad962304f614db68d4056b2ace76d97f",
+    ("K4DI", "<d>p -> O <d>p", "9"):
+        "8b468fa8837fe6566c0a6049c06ab6cb1be4839817affdfb2e0e21cbf7452a32",
+    ("K4DI", "<d>p -> O <d>p", "12"):
+        "452cb5b0271f6197a23f850cba06c75a3fc1566ed18f3c201de9a1fe24793490",
+}
+
+
+@pytest.mark.parametrize("logic, formula, max_worlds", sorted(SEARCH_DIGESTS))
+def test_search_past_the_world_bound_reports_are_pinned(capsys, logic, formula, max_worlds):
+    code = main(["search", "--logic", logic, "--formula", formula, "--max-worlds", max_worlds,
+                 "--seed", "7", "--samples", "300", "--stats"])
+    out = capsys.readouterr().out
+    assert code == 1 and json.loads(out)["frames_checked"] > 1
+    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_DIGESTS[logic, formula, max_worlds]
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--logic", "K4C", "--formula", "p", "--samples", "1"],
+    ["axioms", "--logic", "K4C", "--trials", "1"],
+])
+def test_drawn_world_count_is_capped_before_any_draw(capsys, monkeypatch, argv):
+    from tanglemc import logic
+    from tanglemc.frame import validate_frame
+
+    drawn = []
+
+    def spy(*args):
+        drawn.append(args[1])
+        return validate_frame(["a"], [["a", "a"]], {"a": "a"})
+
+    monkeypatch.setattr(logic, "random_class_frame", spy)
+    for max_worlds in (MAX_DRAWN_WORLDS + 1, 99999999999):
+        code, report = run(capsys, *argv, "--max-worlds", str(max_worlds))
+        assert code == 2 and capsys.readouterr().err == "" and drawn == []
+        assert report["error"] == (f"drawn frames need max_worlds <= {MAX_DRAWN_WORLDS}, "
+                                   f"got {max_worlds}")
+    code, report = run(capsys, *argv, "--max-worlds", str(MAX_DRAWN_WORLDS))
+    assert code in (0, 1) and drawn == [MAX_DRAWN_WORLDS]
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert f"at most {MAX_DRAWN_WORLDS}" in capsys.readouterr().out
 
 
 def test_axioms_exhaustive_bit_bound_is_checked_before_any_trial(capsys, monkeypatch):

@@ -31,7 +31,7 @@ from tanglemc.logic import (
 )
 from tanglemc.semantics import PACKED_BITS_LIMIT, Model, truth_set, valid_on_frame
 
-from generators import random_formula
+from generators import random_formula, reference_class_frame, reference_slots
 from test_frame import frame_f3
 
 p, q = Var("p"), Var("q")
@@ -445,6 +445,39 @@ def test_a_slot_takes_one_random_number_and_its_cumulative_weight():
         rng.random = lambda: (x + 0.5) / 640
         drawn.update(_random_slots(rng, SCHEMAS["4"]))
     assert drawn == dict(enumerate(SLOT_WEIGHTS))
+
+
+@pytest.mark.parametrize("tries", [None, 0, 1])
+def test_draws_take_the_numbers_of_the_stdlib_calls(monkeypatch, tries):
+    # frames and slots equal those of randint, choice, randrange and
+    # choices, and leave the stream where those calls leave it; with no map
+    # try every map is the identity, with one try many are
+    if tries is not None:
+        monkeypatch.setattr(logic, "FUNC_TRIES", tries)
+    closures = []
+    closure = logic.transitive_closure
+    monkeypatch.setattr(logic, "transitive_closure",
+                        lambda succ: closures.append(1) or closure(succ))
+    frames = identities = 0
+    for seed in range(8):
+        for lg in LOGICS.values():
+            for max_worlds in range(1, 10):
+                rng, ref = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    frame = random_class_frame(rng, max_worlds, lg)
+                    expected = reference_class_frame(ref, max_worlds, lg)
+                    assert frame.to_dict() == expected.to_dict()
+                    frames += 1
+                    identities += frame._func == tuple(range(frame.n))
+                    for name in lg.schemas:
+                        schema = SCHEMAS[name]
+                        assert _random_slots(rng, schema) == reference_slots(ref, schema)
+                assert rng.getstate() == ref.getstate()
+    assert len(closures) > frames  # some serial frames were repaired
+    assert identities == frames if tries == 0 else 0 < identities < frames
+    for draw in (random_class_frame, reference_class_frame):  # an empty range of counts
+        with pytest.raises(ValueError):
+            draw(random.Random(0), 0, LOGICS["K4C"])
 
 
 def test_an_instance_reads_its_slots_in_metavariable_order():

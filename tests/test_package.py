@@ -86,6 +86,7 @@ def test_parser_copies_the_logic_names_and_the_search_bound():
 
     assert cli._LOGIC_NAMES == tuple(sorted(logic.LOGICS))
     assert cli._EXHAUSTIVE_SEARCH_LIMIT == logic.EXHAUSTIVE_SEARCH_LIMIT
+    assert cli._MAX_DRAWN_WORLDS == logic.MAX_DRAWN_WORLDS
 
 
 def test_story_command_in_a_fresh_process():

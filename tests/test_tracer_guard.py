@@ -95,3 +95,23 @@ def test_search_stats_count_the_evaluators_the_tracer_sees():
         metrics = tracer.layer_metrics(rec)
         assert report["stats"]["evaluators"] == metrics["semantics.evaluators"] > 0
         assert report["frames_checked"] == metrics["logic.frames_checked"]
+
+
+def test_class_frame_span_counts_one_call_per_drawn_frame():
+    # the suite and the search past the world bound draw every frame
+    # through the module global that the tracer wraps
+    tracer = _load_tracer()
+    for argv in (["axioms", "--logic", "K4DC", "--trials", "100", "--seed", "3"],
+                 ["search", "--logic", "K4C", "--formula", "<t>{O p} -> O <t>{p}",
+                  "--max-worlds", "12", "--seed", "7", "--samples", "300"]):
+        rec = tracer.Recorder()
+        out = StringIO()
+        try:
+            tracer.install(rec)
+            with redirect_stdout(out):
+                cli.main(argv)
+        finally:
+            rec.uninstall()
+        frames = json.loads(out.getvalue())["frames_checked"]
+        assert rec.totals["logic.class_frame"][0] == frames > 1
+        assert argv[0] == "search" or frames == 100

@@ -11,13 +11,16 @@ directory, so the runs see committed files only; to measure uncommitted
 work, stage it and pass the commit that ``git stash create`` prints.  For
 every seed, and for every workload in ``BENCHMARK.json``, the script runs
 ``perfbench/run.py --trace 0`` once in each tree; which side goes first
-alternates from one pair to the next.  The output file holds, per workload
-and end-to-end metric, each side's median and quartiles, the pairs the
-change won (ties count for neither), whether that makes a claimable gain
-(at least nine tenths of the pairs won, and the medians further apart than
-the parent's quartiles) and the change against the benchmark's bound; per
-workload the failed op runs and the seeds whose reports differ between the
-two sides; and the seeds, settings, Python version and git revisions.  It
+alternates from one pair to the next.  A seed that the ``seeds`` of a
+``BENCH_*.json`` committed at ``HEAD`` already list makes the script exit
+2, naming the file, before it exports anything.  The output file holds,
+per workload and end-to-end metric, each side's median and quartiles, the
+pairs the change won (ties count for neither), whether that makes a
+claimable gain (at least nine tenths of the pairs won, and the medians
+further apart than the parent's quartiles) and the change against the
+benchmark's bound; per workload the failed op runs and the seeds whose
+reports differ between the two sides; and the seeds, settings, Python
+version and git revisions.  It
 is rewritten after every pair, so a cut run leaves the pairs it finished.
 At the end the script prints a table with one row per workload and
 end-to-end metric: both medians, the median change, the pairs the change
@@ -29,6 +32,7 @@ differ ("none" when every seed agrees).
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import hashlib
 import io
 import json
@@ -58,6 +62,18 @@ def export(rev: str, dest: str) -> dict:
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", commit))) as tar:
         tar.extractall(dest)
     return {"commit": commit, "src_tree": git("rev-parse", f"{commit}:src").decode().strip()}
+
+
+def spent_seeds(seeds: list[int]) -> dict[int, str]:
+    """The seeds of `seeds` that a ``BENCH_*.json`` committed at ``HEAD``
+    lists in its ``seeds``, each with the first such file by name."""
+    spent = {}
+    names = git("ls-tree", "--name-only", "HEAD").decode().split("\n")
+    for name in sorted(n for n in names if fnmatch.fnmatch(n, "BENCH_*.json")):
+        for seed in json.loads(git("show", f"HEAD:{name}")).get("seeds", []):
+            if seed in seeds:
+                spent.setdefault(seed, name)
+    return spent
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -148,6 +164,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--tmp", help="directory for the exported trees")
     args = parser.parse_args(argv)
+    spent = spent_seeds(args.seeds)
+    if spent:  # a claim must hold on seeds no earlier run has seen
+        for seed, name in sorted(spent.items()):
+            print(f"bench_ab: seed {seed} is already in the seeds of {name}", file=sys.stderr)
+        return 2
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
