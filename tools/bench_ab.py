@@ -20,13 +20,13 @@ claimable gain (at least nine tenths of the pairs won, and the medians
 further apart than the parent's quartiles) and the change against the
 benchmark's bound; per workload the failed op runs and the seeds whose
 reports differ between the two sides; and the seeds, settings, Python
-version and git revisions.  It
-is rewritten after every pair, so a cut run leaves the pairs it finished.
-At the end the script prints a table with one row per workload and
-end-to-end metric: both medians, the median change, the pairs the change
-won, and the ``gain`` and ``within_bound`` verdicts; then one row per
-workload: each side's failed/attempted op runs and the seeds whose reports
-differ ("none" when every seed agrees).
+version and git revisions.  It is rewritten after every pair, so a cut
+run leaves the pairs it finished.  At the end the script prints a table
+with one row per workload and end-to-end metric: both medians, the
+median change, the pairs the change won, and the ``gain`` and
+``within_bound`` verdicts; then one row per workload: each side's
+failed/attempted op runs and the seeds whose reports differ ("none" when
+every seed agrees).
 """
 
 from __future__ import annotations
