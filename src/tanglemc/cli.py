@@ -187,6 +187,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_validity(args) -> int:
     from .formula import pretty
+    from .record import as_dict
 
     frame, _ = _load_frame(args)
     phi = parse(args.formula)
@@ -202,21 +203,20 @@ def _cmd_validity(args) -> int:
         valid=verdict.valid,
     )
     if verdict.countermodel is not None:
-        report["countermodel"] = {
-            "valuation": {p: list(ws) for p, ws in verdict.countermodel.valuation.items()},
-            "world": verdict.countermodel.world,
-        }
+        report["countermodel"] = as_dict(verdict.countermodel)
     _emit(report)
     return 0 if verdict.valid else 1
 
 
 def _cmd_axioms(args) -> int:
+    from .record import as_dict
+
     seed = _default_seed(args)
     report = soundness_suite(
         args.logic, args.trials, seed, max_worlds=args.max_worlds,
         mode=args.mode, samples=args.samples,
     )
-    _emit(_report("axioms", **report.to_dict()))
+    _emit(_report("axioms", **as_dict(report)))
     return 0 if report.ok else 1
 
 
@@ -303,6 +303,7 @@ def _cmd_oplus(args) -> int:
 
 def _cmd_pathspace_verify(args) -> int:
     from . import pathspace, story as story_mod
+    from .record import as_dict
 
     if args.story is not None:
         st = _load_story(args.story)
@@ -314,7 +315,7 @@ def _cmd_pathspace_verify(args) -> int:
         source = args.frame
     assignment = pathspace.build_limit_assignment(st)
     report = pathspace.verify_lim_pmorphism(st, assignment, args.resolution)
-    out = _report("pathspace-verify", input=source, **report.to_dict())
+    out = _report("pathspace-verify", input=source, **as_dict(report))
     if args.dump_paths:
         out["paths"] = [pathspace.format_path(p) for m in st.levels
                         for p in pathspace.enumerate_paths(m.frame, args.resolution)]

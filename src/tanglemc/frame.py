@@ -146,11 +146,8 @@ class Frame:
         return twin
 
     def rel_pairs(self) -> list[tuple[str, str]]:
-        return [
-            (self.worlds[i], self.worlds[j])
-            for i in range(self.n)
-            for j in _bits(self._succ[i])
-        ]
+        ws = self.worlds
+        return [(ws[i], ws[j]) for i, j in _pairs(self._succ)]
 
     def is_reflexive(self, i: int) -> bool:
         return bool(self._succ[i] >> i & 1)
@@ -192,11 +189,12 @@ class Frame:
 
     def classify(self) -> ClassFlags:
         succ, func = self._succ, self._func
-        strict = _monotone_witness(succ, succ, func, True) is None
+        pairs = _pairs(succ)
+        strict = _monotone_witness(pairs, _image_ranges(succ, True), func) is None
         return ClassFlags(
             transitive=_transitivity_witness(succ) is None,
             serial=all(m != 0 for m in succ),
-            monotonic=strict or _monotone_witness(succ, succ, func, False) is None,
+            monotonic=strict or _monotone_witness(pairs, _image_ranges(succ, False), func) is None,
             strictly_monotonic=strict,
         )
 
@@ -251,18 +249,25 @@ def _image_ranges(tgt_succ: Sequence[int], strict: bool) -> list[int]:
     return [m | 1 << a for a, m in enumerate(tgt_succ)]
 
 
+# _bits of each row below 2^8: _pairs reads small frames' rows from here
+_BYTE_BITS = [tuple(_bits(row)) for row in range(256)]
+
+
+def _pairs(succ: Sequence[int]) -> list[tuple[int, int]]:
+    """The pairs (w, v) with w R v, in world then successor order."""
+    return [(w, v) for w, row in enumerate(succ)
+            for v in (_BYTE_BITS[row] if row < 256 else _bits(row))]
+
+
 def _monotone_witness(
-    src_succ: Sequence[int], tgt_succ: Sequence[int], func: Sequence[int], strict: bool
+    pairs: Iterable[tuple[int, int]], ranges: Sequence[int], func: Sequence[int]
 ) -> tuple[int, int] | None:
-    """First source pair w R v, in world then successor order, whose images
-    are not related (strict), or are distinct and unrelated (not strict);
-    None when the map is (strictly) monotone."""
-    ranges = _image_ranges(tgt_succ, strict)
-    for w in range(len(src_succ)):
-        allowed = ranges[func[w]]
-        for v in _bits(src_succ[w]):
-            if not allowed >> func[v] & 1:
-                return w, v
+    """First of the source's :func:`_pairs` w R v whose images the target's
+    :func:`_image_ranges` do not allow; None when the map is (strictly)
+    monotone.  A check repeated on one frame makes both once."""
+    for w, v in pairs:
+        if not ranges[func[w]] >> func[v] & 1:
+            return w, v
     return None
 
 

@@ -51,10 +51,12 @@ from .frame import (
     Frame,
     _bits,
     _image_ranges,
+    _monotone_witness,
+    _pairs,
     transitive_closure,
 )
 from .semantics import (
-    _BLOCK_BITS, EXHAUSTIVE_BITS_LIMIT, Program, exhaustive_passes, sampled_passes, sweep,
+    EXHAUSTIVE_BITS_LIMIT, Program, exhaustive_passes, pass_layout, sampled_passes, sweep,
     valid_on_frame,
 )
 from .record import record
@@ -67,7 +69,7 @@ def _iff(a: Formula, b: Formula) -> Formula:
 @record
 class Schema:
     """An axiom schema; slots are formulas, an optional formula set, and an
-    optional extra formula (used by the induction schema)."""
+    optional extra formula (used by the induction schema), in that order."""
 
     name: str
     formula_slots: int
@@ -89,8 +91,13 @@ class Schema:
                                   (self.theta_slot, theta, "theta formula")):
             if slot != (given is not None):
                 raise ValueError(f"{self.name} {'needs a' if slot else 'takes no'} {what}")
-        tangle = [Tangle(tuple(formula_set))] if self.set_slot else []
-        return self._build(*formulas, *tangle, *([theta] if self.theta_slot else []))
+        return self._fill([*formulas, *(formula_set or ()), *([theta] if self.theta_slot else [])])
+
+    def _fill(self, args: Sequence[Formula]) -> Formula:
+        """The instance whose slots, formulas, set members, theta, hold `args`."""
+        k, end = self.formula_slots, len(args) - self.theta_slot
+        tangle = [Tangle(tuple(args[k:end]))] if self.set_slot else []
+        return self._build(*args[:k], *tangle, *args[end:])
 
 
 def _fix_tan(t: Tangle) -> Formula:
@@ -170,6 +177,9 @@ FUNC_TRIES = 64  # random maps tried for a monotone one before the identity
 # bits, and on a 2-vCPU host a draw took 0.10-0.13 s CPU at 433-490
 # worlds, 0.36-0.62 s at 865-979 and 1.6-2.2 s at 1,730-1,958
 MAX_DRAWN_WORLDS = 1000
+# the trials a suite draws, screens and sweeps at a time, about 2.4 KB each
+# at 4 worlds, so its memory does not grow with the trial count
+SUITE_BLOCK = 256
 
 
 def _check_drawn_worlds(max_worlds: int) -> None:
@@ -200,8 +210,8 @@ def random_class_frame(rng: random.Random, max_worlds: int, logic: Logic) -> Fra
     then up to `FUNC_TRIES` maps of n ``rng.randrange(n)`` each, up to the
     first (strictly) monotone one, else the identity.  ``randint``,
     ``choice`` and ``randrange`` are the ``getrandbits`` rejection loop
-    of :func:`_below`; each map try is checked against the relation's
-    pairs with its :func:`_image_ranges` made once per frame."""
+    of :func:`_below`; each map try is checked by :func:`_monotone_witness`
+    with the relation's pairs and image ranges made once per frame."""
     if max_worlds < 1:  # as randint's empty range: _below would never return
         raise ValueError("max_worlds must be >= 1")
     getrandbits, random_ = rng.getrandbits, rng.random
@@ -217,15 +227,11 @@ def random_class_frame(rng: random.Random, max_worlds: int, logic: Logic) -> Fra
                 succ[w] |= bits[_below(getrandbits, n)]
             succ = transitive_closure(succ)
             holes = [w for w in worlds if not succ[w]]
-    ranges = _image_ranges(succ, logic.strict)
-    pairs = [(w, v) for w in worlds for v in worlds if succ[w] >> v & 1]
+    pairs, ranges = _pairs(succ), _image_ranges(succ, logic.strict)
     for _ in range(FUNC_TRIES):
         func = [_below(getrandbits, n) for _ in worlds]
-        for w, v in pairs:
-            if not ranges[func[w]] >> func[v] & 1:
-                break  # not (strictly) monotone: try another map
-        else:
-            break  # every pair kept: func is (strictly) monotone
+        if _monotone_witness(pairs, ranges, func) is None:
+            break
     else:
         func = list(worlds)  # identity is monotone and strictly monotone
     return Frame([f"w{i}" for i in worlds], succ, func)
@@ -280,11 +286,7 @@ def _random_slots(rng: random.Random, schema: Schema) -> list[int]:
 def _instance(name: str, slots: Sequence[int]) -> Formula:
     """The instance of the named schema whose slots, in
     :func:`_random_slots` order, hold these `SLOT_FORMULAS`."""
-    schema = SCHEMAS[name]
-    args = [SLOT_FORMULAS[i] for i in slots]
-    theta = args.pop() if schema.theta_slot else None
-    k = schema.formula_slots
-    return schema.instantiate(args[:k], args[k:] if schema.set_slot else None, theta)
+    return SCHEMAS[name]._fill([SLOT_FORMULAS[i] for i in slots])
 
 
 @lru_cache(maxsize=None)
@@ -293,10 +295,8 @@ def _schema_program(name: str, size: int) -> Program:
     metavariables ``_0``, ``_1``, ... in the order of the slots that
     :func:`_random_slots` draws."""
     schema = SCHEMAS[name]
-    k = schema.formula_slots
-    metas = [Var(f"_{i}") for i in range(k + size + schema.theta_slot)]
-    tangle = [Tangle(tuple(metas[k:k + size]))] if schema.set_slot else []
-    return Program(schema._build(*metas[:k], *tangle, *metas[k + size:]))
+    count = schema.formula_slots + size + schema.theta_slot
+    return Program(schema._fill([Var(f"_{i}") for i in range(count)]))
 
 
 @record
@@ -322,26 +322,6 @@ class SuiteReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_dict(self) -> dict:
-        return {
-            "logic": self.logic,
-            "seed": self.seed,
-            "trials": self.trials,
-            "mode": self.mode,
-            "frames_checked": self.frames_checked,
-            "instances_checked": self.instances_checked,
-            "violations": [
-                {
-                    "schema": v.schema,
-                    "formula": v.formula,
-                    "frame": v.frame,
-                    "valuation": {p: list(ws) for p, ws in v.valuation.items()},
-                    "world": v.world,
-                }
-                for v in self.violations
-            ],
-        }
-
 
 def _union_failures(drawn, trials) -> set[tuple[int, int]]:
     """The (trial, schema) positions of the instances of `trials`, indices
@@ -350,8 +330,8 @@ def _union_failures(drawn, trials) -> set[tuple[int, int]]:
     each trial is an evaluator slot of 4^n lanes, where p and q hold all
     4^n valuation codes: an instance's value does not depend on a variable
     it does not read, so each instance meets every valuation of its
-    variables.  The slots go in chunks of as many as fit in 2^12 lanes,
-    one evaluator a chunk, as :func:`exhaustive_passes` makes them.
+    variables.  The slots go in the chunks of :func:`pass_layout`, one
+    evaluator a chunk, as :func:`exhaustive_passes` makes them.
     [[phi[psi/A]]] is [[phi]] with A read as [[psi]]: so a chunk runs the
     program of each of the 25 `SLOT_FORMULAS` once, and each schema
     position (one instance a trial, even where a logic lists a schema
@@ -361,15 +341,15 @@ def _union_failures(drawn, trials) -> set[tuple[int, int]]:
     formula's value once, in the lanes of all the trials it fills."""
     frame = drawn[trials[0]][0]
     n = frame.n
-    width = 1 << n * len(SUITE_VARIABLES)  # the lanes of a trial
+    per, lane_bits = pass_layout(n * len(SUITE_VARIABLES))
+    width = 1 << lane_bits  # the lanes of a trial
     lanes = (1 << width) - 1  # trial 0's lanes in one world
     passes = exhaustive_passes(frame, len(SUITE_VARIABLES),
                                [(drawn[t][0]._succ, drawn[t][0]._func) for t in trials])
     failing = set()
-    first = 0
-    for ev, masks in passes:  # one pass a chunk: its lanes hold every code
-        chunk = trials[first:first + ev.lanes // width]
-        first += len(chunk)
+    # one pass a chunk: its lanes hold every code
+    for first, (ev, masks) in zip(range(0, len(trials), per), passes):
+        chunk = trials[first:first + per]
         region = sum(lanes << w * ev.lanes for w in range(n))  # trial 0's lanes, every world
         regions = [region << j * width for j in range(len(chunk))]
         env = dict(zip(SUITE_VARIABLES, masks))
@@ -406,16 +386,18 @@ def soundness_suite(
     Each trial draws a frame with :func:`random_class_frame`, then for each
     schema the slots of an instance, one index into the fixed catalogue
     `SLOT_FORMULAS` a slot (:func:`_random_slots`), and a sampling seed.
-    All trials are drawn first, from one ``random.Random(seed)``, and take
-    from it exactly the numbers that the stdlib calls named in those two
+    The trials are drawn from one ``random.Random(seed)``, and take from it
+    exactly the numbers that the stdlib calls named in those two
     docstrings would, then ``rng.getrandbits(32)`` for each seed: trial by
     trial, a trial's frame first, then schema by schema in the logic's
-    order, the slots before the seed.
+    order, the slots before the seed.  They are drawn, screened and swept
+    in blocks of ``SUITE_BLOCK`` trials; a sweep draws from its own seed,
+    so the blocks change neither the draws nor the report.
     One rule, in both modes: trials of up to 6 worlds, whose 4^n valuation
-    codes fit one pass of at most 4096 lanes, are screened under all of
+    codes fit one pass (:func:`pass_layout`), are screened under all of
     them by :func:`_union_failures`, each trial an evaluator slot, in
-    chunks of 2^12 lanes of one world count; every instance of a larger
-    trial skips the screen.  Each flagged or unscreened instance is built
+    chunks of one world count; every instance of a larger trial skips the
+    screen.  Each flagged or unscreened instance is built
     and checked alone by :func:`valid_on_frame`, once, in `mode` and with
     its own seed, so its countermodel is that of a sweep per instance; its
     samples are some of its codes, so the screen misses none that its
@@ -444,14 +426,25 @@ def soundness_suite(
             f"exhaustive suite needs max_worlds*|vars| <= {EXHAUSTIVE_BITS_LIMIT}, got {bits}"
         )
     rng = random.Random(seed)
-    drawn = [(random_class_frame(rng, max_worlds, logic),
-              [(name, _random_slots(rng, SCHEMAS[name]), rng.getrandbits(32))
-               for name in logic.schemas]) for _ in range(trials)]
+    violations = []
+    for first in range(0, trials, SUITE_BLOCK):
+        drawn = [(random_class_frame(rng, max_worlds, logic),
+                  [(name, _random_slots(rng, SCHEMAS[name]), rng.getrandbits(32))
+                   for name in logic.schemas]) for _ in range(min(SUITE_BLOCK, trials - first))]
+        violations += _block_violations(drawn, mode, samples)
+    return SuiteReport(logic.name, seed, trials, mode, trials,
+                       trials * len(logic.schemas), tuple(violations))
+
+
+def _block_violations(drawn, mode: str, samples: int) -> list[SchemaViolation]:
+    """The violations of a block of `drawn` (frame, draws) trials, in (trial,
+    schema) order: the screen, then a sweep of each suspect instance."""
     suspects = set()
     for n in sorted({frame.n for frame, _ in drawn}):
         same = [t for t, (frame, _) in enumerate(drawn) if frame.n == n]
-        if n * len(SUITE_VARIABLES) > _BLOCK_BITS:  # more than one pass of codes: no screen
-            suspects.update((t, i) for t in same for i in range(len(logic.schemas)))
+        bits = n * len(SUITE_VARIABLES)
+        if pass_layout(bits)[1] < bits:  # more than one pass of codes: no screen
+            suspects.update((t, i) for t in same for i in range(len(drawn[t][1])))
         else:
             suspects |= _union_failures(drawn, same)
     violations = []
@@ -463,8 +456,7 @@ def soundness_suite(
         if cm is not None:
             violations.append(SchemaViolation(name, pretty(inst), frame.to_dict(cm.valuation),
                                               dict(cm.valuation), cm.world))
-    return SuiteReport(logic.name, seed, trials, mode, trials,
-                       trials * len(logic.schemas), tuple(violations))
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -663,9 +655,9 @@ def countermodel_search(
     first map stands for all of them, and where it fails the walk fails
     first.  phi's :class:`~tanglemc.semantics.Program` is made once and
     swept over chunks of frames of one world count, across relations, one
-    evaluator a chunk and a slot of lanes a frame, as many as fit in 2^12
-    lanes (one past 12 bits); the counts and the countermodel are those of
-    one frame and valuation at a time.  ``stats`` counts the relation
+    evaluator a chunk and a slot of lanes a frame, as
+    :func:`~tanglemc.semantics.pass_layout` sizes them; the counts and the
+    countermodel are those of one frame and valuation at a time.  ``stats`` counts the relation
     classes enumerated, the frames and valuations swept, the evaluators
     built and ``worlds_covered``, the most worlds searched in full.  The
     bound is not what finishes: on a 2-vCPU host, as the first search in
@@ -722,7 +714,7 @@ def _result(tally: Counter, frame: Frame | None = None, cm=None) -> SearchResult
 
 def _search_chunks(logic: Logic, max_worlds: int, count: int, every_map: bool, tally: Counter):
     """The class frames of the exhaustive search in its order as (world
-    count, slots, weights) chunks of at most 2^(12 - bits) slots of one
+    count, slots, weights) chunks of :func:`pass_layout` slots of one
     world count: a slot is a (relation, map) pair, and its weight is 1,
     or the relation's map count when not `every_map`, where the first map
     stands for all.  The world counts go up one memoised level of
@@ -734,7 +726,7 @@ def _search_chunks(logic: Logic, max_worlds: int, count: int, every_map: bool, t
         if n * count > EXHAUSTIVE_BITS_LIMIT:
             raise ValueError(f"exhaustive search needs |worlds|*|vars| <= "
                              f"{EXHAUSTIVE_BITS_LIMIT}, got {n * count}")
-        per = 1 << max(0, _BLOCK_BITS - n * count)
+        per = pass_layout(n * count)[0]
         slots, weights = [], []
         for succ in _transitive_classes(n):
             if logic.serial and not all(succ):

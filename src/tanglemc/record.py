@@ -12,6 +12,7 @@ value class, with what ``@dataclass(frozen=True)`` gave it:
 - ``__repr__`` is ``Cls(field=value, ...)``.
 - Assigning or deleting an attribute raises ``AttributeError``;
   ``object.__setattr__`` still sets one, for ``__post_init__``.
+- ``_fields`` holds the field names in declared order, for :func:`as_dict`.
 
 As in `dataclasses`, ``__init__``, ``__eq__`` and ``__hash__`` are compiled
 per class from a few lines of source that name the fields, so building,
@@ -82,4 +83,16 @@ def record(cls):
         fn.__qualname__ = f"{cls.__qualname__}.{method}"
         setattr(cls, method, fn)
     cls.__setattr__, cls.__delattr__ = _setattr, _delattr
+    cls._fields = fields
     return cls
+
+
+def as_dict(value):
+    """A record as the dict of its fields in declared order, a tuple as the
+    list of its items, each taken the same way, and any other value as it
+    is: the one rule by which a report writes a record as JSON."""
+    if hasattr(type(value), "_fields"):
+        return {name: as_dict(getattr(value, name)) for name in value._fields}
+    if isinstance(value, tuple):
+        return [as_dict(v) for v in value]
+    return value

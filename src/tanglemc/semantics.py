@@ -414,6 +414,14 @@ def _sample_widths(samples: int, bits: int):
         checked += lanes
 
 
+def pass_layout(bits: int) -> tuple[int, int]:
+    """(slots a chunk, lane bits a slot) of :func:`exhaustive_passes` for
+    `bits`-bit valuation codes: 2^(12 - bits) slots of 2^bits lanes, or
+    past 12 bits one slot whose codes take 2^(bits - 12) passes."""
+    lane_bits = min(bits, _BLOCK_BITS)
+    return 1 << (_BLOCK_BITS - lane_bits), lane_bits
+
+
 def exhaustive_passes(frame: Frame, count: int,
                       slots: Sequence[tuple[Sequence[int], Sequence[int]]]):
     """The passes of every valuation of `count` variables on each frame of
@@ -421,15 +429,13 @@ def exhaustive_passes(frame: Frame, count: int,
     and valuation codes ascending: (evaluator, masks) pairs for
     :func:`sweep`.
 
-    The slots go in chunks of as many as fit in 2^12 lanes, one evaluator
-    a chunk; the last chunk holds only the slots left.  A pass covers
-    2^min(bits, 12) codes in each slot; past 12 bits a chunk holds one
-    slot and its codes take 2^(bits - 12) passes.  Either way the lanes
-    run in (slot, valuation code) order, so valuation k of slot i is lane
+    The slots go in chunks of :func:`pass_layout`, one evaluator a chunk;
+    the last chunk holds only the slots left.  A pass covers
+    2^min(bits, 12) codes in each slot, and the lanes run in (slot,
+    valuation code) order, so valuation k of slot i is lane
     ``(i << bits) + k`` of the sweep."""
     n = frame.n
-    lane_bits = min(n * count, _BLOCK_BITS)
-    per = 1 << (_BLOCK_BITS - lane_bits)
+    per, lane_bits = pass_layout(n * count)
     for first in range(0, len(slots), per):
         chunk = slots[first:first + per]
         ev = Evaluator(frame, len(chunk) << lane_bits, chunk)

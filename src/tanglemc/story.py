@@ -33,8 +33,10 @@ from .frame import (
     Frame,
     FrameError,
     _bits,
+    _image_ranges,
     _lift_map,
     _monotone_witness,
+    _pairs,
     _relation,
     _transitivity_witness,
     duplicate_reflexive,
@@ -192,10 +194,11 @@ def _check_conditions(levels: Sequence[Moment], maps: Sequence[Mapping[str, str]
     # maps[i] as world indices of frames[i] into frames[i + 1]
     funcs = [[frames[i + 1].index(fmap[w]) for w in frames[i].worlds]
              for i, fmap in enumerate(maps)]
+    pairs = [_pairs(frames[i]._succ) for i in range(len(funcs))]  # read twice
 
     # monotonic
     for i, func in enumerate(funcs):
-        witness = _monotone_witness(frames[i]._succ, frames[i + 1]._succ, func, False)
+        witness = _monotone_witness(pairs[i], _image_ranges(frames[i + 1]._succ, False), func)
         if witness is not None:
             a, b = (frames[i].worlds[j] for j in witness)
             raise StoryError(
@@ -252,7 +255,7 @@ def _check_conditions(levels: Sequence[Moment], maps: Sequence[Mapping[str, str]
 
     return all(
         len(set(func)) == len(func)
-        and _monotone_witness(frames[i]._succ, frames[i + 1]._succ, func, True) is None
+        and _monotone_witness(pairs[i], _image_ranges(frames[i + 1]._succ, True), func) is None
         for i, func in enumerate(funcs)
     )
 

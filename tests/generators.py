@@ -9,7 +9,9 @@ order, so a seed names one story or frame.  Moments are built bottom-up by
 way.  `reference_class_frame` and `reference_slots` are the suite's draws
 written with the stdlib's ``randint``, ``choice``, ``randrange`` and
 ``choices``: the oracle that the library's draws must equal number for
-number.
+number.  `monotone_witness_by_definition` is the definition of a
+(strictly) monotone map, which that oracle and the tests check maps with
+instead of the library's ``frame._monotone_witness``.
 """
 
 import random
@@ -17,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from tanglemc import logic
 from tanglemc.formula import And, Box, Diamond, Formula, Implies, Neg, Next, Or, Tangle, Var
-from tanglemc.frame import Frame, FrameError, _bits, _monotone_witness, transitive_closure
+from tanglemc.frame import Frame, FrameError, _bits, transitive_closure
 from tanglemc.story import (
     Moment,
     Story,
@@ -38,6 +40,19 @@ def random_formula(rng: random.Random, variables: Sequence[str], depth: int) -> 
     count = rng.choice((1, 2)) if kind is Tangle else 2 if kind in (And, Or, Implies) else 1
     kids = [random_formula(rng, variables, depth - 1) for _ in range(count)]
     return Tangle(tuple(kids)) if kind is Tangle else kind(*kids)
+
+
+def monotone_witness_by_definition(src_succ, tgt_succ, func, strict):
+    """The first pair w R v of the source, w then v ascending, whose images
+    break the definition: f(w) R f(v) in the target, or, when not strict,
+    also f(w) = f(v); None when the map keeps every pair."""
+    for w in range(len(src_succ)):
+        for v in range(len(src_succ)):
+            if src_succ[w] >> v & 1:
+                a, b = func[w], func[v]
+                if not (tgt_succ[a] >> b & 1 or not strict and a == b):
+                    return w, v
+    return None
 
 
 def reference_class_frame(rng: random.Random, max_worlds: int, lg: logic.Logic) -> Frame:
@@ -63,7 +78,7 @@ def reference_class_frame(rng: random.Random, max_worlds: int, lg: logic.Logic) 
     func = None
     for _ in range(logic.FUNC_TRIES):
         cand = [rng.randrange(n) for _ in range(n)]
-        if _monotone_witness(succ, succ, cand, lg.strict) is None:
+        if monotone_witness_by_definition(succ, succ, cand, lg.strict) is None:
             func = cand
             break
     if func is None:

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import os
+import sys
 import tempfile
 import time
 from contextlib import redirect_stdout
@@ -419,6 +420,52 @@ def test_search_past_the_world_bound_reports_are_pinned(capsys, logic, formula, 
     assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_DIGESTS[logic, formula, max_worlds]
 
 
+# sha256 of refuting validity reports, countermodel included; the frame
+# path is relative, so the bytes do not depend on the checkout
+VALIDITY_DIGESTS = {
+    ("f3", "<t>{O p} -> O <t>{p}", "exhaustive"):
+        "593060cd09b526f891cc8ab3f2188083542de260c617478b90f16edec1cfab80",
+    ("wheel", "<d>p & <d>q -> <d>(p & q)", "sampled"):
+        "a40a362936bd0b81c2d1171fc3b437d5090410cec59ff919413360261c17fef4",
+}
+
+
+@pytest.mark.parametrize("frame, formula, mode", sorted(VALIDITY_DIGESTS))
+def test_refuting_validity_reports_are_pinned(capsys, monkeypatch, frame, formula, mode):
+    monkeypatch.chdir(DEMOS.parent)
+    code = main(["validity", "--frame", f"demos/{frame}.frame.json", "--formula", formula,
+                 "--mode", mode, "--seed", "5", "--samples", "50"])
+    out = capsys.readouterr().out
+    assert code == 1 and "countermodel" in json.loads(out)
+    assert hashlib.sha256(out.encode()).hexdigest() == VALIDITY_DIGESTS[frame, formula, mode]
+
+
+def test_failing_pathspace_verify_report_is_pinned(capsys, monkeypatch, tmp_path):
+    # the verifier's own assignment commutes on every valid story, so the
+    # u0 and v0 ranks of a two-cluster story are swapped to make it fail
+    from tanglemc import pathspace
+
+    cluster = [["r", "u"], ["r", "v"], ["u", "u"], ["u", "v"], ["v", "u"], ["v", "v"]]
+    levels = [{"worlds": [f"{w}{i}" for w in "ruv"], "root": f"r{i}", "valuation": {},
+               "rel": [[a + str(i), b + str(i)] for a, b in cluster]} for i in (0, 1)]
+    (tmp_path / "two.story.json").write_text(json.dumps(
+        {"levels": levels, "maps": [{"r0": "r1", "u0": "u1", "v0": "v1"}]}))
+    build = pathspace.build_limit_assignment
+
+    def swapped(story):
+        first, *rest = build(story).ranks
+        first = dict(first, u0=first["v0"], v0=first["u0"])
+        return pathspace.LimitAssignment((first, *rest))
+
+    monkeypatch.setattr(pathspace, "build_limit_assignment", swapped)
+    monkeypatch.chdir(tmp_path)
+    code = main(["pathspace-verify", "--story", "two.story.json", "--resolution", "3"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fe14b3a61d8011f8237e576a7cc0797cf225310f086da1760d45629242b40a24")
+
+
 @pytest.mark.parametrize("argv", [
     ["search", "--logic", "K4C", "--formula", "p", "--samples", "1"],
     ["axioms", "--logic", "K4C", "--trials", "1"],
@@ -670,6 +717,20 @@ def test_pathspace_verify_negative_resolution_exits_2(capsys):
         "--resolution", "-1",
     )
     assert code == 2 and report["error"] == "resolution must be >= 0"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_pathspace_verify_counts_only_what_a_report_can_print(capsys):
+    # at resolution 10,000 the path count has 3,011 digits; at 100,000 it
+    # would pass the interpreter's 4,300-digit limit on int-to-text, so the
+    # count stops there and the error names the option
+    frame = str(DEMOS / "f1_oplus.frame.json")
+    code, report = run(capsys, "pathspace-verify", "--frame", frame, "--resolution", "10000")
+    assert code == 0 and len(str(report["paths_checked"])) == 3011
+    code, report = run(capsys, "pathspace-verify", "--frame", frame, "--resolution", "100000")
+    assert code == 2 and report["error"] == (
+        "resolution 100000: the path count passes the 4300 digits a report can print; "
+        "lower --resolution")
 
 
 def test_demo_frames_all_load(capsys):

@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 from tanglemc.frame import (
     Frame,
     FrameError,
+    _image_ranges,
+    _monotone_witness,
+    _pairs,
     _transitivity_witness,
     check_frame_pmorphism,
     duplicate_reflexive,
@@ -15,7 +18,7 @@ from tanglemc.frame import (
     validate_frame,
 )
 
-from generators import random_transitive_frame
+from generators import monotone_witness_by_definition, random_transitive_frame
 
 
 def frame_f1():
@@ -189,6 +192,30 @@ def test_strict_monotone_implies_monotone(seed):
     flags = _random_frame(rng).classify()
     if flags.strictly_monotonic:
         assert flags.monotonic
+
+
+def test_monotone_witness_is_the_definition():
+    # source and target relations of 1-5 worlds each, as a story level map
+    # goes from one level to the next, transitive or not, reflexive loops
+    # included; a map into the target under both strictnesses.  The
+    # witness is the definition's first failing pair in world then
+    # successor order, and a map without one keeps every pair
+    rng = random.Random(30)
+    seen = {(strict, found): 0 for strict in (False, True) for found in (False, True)}
+    for _ in range(3000):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        src = [rng.getrandbits(n) for _ in range(n)]
+        tgt = [rng.getrandbits(m) for _ in range(m)]
+        if rng.random() < 0.5:
+            src, tgt = transitive_closure(src), transitive_closure(tgt)
+        func = [rng.randrange(m) for _ in range(n)]
+        pairs = _pairs(src)
+        assert pairs == [(w, v) for w in range(n) for v in range(n) if src[w] >> v & 1]
+        for strict in (False, True):
+            witness = _monotone_witness(pairs, _image_ranges(tgt, strict), func)
+            assert witness == monotone_witness_by_definition(src, tgt, func, strict)
+            seen[strict, witness is not None] += 1
+    assert min(seen.values()) > 300
 
 
 @given(st.integers(0, 10_000))

@@ -19,7 +19,6 @@ from tanglemc.logic import (
     SLOT_WEIGHTS,
     SUITE_VARIABLES,
     Logic,
-    Schema,
     SchemaViolation,
     SuiteReport,
     _instance,
@@ -29,6 +28,7 @@ from tanglemc.logic import (
     random_class_frame,
     soundness_suite,
 )
+from tanglemc.record import as_dict
 from tanglemc.semantics import PACKED_BITS_LIMIT, Model, truth_set, valid_on_frame
 
 from generators import random_formula, reference_class_frame, reference_slots
@@ -161,7 +161,7 @@ def test_misconfigured_suite_reports_are_pinned(mode, max_worlds, digest, count)
     report = soundness_suite(misconfigured, trials=40, seed=3, max_worlds=max_worlds, mode=mode)
     assert report == per_instance_suite(misconfigured, 40, 3, max_worlds, mode, 32)[0]
     assert len(report.violations) == count
-    text = json.dumps(report.to_dict(), indent=2)
+    text = json.dumps(as_dict(report), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -340,6 +340,28 @@ def test_union_suite_matches_one_sweep_per_instance(monkeypatch, mode, samples, 
         assert beyond > 0
 
 
+@pytest.mark.parametrize("mode, max_worlds", [("exhaustive", 4), ("sampled", 8)])
+def test_suite_blocks_give_the_report_of_one_block(monkeypatch, mode, max_worlds):
+    # the suite draws, screens and sweeps SUITE_BLOCK trials at a time: the
+    # blocks take the same numbers from the stream, each sweep draws from
+    # its own seed, and the violations keep their (trial, schema) order
+    k4c = LOGICS["K4C"]
+    misconfigured = Logic("K4C", k4c.schemas + ("CTan-dia",), k4c.serial, k4c.strict)
+    expected, invalid, _ = per_instance_suite(misconfigured, 60, 3, max_worlds, mode, 32)
+    assert len({t // 7 for t, _ in invalid}) > 1  # violations in several blocks of 7
+    assert logic.SUITE_BLOCK >= 60
+    assert soundness_suite(misconfigured, 60, 3, max_worlds, mode) == expected
+    sizes = []
+    block = logic._block_violations
+    monkeypatch.setattr(logic, "_block_violations",
+                        lambda drawn, *args: sizes.append(len(drawn)) or block(drawn, *args))
+    for size in (1, 7, 60):
+        sizes.clear()
+        monkeypatch.setattr(logic, "SUITE_BLOCK", size)
+        assert soundness_suite(misconfigured, 60, 3, max_worlds, mode) == expected
+        assert sizes == [size] * (60 // size) + ([60 % size] if 60 % size else [])
+
+
 def test_suite_screens_a_schema_listed_twice_per_position():
     # two instances of one schema in a trial must not share a screen run:
     # their truth sets would add up in one region and hide a violation
@@ -357,7 +379,7 @@ def test_sound_suite_never_builds_an_instance(monkeypatch):
         raise AssertionError("instance built")
 
     logic._schema_program.cache_clear()
-    monkeypatch.setattr(Schema, "instantiate", fail)
+    monkeypatch.setattr(logic, "_instance", fail)
     for name in LOGICS:
         for mode in ("sampled", "exhaustive"):
             assert soundness_suite(name, trials=10, seed=16, mode=mode).ok

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from tanglemc.formula import (
     And, Box, Diamond, Implies, Neg, Next, Or, Tangle, Var, dot_diamond, parse, vars_of,
 )
-from tanglemc.frame import Frame, _monotone_witness, _transitivity_witness
+from tanglemc.frame import Frame, _transitivity_witness
 from tanglemc import logic
 from tanglemc.logic import (
     LOGICS, SCHEMAS, _monotone_maps, _schema_program, _transitive_classes,
@@ -32,7 +32,7 @@ from tanglemc.semantics import (
     valid_on_frame,
 )
 
-from generators import random_formula, random_transitive_frame
+from generators import monotone_witness_by_definition, random_formula, random_transitive_frame
 from test_semantics import disjoint_union
 
 
@@ -240,7 +240,7 @@ def brute_canonical_form(succ):
 def brute_monotone_maps(succ, strict):
     n = len(succ)
     return [func for func in itertools.product(range(n), repeat=n)
-            if _monotone_witness(succ, succ, func, strict) is None]
+            if monotone_witness_by_definition(succ, succ, func, strict) is None]
 
 
 def classes_by_size(max_worlds):

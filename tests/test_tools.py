@@ -9,11 +9,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_bench_ab():
-    spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "tools" / "bench_ab.py")
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_bench_ab():
+    return _load_tool("bench_ab")
 
 
 def test_bench_ab_refuses_a_seed_of_a_committed_bench_file(monkeypatch, capsys, tmp_path):
@@ -43,3 +47,30 @@ def test_bench_ab_refuses_a_seed_of_a_committed_bench_file(monkeypatch, capsys, 
     with pytest.raises(AssertionError, match="tree exported"):
         bench_ab.main([*argv, "--seeds", "5", "703"])
     assert not out.exists()
+
+
+def test_startup_ab_exits_1_when_a_command_differs(monkeypatch, capsys, tmp_path):
+    startup_ab = _load_tool("startup_ab")
+    exported = []
+
+    def export(rev, tree):
+        exported.append((rev, Path(tree).name))
+
+    def run_once(tree, argv):  # the change differs in exit code on search, stdout on axioms
+        change = Path(tree).name == "change"
+        code = 1 if change and argv[0] == "search" else 0
+        out = "other\n" if change and argv[0] == "axioms" else "same\n"
+        return 0.01, code, out
+
+    monkeypatch.setattr(startup_ab, "export", export)
+    monkeypatch.setattr(startup_ab, "run_once", run_once)
+    argv = ["--parent", "HEAD~1", "--change", "HEAD", "--runs", "2", "--tmp", str(tmp_path)]
+    assert startup_ab.main(argv) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "stdout or exit code differ: search, axioms"
+    assert exported == [("HEAD~1", "parent"), ("HEAD", "change")]
+    assert list(tmp_path.iterdir()) == []  # the exported trees are removed
+    # the same outputs on both sides: exit 0, and no line of differences
+    monkeypatch.setattr(startup_ab, "run_once", lambda tree, argv: (0.01, 0, "same\n"))
+    assert startup_ab.main(argv) == 0
+    assert "differ" not in capsys.readouterr().out
