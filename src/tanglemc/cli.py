@@ -434,7 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
                                        "(its map is ignored)")
     p.add_argument("--close-transitively", action="store_true",
                    help="with --frame: replace the relation by its transitive closure")
-    p.add_argument("--resolution", type=int, default=4)
+    p.add_argument("--resolution", type=int, default=4,
+                   help="prefix length up to which paths_checked counts the paths "
+                        "the argument covers; the verdict does not depend on it")
     p.add_argument("--dump-paths", action="store_true", help="also list every "
                    "path; their number grows exponentially with --resolution")
     p.set_defaults(fn=_cmd_pathspace_verify)

@@ -45,6 +45,11 @@ def _bits(mask: int):
 class Frame:
     """Immutable frame; build via :func:`validate_frame` or the generators.
 
+    The relation must be transitive.  The constructor does not check it,
+    but every builder of the package gives a transitive relation, and the
+    tangle of :mod:`~tanglemc.semantics`, computed in closed form from the
+    reflexive clusters, is the tangle only on a transitive relation.
+
     Besides the successor and predecessor masks a frame keeps its row
     classes: ``(row, members)`` pairs, one per distinct successor row in
     order of first occurrence, where ``members`` is the mask of the worlds

@@ -213,10 +213,13 @@ def verify_lim_pmorphism(
     below m's, and the pair {m, w} fails too.  A pair comes no later than
     any set holding it in the order of subset codes, so the first failing
     set in that order is the first failing pair, pairs ordered by their
-    later member, then their earlier one; only pairs are checked.
-    ``paths_checked`` counts the paths with prefix length at most the
-    resolution, summed over the levels, without building them; a count of
-    more digits than ``sys.get_int_max_str_digits()`` raises ``ValueError``.
+    later member, then their earlier one; only pairs are checked.  That
+    check does not read `resolution`, so the verdict is the same at every
+    resolution.  ``paths_checked`` counts the paths that the argument
+    below covers up to that prefix length: those with prefix length at
+    most the resolution, summed over the levels, without building them; a
+    count of more digits than ``sys.get_int_max_str_digits()`` raises
+    ``ValueError``.
 
     Three more conditions hold by construction and are not checked; the
     first two rest on the levels being transitive with no reflexive

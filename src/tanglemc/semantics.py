@@ -1,11 +1,21 @@
-"""Truth-set evaluation on models, with the tangle as a greatest fixed point.
+"""Truth-set evaluation on models, with the tangle in closed form.
 
-The tangle of a list of sets S_1..S_k is the largest A with
-A <= down(S_i & A) for every i, computed by the decreasing iteration
-A_0 = W, A_{j+1} = A_j & AND_i down(S_i & A_j), which reaches the fixed
-point after at most |W| shrinking steps.  Two independent oracles are kept
-alongside: a literal union over all subsets (exponential, guarded), and a
-characterisation through reflexive clusters meeting every S_i.
+Every frame the package builds has a transitive relation (``Frame``,
+:func:`~tanglemc.frame.validate_frame` and the generators), and on a
+finite transitive frame the tangle of S_1..S_k holds exactly at the
+worlds that see a reflexive cluster meeting every S_i (Fernandez-Duque,
+"Tangled modal logic for spatial reasoning", 2011; Goldblatt and
+Hodkinson, "Spatial logic of tangled closure operators and modal
+mu-calculus", 2017).  So the engine computes it without iterating:
+tangle(S_1..S_k) = down(clu(S_1) & ... & clu(S_k)), where clu is <d> of
+the cluster relation R & R^-1, which on a transitive relation holds at w
+exactly when w is reflexive and its cluster meets the set
+(:func:`tangle_closed`).  The definition itself, the largest A with
+A <= down(S_i & A) for every i, stays as :func:`tangle_fixpoint`, the
+decreasing iteration A_0 = W, A_{j+1} = A_j & AND_i down(S_i & A_j); the
+two agree only on transitive relations.  Two more oracles are kept
+alongside: a literal union over all subsets (exponential, guarded), and
+a characterisation through reflexive clusters meeting every S_i.
 
 A formula is compiled once, without a frame, into a :class:`Program`:
 one instruction per distinct node object, in post-order, so a subformula
@@ -25,8 +35,9 @@ on their disjoint union.  O is a distance step at every lane count:
 world w reads the group of world w + d through one mask, shift and OR
 per distance d = f(w) - w of a slot's map.  <d> is the frame's
 ``down_mask`` when one lane holds the frame's own relation, and the same
-steps over the distances of each slot's relation pairs otherwise.  The
-tangle is the same fixed-point loop on packed ints.
+steps over the distances of each slot's relation pairs otherwise; clu is
+the frame's clusters in the first case and the steps of the cluster
+pairs, read off the <d> steps, in the second.
 
 Validity is one loop, :func:`sweep`, over passes of lanes from one of two
 generators, and keeps the canonical order of a one-valuation-at-a-time
@@ -65,10 +76,16 @@ EXHAUSTIVE_BITS_LIMIT = 24
 _BLOCK_BITS = 12  # an exhaustive block holds 2^12 valuation codes
 _FIRST_SAMPLES = 64  # a 64-lane pass costs about as much as one valuation
 _MAX_LANES = 1 << _BLOCK_BITS
-# the bits a packed block's distance masks may take (64 KiB), past which a
-# sampled block runs one lane per pass: 2,000 samples on 10 class-frame
-# worlds take at most 371k bits, 500 layered worlds 549k at two lanes, and
-# a 1000-world star 64M bits at 64 lanes, 152 MB and 10x one lane's time
+# the bits a packed block's <d> and O distance masks may take (64 KiB), past
+# which a sampled block runs one lane per pass: 2,000 samples on 10
+# class-frame worlds take at most 371k bits, 500 layered worlds 549k at two
+# lanes, and a 1000-world star 64M bits at 64 lanes, 152 MB and 10x one
+# lane's time.  A program with a tangle also binds one clu mask per
+# distance of a cluster pair, which is a distance of the relation too, so
+# its clu masks take at most the bits of its <d> masks and its block at
+# most twice the limit (128 KiB); the star has no cluster pair, so its
+# 152 MB stands.  The limit sets pass widths only, never the draws, so
+# reports do not depend on it
 PACKED_BITS_LIMIT = 1 << 19
 
 
@@ -101,12 +118,61 @@ def tangle_fixpoint(
         steps += 1
 
 
+def tangle_closed(down: Callable[[int], int], cluster: Callable[[int], int],
+                  masks: Sequence[int]) -> int:
+    """The tangle of the sets `masks` in closed form: ``down`` of the meet
+    of their ``cluster`` images, stopping at an empty meet.  With `cluster`
+    <d> of R & R^-1, on a transitive relation R the meet is the union of
+    the reflexive clusters that meet every set, and its ``down`` is the
+    greatest fixed point that :func:`tangle_fixpoint` iterates to; on
+    other relations the two may differ."""
+    meet = -1
+    for m in masks:
+        meet &= cluster(m)
+        if not meet:
+            return 0
+    return down(meet)
+
+
 def _move(mask: int, steps: Sequence[tuple[int, int]]) -> int:
     """A packed operator as distance steps: for each (d * lanes, m), the
     lanes that m selects in the group of each world v move to world v - d."""
     out = 0
     for k, m in steps:
         out |= (mask & m) >> k if k >= 0 else (mask & m) << -k
+    return out
+
+
+def _cluster_steps(steps: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The distance steps of clu from those of <d>: <d>'s step (d * lanes,
+    m) selects at world v the lanes where v - d sees v, and its step -d,
+    shifted up by d worlds, those where v sees v - d; their meet is the
+    step of the cluster pairs at distance d."""
+    by_shift = dict(steps)
+    out = []
+    for k, m in steps:
+        back = by_shift.get(-k)
+        if back is not None:
+            m &= back << k if k >= 0 else back >> -k
+            if m:
+                out.append((k, m))
+    return tuple(out)
+
+
+def _reflexive_clusters(frame: Frame) -> tuple[int, ...]:
+    """The masks of the reflexive clusters of a frame whose relation is
+    transitive, one step per row class: worlds that see each other have
+    one successor row, and the reflexive worlds of one row see each other,
+    so each cluster is the members of a row class that lie in its row."""
+    return tuple(c for row, members in frame._classes if (c := members & row))
+
+
+def _union_meeting(mask: int, masks: Sequence[int]) -> int:
+    """The union of the `masks` that meet `mask`."""
+    out = 0
+    for c in masks:
+        if c & mask:
+            out |= c
     return out
 
 
@@ -139,6 +205,16 @@ class Evaluator:
     relation, and otherwise a step per distance of a relation pair, each
     run of slots that share one relation taking that relation's pairs
     once.  A step's mask takes ``n * lanes`` bits.
+
+    A tangle is :func:`tangle_closed`, which needs clu, <d> of the cluster
+    relation R & R^-1: with one lane on the frame's own relation the union
+    of the frame's reflexive clusters that meet the set, read from its row
+    classes, and otherwise a step per distance of a cluster pair, read off
+    the <d> steps.  Neither makes a pass over the relation's pairs.  clu
+    is built on the first bind of a program with a tangle and kept, so a
+    program without one pays nothing for it.  The closed form is the
+    tangle only when every slot's relation is transitive, as that of every
+    frame the package builds is.
     """
 
     def __init__(self, frame: Frame, lanes: int = 1,
@@ -174,6 +250,7 @@ class Evaluator:
             w, v = divmod(k, n)
             read[v - w] = read.get(v - w, 0) | run << (v * lanes)
         self._pre_steps = tuple((d * lanes, m) for d, m in read.items())
+        self._clusters = None  # clu's steps or reflexive clusters, made on first use
 
     # chosen per call, not stored: a bound method of itself kept on the
     # evaluator would make it a reference cycle, alive until a collection
@@ -182,6 +259,21 @@ class Evaluator:
         """`<d>` on truth sets."""
         steps = self._down_steps
         return self.frame.down_mask if steps is None else partial(_move, steps=steps)
+
+    @property
+    def cluster(self) -> Callable[[int], int]:
+        """clu on truth sets: the worlds w with a world v of the set such
+        that w R v and v R w, which on a transitive relation are the
+        reflexive worlds whose cluster meets the set (with one lane on the
+        frame's own relation it reads the frame's clusters, and so needs
+        the relation transitive)."""
+        steps = self._down_steps
+        if self._clusters is None:
+            self._clusters = (_reflexive_clusters(self.frame) if steps is None
+                              else _cluster_steps(steps))
+        if steps is None:
+            return partial(_union_meeting, masks=self._clusters)
+        return partial(_move, steps=self._clusters)
 
     @property
     def preimage(self) -> Callable[[int], int]:
@@ -215,11 +307,14 @@ class Evaluator:
     def compile(self, phi: Formula | Program) -> Callable[[Mapping[str, int]], int]:
         """A function from an environment (variable -> truth set) to phi's
         truth set: phi's :class:`Program` (made here from a formula) bound
-        to this evaluator's ``down``, ``preimage`` and ``full``.  The bind
-        walks nothing, so a program made once can be bound to many frames."""
-        run = (phi if isinstance(phi, Program) else Program(phi)).run
+        to this evaluator's ``down``, ``preimage`` and ``full``, and to its
+        ``cluster`` when the program holds a tangle.  The bind walks
+        nothing, so a program made once can be bound to many frames."""
+        program = phi if isinstance(phi, Program) else Program(phi)
+        run = program.run
         down, pre, full = self.down, self.preimage, self.full
-        return lambda env: run(env, down, pre, full)
+        clu = self.cluster if program.tangled else None
+        return lambda env: run(env, down, pre, full, clu)
 
 
 def _emit(phi: Formula, code: list, at: dict[int, int], names: set[str]) -> int:
@@ -248,20 +343,24 @@ def _emit(phi: Formula, code: list, at: dict[int, int], names: set[str]) -> int:
 
 class Program:
     """A formula compiled without a frame: one instruction per distinct node
-    object, in post-order, and the sorted variables it reads but the
-    reserved one.  A run fills one value per instruction, so a subformula
-    shared by object is evaluated once."""
+    object, in post-order, the sorted variables it reads but the reserved
+    one, and whether it holds a tangle.  A run fills one value per
+    instruction, so a subformula shared by object is evaluated once; a
+    tangle is :func:`tangle_closed` of `down` and `clu`, which a program
+    without one never calls."""
 
-    __slots__ = ("code", "variables")
+    __slots__ = ("code", "variables", "tangled")
 
     def __init__(self, phi: Formula):
         code, names = [], set()
         _emit(phi, code, {}, names)
         self.code = tuple(code)
         self.variables = tuple(sorted(names - {RESERVED_VAR}))
+        self.tangled = any(op is Tangle for op, _, _ in self.code)
 
     def run(self, env: Mapping[str, int], down: Callable[[int], int],
-            pre: Callable[[int], int], full: int) -> int:
+            pre: Callable[[int], int], full: int,
+            clu: Callable[[int], int] | None) -> int:
         vals: list[int] = []
         push = vals.append
         for op, a, b in self.code:
@@ -282,12 +381,15 @@ class Program:
             elif op is Next:
                 push(pre(vals[a]))
             else:
-                push(tangle_fixpoint(down, full, [vals[k] for k in a])[0])
+                push(tangle_closed(down, clu, [vals[k] for k in a]))
         return vals[-1]
 
 
 def truth_set(model: Model, phi: Formula) -> frozenset[str]:
-    """Worlds where phi holds in the model."""
+    """Worlds where phi holds in the model: one lane of an
+    :class:`Evaluator`, so a tangle takes the closed form, which needs the
+    frame's relation transitive, as that of every frame the package
+    builds is."""
     return model.frame.names(Evaluator(model.frame).compile(phi)(model._masks))
 
 

@@ -1,13 +1,19 @@
 import gc
+import importlib.util
+import json
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tanglemc import semantics
 from tanglemc.formula import Box, Diamond, Neg, Tangle, Var, dot_diamond, parse
-from tanglemc.frame import Frame, transitive_closure, validate_frame
+from tanglemc.frame import (
+    Frame, FrameError, duplicate_reflexive, transitive_closure, validate_frame,
+)
+from tanglemc.logic import LOGICS, _transitive_classes, random_class_frame
 from tanglemc.semantics import (
     Evaluator,
     Model,
@@ -16,8 +22,12 @@ from tanglemc.semantics import (
     truth_set,
     valid_on_frame,
 )
+from tanglemc.story import validate_story
 
 from test_frame import frame_f1, frame_f2, frame_f3, _random_frame
+
+ROOT = Path(__file__).resolve().parent.parent
+REF = ROOT / "perfbench" / "ref.py"
 
 
 def compiled_tangle(frame, sets):
@@ -158,6 +168,110 @@ def test_iteration_count_bounded_by_worlds():
         assert semantics.tangle_fixpoint(g.down_mask, g.full_mask, masks)[1] <= g.n
 
 
+def _load_ref():
+    """The benchmark's reference semantics, which imports nothing from the
+    package: its tangle is the fixed point iterated on frozensets."""
+    spec = importlib.util.spec_from_file_location("perfbench_ref", REF)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _cluster_kinds(succ):
+    """The kinds of worlds and clusters that a relation has: irreflexive
+    worlds, one-world reflexive clusters, fat clusters."""
+    f = Frame([f"w{i}" for i in range(len(succ))], succ, range(len(succ)))
+    kinds = set()
+    for c in f.cluster_masks():
+        if c.bit_count() > 1:
+            kinds.add("fat")
+        else:
+            kinds.add("reflexive" if f.is_reflexive(c.bit_length() - 1) else "irreflexive")
+    return kinds
+
+
+def test_packed_tangle_matches_three_oracles_lane_by_lane():
+    # The engine's tangle, read lane by lane (Evaluator._lane) from one run
+    # of 64 lanes whose slots hold different transitive relations, and from
+    # one-lane runs on each slot's own frame and in a slot of another, is
+    # the fixed point that tangle_fixpoint iterates to on the slot's frame,
+    # the subset oracle's union (up to its 20 worlds) and the fixed point
+    # of the benchmark's set-based reference.  The relations: on 6 worlds,
+    # random closures with irreflexive worlds, one-world reflexive clusters
+    # and fat clusters, the empty relation and one fat cluster; on 30
+    # worlds, the irreflexive chain that tangle_fixpoint drains one world a
+    # step, the chain with a reflexive top, the chain with a fat cluster of
+    # five worlds in the middle, and a random closure.
+    ref = _load_ref()
+    rng = random.Random(3131)
+    six = [transitive_closure([rng.getrandbits(6) & rng.getrandbits(6) for _ in range(6)])
+           for _ in range(6)] + [[0] * 6, [63] * 6]
+    chain = [((1 << 30) - 1) ^ ((1 << (i + 1)) - 1) for i in range(30)]
+    topped = chain[:-1] + [1 << 29]
+    fat = [row | (0b11111 << 10 if 10 <= i < 15 else 0) for i, row in enumerate(chain)]
+    sparse = transitive_closure([rng.getrandbits(30) & rng.getrandbits(30) & rng.getrandbits(30)
+                                 for _ in range(30)])
+    assert set().union(*map(_cluster_kinds, six)) == {"irreflexive", "reflexive", "fat"}
+    assert _cluster_kinds(fat) == {"irreflexive", "fat"}
+    for relations, sizes in ((six, (1, 2, 3)), ([chain, topped, fat, sparse], (1, 2))):
+        n = len(relations[0])
+        worlds, identity = [f"w{i}" for i in range(n)], list(range(n))
+        frames = [Frame(worlds, rows, identity) for rows in relations]
+        models = [ref.Model(worlds, f.rel_pairs(), dict(zip(worlds, worlds))) for f in frames]
+        lanes, width = 64, 64 // len(relations)
+        packed = Evaluator(frames[0], lanes, [(f._succ, identity) for f in frames])
+        for k in sizes:
+            names = [f"s{i}" for i in range(k)]
+            phi = Tangle(tuple(map(Var, names)))
+            env = {v: rng.getrandbits(n * lanes) for v in names}
+            value = packed.compile(phi)(env)
+            for lane in range(lanes):
+                j = lane // width
+                f = frames[j]
+                masks = [packed._lane(env[v], lane) for v in names]
+                got = packed._lane(value, lane)
+                assert got == semantics.tangle_fixpoint(f.down_mask, f.full_mask, masks)[0]
+                sets = [f.names(m) for m in masks]
+                if n <= 20:
+                    assert f.names(got) == tangled_oracle_subsets(f, sets)
+                model = models[j].with_valuation(dict(zip(names, sets)))
+                assert ref.evaluate(model, ref.Tan([ref.Var(v) for v in names])) == f.names(got)
+                one = dict(zip(names, masks))
+                assert Evaluator(f).compile(phi)(one) == got
+                other = Evaluator(frames[j - 1], 1, [(f._succ, identity)])
+                assert other.compile(phi)(one) == got
+
+
+def test_every_frame_builder_gives_a_transitive_relation():
+    # the closed-form tangle is the tangle only on a transitive relation,
+    # so every way the package builds a frame must give one: validate_frame
+    # with and without the closure (which rejects the rest), the class
+    # frames of each logic, the relation classes up to 4 worlds, reflexive
+    # duplicates, disjoint unions and the moments of the demo story
+    rng = random.Random(17)
+    built, rejected = [], 0
+    for _ in range(60):
+        worlds = [f"w{i}" for i in range(rng.randint(1, 5))]
+        rel = [[a, b] for a in worlds for b in worlds if rng.random() < 0.3]
+        identity = {w: w for w in worlds}
+        built.append(validate_frame(worlds, rel, identity, close_transitively=True))
+        try:
+            built.append(validate_frame(worlds, rel, identity))
+        except FrameError:
+            rejected += 1
+    assert 0 < rejected < 60
+    for logic in LOGICS.values():
+        built += [random_class_frame(rng, 6, logic) for _ in range(20)]
+    for n in range(1, 5):
+        built += [Frame([f"w{i}" for i in range(n)], succ, range(n))
+                  for succ in _transitive_classes(n)]
+    built += [duplicate_reflexive(f)[0] for f in built[::3]]
+    built += [disjoint_union(rng.sample(built, 3)) for _ in range(20)]
+    with open(ROOT / "demos" / "story_chain.story.json", encoding="utf-8") as fh:
+        built += [m.frame for m in validate_story(json.load(fh)).levels]
+    assert all(f.classify().transitive for f in built)
+
+
 def test_valid_on_frame_exhaustive_examples():
     v = valid_on_frame(frame_f1(), parse("p"))
     assert not v.valid
@@ -219,13 +333,13 @@ def test_a_pass_runs_each_distinct_tangle_once(monkeypatch, lanes):
     # the parse makes the two tangles one object, and a pass evaluates
     # each distinct object once
     calls = []
-    fixpoint = semantics.tangle_fixpoint
+    tangle = semantics.tangle_closed
 
-    def counting(down, full, masks):
+    def counting(down, cluster, masks):
         calls.append(len(masks))
-        return fixpoint(down, full, masks)
+        return tangle(down, cluster, masks)
 
-    monkeypatch.setattr(semantics, "tangle_fixpoint", counting)
+    monkeypatch.setattr(semantics, "tangle_closed", counting)
     ev = Evaluator(frame_f2(), lanes)
     run = ev.compile(parse("(<t>{p, q} -> q) & (<t>{q, p} -> p)"))
     for env in ({"p": ev.full, "q": 0}, {"p": ev.full, "q": ev.full}):

@@ -440,14 +440,14 @@ def test_substituted_schema_programs_match_their_instances():
     for (name, size), instances in cases.items():
         parts = [(frame, slots) for frame in frames for slots in instances]
         ev = Evaluator(disjoint_union([frame for frame, _ in parts]), lanes)
-        down, pre, full = ev.down, ev.preimage, ev.full
+        down, pre, full, clu = ev.down, ev.preimage, ev.full, ev.cluster
         region = (1 << (3 * lanes)) - 1
         env = {v: sum(m << (3 * k * lanes) for k in range(len(parts))) for v, m in part.items()}
         metas = [[*f, *(s or ()), *([] if t is None else [t])] for _, (f, s, t) in parts]
         for i in range(len(metas[0])):
             env[f"_{i}"] = sum(
                 ev.compile(slots[i])(env) & region << (3 * k * lanes) for k, slots in enumerate(metas))
-        value = _schema_program(name, size).run(env, down, pre, full)
+        value = _schema_program(name, size).run(env, down, pre, full, clu)
         for k, (frame, slots) in enumerate(parts):
             inst = SCHEMAS[name].instantiate(*slots)
             assert value >> (3 * k * lanes) & region == Evaluator(frame, lanes).compile(inst)(part)

@@ -1,7 +1,10 @@
-"""The A/B benchmark script in tools/: checks that need no benchmark run."""
+"""The benchmark's scripts in tools/ and its self-test: checks that need no
+benchmark run."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +77,11 @@ def test_startup_ab_exits_1_when_a_command_differs(monkeypatch, capsys, tmp_path
     monkeypatch.setattr(startup_ab, "run_once", lambda tree, argv: (0.01, 0, "same\n"))
     assert startup_ab.main(argv) == 0
     assert "differ" not in capsys.readouterr().out
+
+
+def test_benchmark_selftest_passes():
+    # perfbench/selftest.py checks the benchmark's reference semantics, its
+    # fixed-point tangle included, and its report judge on demos/
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
