@@ -1,7 +1,7 @@
 """Truth-set evaluation on models, with the tangle in closed form.
 
-Every frame the package builds has a transitive relation (``Frame``,
-:func:`~tanglemc.frame.validate_frame` and the generators), and on a
+Every frame the package builds has a transitive relation
+(:func:`~tanglemc.frame.validate_frame` and the generators), and on a
 finite transitive frame the tangle of S_1..S_k holds exactly at the
 worlds that see a reflexive cluster meeting every S_i (Fernandez-Duque,
 "Tangled modal logic for spatial reasoning", 2011; Goldblatt and
