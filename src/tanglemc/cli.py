@@ -7,6 +7,14 @@ a stable schema version; runs with identical inputs and seed produce
 byte-identical reports.  The environment variable
 ``TANGLEMC_SEED`` supplies the default seed; a negative seed exits 2.
 
+A report is the text ``json.dumps(report, indent=2)`` returns, and a
+newline.  `_indented_json` writes it without ``json``'s pure-Python
+indenting encoder: each container is one ``str.join``, strings go through
+the C ``json.encoder.encode_basestring_ascii``, and the rules for tuples,
+subclasses, bools, ints, floats and dict keys are ``json``'s (its
+docstring lists them).  A value ``json`` cannot write raises its
+``TypeError``, which `main` reports as an internal error, exit 3.
+
 `main` reuses one argument parser per process: `build_parser` builds it
 at its first call and returns the same parser afterwards, so a program
 that calls `main` many times pays for building it once.  A fresh
@@ -56,6 +64,8 @@ SCHEMA_VERSION = 1
 _LOGIC_NAMES = ("K4C", "K4DC", "K4DI", "K4I")
 _EXHAUSTIVE_SEARCH_LIMIT = 8
 _MAX_DRAWN_WORLDS = 1000
+# and a copy of ``pathspace.DUMP_PATHS_LIMIT``, quoted by --dump-paths
+_DUMP_PATHS_LIMIT = 1 << 18
 
 
 # The six boundaries a tracer wraps in this module's namespace: each loads
@@ -97,8 +107,88 @@ def soundness_suite(logic, trials, seed, **options):
     return logic_mod.soundness_suite(logic, trials, seed, **options)
 
 
+_ascii = json.encoder.encode_basestring_ascii
+_INFINITY = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json`` converts it: str, float, bool, None, int."""
+    if isinstance(key, str):
+        return _ascii(key)
+    if isinstance(key, float):
+        return _ascii(_float_text(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _ascii(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _indented_json(value, indent: str = "\n") -> str:
+    """The text ``json.dumps(value, indent=2)`` returns, without its
+    pure-Python encoder, which yields one token at a time.
+
+    `indent` is a newline and the indent of the line `value` starts on.
+    Each container is one ``str.join`` of its items, strings going
+    straight through the C ``encode_basestring_ascii``: items are
+    separated by ``",\\n"`` plus the indent, keys by ``": "``, and empty
+    containers are ``[]`` and ``{}``.  Tuples are written as lists, and
+    list and dict subclasses are matched by ``isinstance``, as ``json``
+    matches them; the ``type(v) is str`` tests are only fast paths.
+    ``bool`` and ``None`` are tested before ``int``; ints are written by
+    ``int.__repr__`` (an ``IntEnum`` as a plain int) and floats by
+    ``float.__repr__``, with ``NaN``, ``Infinity`` and ``-Infinity``.
+    Dict keys are converted as `_key_text` does.  Any other key or value
+    raises ``TypeError`` with ``json``'s message.  Reports are acyclic, so
+    no markers are kept: a cycle would end in ``RecursionError`` rather
+    than ``json``'s ``ValueError``.
+    """
+    if isinstance(value, str):
+        return _ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            _ascii(v) if type(v) is str else _indented_json(v, inner) for v in value
+        ]) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            (_ascii(k) if type(k) is str else _key_text(k)) + ": "
+            + (_ascii(v) if type(v) is str else _indented_json(v, inner))
+            for k, v in value.items()
+        ]) + indent + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def _emit(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=False) + "\n")
+    sys.stdout.write(_indented_json(report) + "\n")
 
 
 def _report(command: str, **fields) -> dict:
@@ -117,12 +207,19 @@ def _load(path: str, convert):
     dropped; a cycle the converter might leave behind waits for the next
     collection after the pause.  The collector is switched back on only if
     it was on before.
+
+    A file nested deeper than the decoder's recursion limit is an input
+    error: its ``RecursionError`` becomes a ``ValueError`` naming the file.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return convert(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{path}: JSON nested too deeply to decode") from None
+        return convert(data)
     finally:
         if enabled:
             gc.enable()
@@ -317,6 +414,10 @@ def _cmd_pathspace_verify(args) -> int:
     report = pathspace.verify_lim_pmorphism(st, assignment, args.resolution)
     out = _report("pathspace-verify", input=source, **as_dict(report))
     if args.dump_paths:
+        if report.paths_checked > pathspace.DUMP_PATHS_LIMIT:  # the dump's line count
+            raise ValueError(f"resolution {args.resolution}: --dump-paths would list "
+                             f"{report.paths_checked} paths, more than "
+                             f"{pathspace.DUMP_PATHS_LIMIT}; lower --resolution")
         out["paths"] = [pathspace.format_path(p) for m in st.levels
                         for p in pathspace.enumerate_paths(m.frame, args.resolution)]
     _emit(out)
@@ -438,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prefix length up to which paths_checked counts the paths "
                         "the argument covers; the verdict does not depend on it")
     p.add_argument("--dump-paths", action="store_true", help="also list every "
-                   "path; their number grows exponentially with --resolution")
+                   "path; their number grows exponentially with --resolution, and "
+                   f"a dump of more than {_DUMP_PATHS_LIMIT} paths is refused")
     p.set_defaults(fn=_cmd_pathspace_verify)
 
     return top

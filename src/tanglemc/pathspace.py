@@ -35,6 +35,13 @@ from .record import record
 from .story import Story
 
 
+# Most paths ``pathspace-verify --dump-paths`` lists: 262,144, where the
+# resolution-16 dump of the two-world cluster of demos/f1_oplus.frame.json
+# (262,143 paths) takes 1.7 s and 144 MB; the count doubles with each step
+# of --resolution.
+DUMP_PATHS_LIMIT = 1 << 18
+
+
 @record
 class Path:
     """Canonical eventually-constant path: prefix then tail forever."""

@@ -306,20 +306,22 @@ def validate_story(data: Mapping) -> Story:
     explicit_last = None
     if len(raw_maps) == duration + 1:
         explicit_last = raw_maps.pop()
+        target = levels[-1].frame._index  # a dict: one lookup per world
         for w in levels[-1].worlds:
             if w not in explicit_last:
                 raise StoryError("structure", f"last map is not total: missing {w!r}")
-            if explicit_last[w] not in levels[-1].worlds:
+            if explicit_last[w] not in target:
                 raise StoryError("structure",
                                  f"last map leaves the level at {explicit_last[w]!r}")
         _no_stray_key(explicit_last, levels[-1].worlds, "last map")
     maps = []
     for i, raw in enumerate(raw_maps):
         fmap = {}
+        target = levels[i + 1].frame._index
         for w in levels[i].worlds:
             if w not in raw:
                 raise StoryError("structure", f"map {i} is not total: missing {w!r}")
-            if raw[w] not in levels[i + 1].worlds:
+            if raw[w] not in target:
                 raise StoryError(
                     "structure", f"map {i} sends {w!r} outside level {i + 1}"
                 )

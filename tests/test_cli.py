@@ -1,17 +1,20 @@
 import argparse
+import enum
 import gc
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
 import time
+from collections import OrderedDict
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tanglemc import cli
 from tanglemc.cli import main
@@ -845,3 +848,116 @@ def test_fuzzed_inputs_exit_0_1_or_2(data):
     assert ("error" in report) == (code == 2), (argv, content, report)
     if code == 1:
         assert _REFUTED[argv[0]](report), (argv, content, report)
+
+
+# -- the report writer: the text of json.dumps(indent=2) ---------------------
+
+class _List(list):
+    pass
+
+
+class _Level(enum.IntEnum):
+    HIGH = 7
+
+
+# lone surrogates (category Cs) too, and the characters JSON escapes
+_TEXT = st.text(st.characters(exclude_categories=())
+                | st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\ud800\udfff'),
+                max_size=6)
+_KEYS = _TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+_LEAVES = (_TEXT | st.none() | st.booleans() | st.integers() | st.integers(10 ** 30)
+           | st.floats()
+           | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, _Level.HIGH]))
+_VALUES = st.recursive(_LEAVES, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(inner, max_size=3).map(_List) | st.dictionaries(_KEYS, inner, max_size=4)
+    | st.dictionaries(_KEYS, inner, max_size=3).map(OrderedDict)), max_leaves=12)
+
+
+@given(_VALUES)
+@example(OrderedDict([
+    ("s", ['"\\/\n\x00\x1f\u00e9\ud800', "", (), {}, _List([(1, -2)])]),
+    (1.5, [math.nan, math.inf, -math.inf, -0.0, 1e300, 10 ** 40, _Level.HIGH]),
+    (math.nan, None), (-math.inf, True), (True, False), (False, 0), (None, {}),
+    (-7, {"\udfff": [[]]}), (_Level.HIGH, "level"),
+]))
+@settings(max_examples=50, deadline=None)
+def test_report_writer_is_json_dumps_indent_2(value):
+    assert cli._indented_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, [1, {"a": {2}}], {(1,): 2}, {"a": 1, (1, 2): {3}}, {"a": {3}, (1, 2): 1}, object(),
+])
+def test_report_writer_raises_the_type_errors_of_json(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        cli._indented_json(value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_every_report_is_the_text_of_json_dumps(capsys, tmp_path):
+    bad = tmp_path / "bad.story.json"
+    bad.write_text(json.dumps({
+        "levels": [{"worlds": ["x"], "rel": [["x", "x"]], "root": "x"},
+                   {"worlds": ["y"], "rel": [["y", "y"]], "root": "y"}],
+        "maps": [{"x": "y"}, {"y": "x"}],
+    }))
+    f1, f3 = str(DEMOS / "f1.frame.json"), str(DEMOS / "f3.frame.json")
+    chain = str(DEMOS / "story_chain.story.json")
+    runs = [
+        (0, ["parse", "--formula", "<t>{p, q} -> <d>p"]),
+        (1, ["check", "--frame", f3, "--formula", "<t>{O p} -> O <t>{p}", "--world", "q1"]),
+        (1, ["validity", "--frame", f3, "--formula", "<t>{O p} -> O <t>{p}"]),
+        (0, ["axioms", "--logic", "K4DC", "--trials", "3"]),
+        (1, ["search", "--logic", "K4C", "--formula", "<d>p -> p", "--stats"]),
+        (0, ["story-validate", "--story", chain]),
+        (1, ["story-validate", "--story", str(bad)]),
+        (0, ["story-class", "--story", chain]),
+        (0, ["oplus", "--story", chain]),
+        (0, ["oplus", "--frame", f1]),
+        (0, ["pathspace-verify", "--frame", str(DEMOS / "f1_oplus.frame.json"),
+             "--resolution", "3", "--dump-paths"]),
+        (2, ["check", "--frame", "no-such-file.json", "--formula", "p"]),
+        (2, ["parse"]),
+    ]
+    for code, argv in runs:
+        assert main(argv) == code, argv
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+@pytest.mark.parametrize("argv", [["check", "--formula", "p", "--frame"],
+                                  ["story-validate", "--story"]])
+def test_deeply_nested_input_exits_2(capsys, tmp_path, argv):
+    # the decoder's RecursionError is an input error, not an internal one
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    code = main([*argv, str(deep)])
+    captured = capsys.readouterr()
+    assert code == 2 and "Traceback" not in captured.err
+    assert json.loads(captured.out)["error"] == f"{deep}: JSON nested too deeply to decode"
+
+
+def test_dump_paths_over_the_limit_exits_2_before_enumerating(capsys, monkeypatch):
+    from tanglemc import pathspace
+
+    argv = ["pathspace-verify", "--frame", str(DEMOS / "f1_oplus.frame.json"),
+            "--resolution", "6", "--dump-paths"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    assert len(json.loads(expected)["paths"]) == json.loads(expected)["paths_checked"] == 255
+    calls = []
+    enumerate_paths = pathspace.enumerate_paths
+    monkeypatch.setattr(pathspace, "enumerate_paths",
+                        lambda *args: calls.append(args) or enumerate_paths(*args))
+    monkeypatch.setattr(pathspace, "DUMP_PATHS_LIMIT", 255)
+    assert main(argv) == 0 and calls
+    assert capsys.readouterr().out == expected
+    calls.clear()
+    monkeypatch.setattr(pathspace, "DUMP_PATHS_LIMIT", 254)
+    code, report = run(capsys, *argv)
+    assert code == 2 and calls == []
+    assert report["error"] == ("resolution 6: --dump-paths would list 255 paths, "
+                               "more than 254; lower --resolution")

@@ -89,6 +89,12 @@ def test_parser_copies_the_logic_names_and_the_search_bound():
     assert cli._MAX_DRAWN_WORLDS == logic.MAX_DRAWN_WORLDS
 
 
+def test_parser_copies_the_dump_paths_limit():
+    from tanglemc import cli, pathspace
+
+    assert cli._DUMP_PATHS_LIMIT == pathspace.DUMP_PATHS_LIMIT
+
+
 def test_story_command_in_a_fresh_process():
     story = str(ROOT / "demos" / "story_chain.story.json")
     run = _python("-m", "tanglemc", "story-validate", "--story", story)

@@ -475,3 +475,32 @@ def test_random_moment_is_valid():
     for _ in range(20):
         m = random_moment(rng)
         validate_moment(m.worlds, m.rel, m.root, m.valuation)
+
+
+def _two_star_story(n):
+    """Two levels, each a root below n - 1 leaves, mapped leaf to leaf,
+    with the explicit identity as the last map."""
+    levels = [{"worlds": [f"r{i}", *(f"l{i}_{k}" for k in range(n - 1))], "root": f"r{i}",
+               "rel": [[f"r{i}", f"l{i}_{k}"] for k in range(n - 1)]} for i in (0, 1)]
+    first = {"r0": "r1", **{f"l0_{k}": f"l1_{k}" for k in range(n - 1)}}
+    return {"levels": levels, "maps": [first, {w: w for w in levels[1]["worlds"]}]}
+
+
+def test_map_checks_read_the_level_worlds_a_fixed_number_of_times(monkeypatch):
+    # a map's images are looked up in the next level's index, not scanned
+    # in its world tuple, so the reads of Moment.worlds do not grow with n
+    reads = []
+    worlds = story_module.Moment.worlds
+
+    def counting(m):
+        reads.append(m)
+        return worlds.fget(m)
+
+    monkeypatch.setattr(story_module.Moment, "worlds", property(counting))
+    counts = []
+    for n in (10, 1000):
+        reads.clear()
+        st = validate_story(_two_star_story(n))
+        assert len(st.levels[1].frame.worlds) == n and st.immersive
+        counts.append(len(reads))
+    assert counts[0] == counts[1]
