@@ -485,9 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-worlds", type=int, default=4,
                    help=f"most worlds a frame may have, at most {_MAX_DRAWN_WORLDS}")
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="sampled",
-                   help="check an instance under all valuations or --samples of them")
+                   help="check an instance on a frame of over 6 worlds under all valuations "
+                   "or --samples of them; smaller frames are checked under all in both modes")
     p.add_argument("--samples", type=int, default=32,
-                   help="valuations per instance, drawn from that instance's own seed")
+                   help="valuations per instance on a frame of over 6 worlds, from its own seed")
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_axioms)
 

@@ -56,8 +56,8 @@ from .frame import (
     transitive_closure,
 )
 from .semantics import (
-    EXHAUSTIVE_BITS_LIMIT, Program, exhaustive_passes, pass_layout, sampled_passes, sweep,
-    valid_on_frame,
+    EXHAUSTIVE_BITS_LIMIT, Countermodel, Program, exhaustive_passes, pass_layout,
+    sampled_passes, sweep, sweep_position, valid_on_frame,
 )
 from .record import record
 
@@ -323,35 +323,25 @@ class SuiteReport:
         return not self.violations
 
 
-def _union_failures(drawn, trials) -> set[tuple[int, int]]:
-    """The (trial, schema) positions of the instances of `trials`, indices
-    into `drawn`, a list of (frame, draws), that miss a world under some
-    valuation.  The trial frames have one world count n, at most 6, and
-    each trial is an evaluator slot of 4^n lanes, where p and q hold all
-    4^n valuation codes: an instance's value does not depend on a variable
-    it does not read, so each instance meets every valuation of its
-    variables.  The slots go in the chunks of :func:`pass_layout`, one
-    evaluator a chunk, as :func:`exhaustive_passes` makes them.
-    [[phi[psi/A]]] is [[phi]] with A read as [[psi]]: so a chunk runs the
-    program of each of the 25 `SLOT_FORMULAS` once, and each schema
-    position (one instance a trial, even where a logic lists a schema
-    twice) and set size runs its schema's program once, each metavariable
-    read in a trial's lanes as that trial's slot formula.  Trial j's lanes
-    are trial 0's shifted by j slots, and a metavariable takes each slot
-    formula's value once, in the lanes of all the trials it fills."""
-    frame = drawn[trials[0]][0]
-    n = frame.n
-    per, lane_bits = pass_layout(n * len(SUITE_VARIABLES))
-    width = 1 << lane_bits  # the lanes of a trial
-    lanes = (1 << width) - 1  # trial 0's lanes in one world
-    passes = exhaustive_passes(frame, len(SUITE_VARIABLES),
+def _screen(drawn, trials) -> dict[tuple[int, int], Countermodel]:
+    """The countermodels of the failing instances of `trials`, indices into
+    `drawn`, a list of (frame, draws), by (trial, schema).  The frames have
+    one world count n, at most 6, and each trial is a slot of
+    :func:`exhaustive_passes` whose 4^n lanes hold every code of p and q.
+    An instance's value does not depend on a variable it does not read,
+    so its first failing lane, read on its own variables, is the
+    countermodel of an exhaustive sweep of it alone.  As [[phi[psi/A]]]
+    is [[phi]] with A read as [[psi]], a chunk runs each of the 25
+    `SLOT_FORMULAS` once, and each schema position (one instance a trial,
+    even where a logic lists a schema twice) and set size its schema's
+    program once, each metavariable read in a trial's slot as that
+    trial's slot formula."""
+    passes = exhaustive_passes(drawn[trials[0]][0], len(SUITE_VARIABLES),
                                [(drawn[t][0]._succ, drawn[t][0]._func) for t in trials])
-    failing = set()
-    # one pass a chunk: its lanes hold every code
-    for first, (ev, masks) in zip(range(0, len(trials), per), passes):
-        chunk = trials[first:first + per]
-        region = sum(lanes << w * ev.lanes for w in range(n))  # trial 0's lanes, every world
-        regions = [region << j * width for j in range(len(chunk))]
+    found = {}
+    for ev, masks in passes:  # one pass a chunk: its lanes hold every code
+        regions = ev.slot_masks()
+        chunk, trials = trials[:len(regions)], trials[len(regions):]
         env = dict(zip(SUITE_VARIABLES, masks))
         values = [ev.compile(p)(env) for p in _SLOT_PROGRAMS]
         groups: dict[tuple[int, str, int], list] = {}  # (position, schema, slots) -> members
@@ -363,14 +353,19 @@ def _union_failures(drawn, trials) -> set[tuple[int, int]]:
             program = _schema_program(name, count - schema.formula_slots - schema.theta_slot)
             metas = {}
             for k in range(count):
-                where: dict[int, int] = {}  # slot formula -> the regions of the trials it fills
+                where: dict[int, int] = {}  # slot formula -> the slots of the trials it fills
                 for j, s in members:
                     where[s[k]] = where.get(s[k], 0) | regions[j]
                 metas[f"_{k}"] = sum(values[f] & r for f, r in where.items())  # disjoint: + is |
-            missing = ev.full ^ ev.compile(program)(metas)
-            if missing:
-                failing.update((chunk[j], i) for j, _ in members if missing & regions[j])
-    return failing
+            value = ev.compile(program)(metas)
+            if value == ev.full:
+                continue
+            for j, slots in members:
+                variables = sorted({v for f in slots for v in _SLOT_PROGRAMS[f].variables})
+                hit = ev.refutation(value | ev.full ^ regions[j], env, variables)
+                if hit is not None:
+                    found[chunk[j], i] = hit[1]
+    return found
 
 
 def soundness_suite(
@@ -390,24 +385,20 @@ def soundness_suite(
     exactly the numbers that the stdlib calls named in those two
     docstrings would, then ``rng.getrandbits(32)`` for each seed: trial by
     trial, a trial's frame first, then schema by schema in the logic's
-    order, the slots before the seed.  They are drawn, screened and swept
-    in blocks of ``SUITE_BLOCK`` trials; a sweep draws from its own seed,
-    so the blocks change neither the draws nor the report.
-    One rule, in both modes: trials of up to 6 worlds, whose 4^n valuation
-    codes fit one pass (:func:`pass_layout`), are screened under all of
-    them by :func:`_union_failures`, each trial an evaluator slot, in
-    chunks of one world count; every instance of a larger trial skips the
-    screen.  Each flagged or unscreened instance is built
-    and checked alone by :func:`valid_on_frame`, once, in `mode` and with
-    its own seed, so its countermodel is that of a sweep per instance; its
-    samples are some of its codes, so the screen misses none that its
-    sweep refutes.  Violations come in (trial, schema) order.  A sound
-    logic reports zero violations; a `Logic` whose schemas or class do not
-    match gives a misconfigured suite.  An unknown `mode` raises
-    ``ValueError`` before the first trial, as does a `max_worlds` over
-    ``MAX_DRAWN_WORLDS``, or exhaustive mode when a frame of `max_worlds`
-    worlds could pass ``EXHAUSTIVE_BITS_LIMIT`` (worlds times the number
-    of `SUITE_VARIABLES`).
+    order, the slots before the seed.  They are drawn and checked in
+    blocks of ``SUITE_BLOCK`` trials, which change neither the draws nor
+    the report.  Trials of up to 6 worlds, whose 4^n valuation codes fit
+    one pass (:func:`pass_layout`), are checked under all of them by
+    :func:`_screen`, which gives each instance the countermodel of an
+    exhaustive sweep of it alone: `mode` and `samples` change no verdict
+    of such a trial.  Each instance of a larger trial is checked alone by
+    :func:`valid_on_frame` in `mode`, with its own seed.  Violations come
+    in (trial, schema) order.  A sound logic reports zero violations; a
+    `Logic` whose schemas or class do not match gives a misconfigured
+    suite.  An unknown `mode` raises ``ValueError`` before the first
+    trial, as does a `max_worlds` over ``MAX_DRAWN_WORLDS``, or exhaustive
+    mode when `max_worlds` times the number of `SUITE_VARIABLES` passes
+    ``EXHAUSTIVE_BITS_LIMIT``.
     """
     if isinstance(logic, str):
         logic = LOGICS[logic]
@@ -422,9 +413,8 @@ def soundness_suite(
     _check_drawn_worlds(max_worlds)
     bits = max_worlds * len(SUITE_VARIABLES)
     if mode == "exhaustive" and bits > EXHAUSTIVE_BITS_LIMIT:
-        raise ValueError(
-            f"exhaustive suite needs max_worlds*|vars| <= {EXHAUSTIVE_BITS_LIMIT}, got {bits}"
-        )
+        raise ValueError(f"exhaustive suite needs max_worlds*|vars| <= "
+                         f"{EXHAUSTIVE_BITS_LIMIT}, got {bits}")
     rng = random.Random(seed)
     violations = []
     for first in range(0, trials, SUITE_BLOCK):
@@ -438,23 +428,24 @@ def soundness_suite(
 
 def _block_violations(drawn, mode: str, samples: int) -> list[SchemaViolation]:
     """The violations of a block of `drawn` (frame, draws) trials, in (trial,
-    schema) order: the screen, then a sweep of each suspect instance."""
-    suspects = set()
+    schema) order: the screen's, and lone sweeps' in `mode` past one pass."""
+    found = {}  # (trial, schema) -> countermodel or None
     for n in sorted({frame.n for frame, _ in drawn}):
         same = [t for t, (frame, _) in enumerate(drawn) if frame.n == n]
         bits = n * len(SUITE_VARIABLES)
-        if pass_layout(bits)[1] < bits:  # more than one pass of codes: no screen
-            suspects.update((t, i) for t in same for i in range(len(drawn[t][1])))
-        else:
-            suspects |= _union_failures(drawn, same)
+        if pass_layout(bits)[1] == bits:
+            found.update(_screen(drawn, same))
+            continue
+        for t in same:
+            for i, (name, slots, seed) in enumerate(drawn[t][1]):  # the instance's own seed
+                verdict = valid_on_frame(drawn[t][0], _instance(name, slots), mode, samples, seed)
+                found[t, i] = verdict.countermodel
     violations = []
-    for t, i in sorted(suspects):
-        frame, draws = drawn[t]
-        name, slots, instance_seed = draws[i]
-        inst = _instance(name, slots)
-        cm = valid_on_frame(frame, inst, mode, samples, instance_seed).countermodel
+    for (t, i), cm in sorted(found.items()):
         if cm is not None:
-            violations.append(SchemaViolation(name, pretty(inst), frame.to_dict(cm.valuation),
+            name, slots, _ = drawn[t][1][i]
+            violations.append(SchemaViolation(name, pretty(_instance(name, slots)),
+                                              drawn[t][0].to_dict(cm.valuation),
                                               dict(cm.valuation), cm.world))
     return violations
 
@@ -654,21 +645,19 @@ def countermodel_search(
     not those swept: a formula without O reads no map, so a relation's
     first map stands for all of them, and where it fails the walk fails
     first.  phi's :class:`~tanglemc.semantics.Program` is made once and
-    swept over chunks of frames of one world count, across relations, one
-    evaluator a chunk and a slot of lanes a frame, as
-    :func:`~tanglemc.semantics.pass_layout` sizes them; the counts and the
-    countermodel are those of one frame and valuation at a time.  ``stats`` counts the relation
-    classes enumerated, the frames and valuations swept, the evaluators
-    built and ``worlds_covered``, the most worlds searched in full.  The
-    bound is not what finishes: on a 2-vCPU host, as the first search in
-    a process, ``[d]p -> [d][d]p`` takes about 0.011 s CPU in K4DC at 4
-    worlds (5,151 frames), 0.4-0.7 s in K4C at 5 worlds (409,952 frames)
-    and 20 s at 6 (16,293,935 frames); ``<d>O p -> O <d>p``, which reads
-    O, 0.7-1.2 s in K4I at 5 worlds (206,821 frames).  The relation
-    classes, and the first map and map count of each class that a
-    formula without O reaches, are kept for the process, so a repeated
-    O-free search skips the enumeration: the K4C one at 5 worlds then
-    takes about 0.02 s.
+    swept over the chunks of :func:`_search_chunks`; the counts and the
+    countermodel are those of one frame and valuation at a time.  ``stats``
+    counts the relation classes enumerated, the frames and valuations
+    swept, the evaluators built and ``worlds_covered``, the most worlds
+    searched in full.  The bound is not what finishes: on a 2-vCPU host, as
+    the first search in a process, ``[d]p -> [d][d]p`` takes about 0.011 s
+    CPU in K4DC at 4 worlds (5,151 frames), 0.4-0.7 s in K4C at 5 worlds
+    (409,952 frames) and 20 s at 6 (16,293,935 frames);
+    ``<d>O p -> O <d>p``, which reads O, 0.7-1.2 s in K4I at 5 worlds
+    (206,821 frames).  The relation classes, and the first map and map
+    count of each class that a formula without O reaches, are kept for
+    the process, so a repeated O-free search skips the enumeration: the
+    K4C one at 5 worlds then takes about 0.02 s.
     Like exhaustive validity it raises ``ValueError`` before the first
     world count whose frames would need more than
     2^``EXHAUSTIVE_BITS_LIMIT`` valuations each (world count times the
@@ -755,10 +744,10 @@ def _search_exhaustive(program: Program, logic: Logic, max_worlds: int) -> Searc
         worlds = [f"w{i}" for i in range(n)]
         bits = n * count
         checked, cm = sweep(program, exhaustive_passes(Frame(worlds, *slots[0]), count, slots))
-        held = len(slots) if cm is None else (checked - 1) >> bits  # the slots that hold
+        held, code = (len(slots), -1) if cm is None else sweep_position(bits, checked)
         covered, found = sum(weights[:held]), cm is not None
         tally.update(evaluators=1, frames_swept=held + found, valuations_swept=checked,
-                     frames=covered + found, valuations=((covered - held) << bits) + checked)
+                     frames=covered + found, valuations=(covered << bits) + code + 1)
         if found:
             return _result(tally, Frame(worlds, *slots[held]), cm)
     return _result(tally)

@@ -105,9 +105,9 @@ def _count_paths(frame: Frame, max_prefix: int, below: int | None = None,
     the paths: per prefix length, the number of prefixes ending in each
     world, each followed by its strict successors as tails; ``ValueError``
     as soon as the sum reaches `below`."""
-    strict, follow, live = _steps(frame)
+    strict, _, live = _steps(frame)
     tails = [m.bit_count() for m in strict]
-    into = [[w for w in range(frame.n) if follow[w] >> v & 1] for v in range(frame.n)]
+    into = [list(_bits(frame._pred[v] | 1 << v)) if live >> v & 1 else [] for v in range(frame.n)]
     ends = [live >> w & 1 for w in range(frame.n)]  # the prefixes of length 1
     total = start + frame.n
     for _ in range(max_prefix):

@@ -225,7 +225,7 @@ class Evaluator:
         self.full = (1 << (n * lanes)) - 1
         if slots is None:
             slots = [(frame._succ, frame._func)]
-        width = lanes // len(slots)
+        self._width = width = lanes // len(slots)
         self._down_steps = None
         if lanes > 1 or slots[0][0] != frame._succ:
             read = {}  # distance d -> the lanes of the worlds v that v - d sees
@@ -279,6 +279,11 @@ class Evaluator:
     def preimage(self) -> Callable[[int], int]:
         """O on truth sets: the worlds whose image is in the set."""
         return partial(_move, steps=self._pre_steps)
+
+    def slot_masks(self) -> list[int]:
+        """Each slot's lanes in every world, in slot order."""
+        first = self.full // ((1 << self.lanes) - 1) * ((1 << self._width) - 1)  # slot 0's
+        return [first << j * self._width for j in range(self.lanes // self._width)]
 
     def _lane(self, mask: int, lane: int) -> int:
         """The world mask that one lane of a truth set holds."""
@@ -535,7 +540,7 @@ def exhaustive_passes(frame: Frame, count: int,
     the last chunk holds only the slots left.  A pass covers
     2^min(bits, 12) codes in each slot, and the lanes run in (slot,
     valuation code) order, so valuation k of slot i is lane
-    ``(i << bits) + k`` of the sweep."""
+    ``(i << bits) + k`` of the sweep (:func:`sweep_position`)."""
     n = frame.n
     per, lane_bits = pass_layout(n * count)
     for first in range(0, len(slots), per):
@@ -543,6 +548,11 @@ def exhaustive_passes(frame: Frame, count: int,
         ev = Evaluator(frame, len(chunk) << lane_bits, chunk)
         for masks in _exhaustive_blocks(n, count, lane_bits, len(chunk)):
             yield ev, masks
+
+
+def sweep_position(bits: int, checked: int) -> tuple[int, int]:
+    """The (slot, `bits`-bit code) of the last of `checked` lanes of :func:`exhaustive_passes`."""
+    return divmod(checked - 1, 1 << bits)
 
 
 def sampled_passes(frame: Frame, count: int, rng: random.Random, samples: int):

@@ -23,7 +23,7 @@ from tanglemc.logic import (
     SuiteReport,
     _instance,
     _random_slots,
-    _union_failures,
+    _screen,
     countermodel_search,
     random_class_frame,
     soundness_suite,
@@ -137,16 +137,17 @@ def test_soundness_suite_reports_misconfigured_schema():
 
 
 # sha256 of the reports of per_instance_suite, one sweep per schema
-# instance, and their violation counts: the screen keeps every byte
+# instance, and their violation counts: the screen keeps every byte.  At
+# up to 6 worlds both modes report the exhaustive countermodels
 MISCONFIGURED_DIGESTS = {
     "exhaustive": "d85760bb9ca8c206b5ef3b4e1f09acc140c632d312652933a2867626cb84ccbb",
-    "sampled": "3d6a4491438872b5f02837c2d624f37e41dd557c31d9ca31bea3535326596990",
+    "sampled": "238d80150202fb585fbdf1685dfe02ad683723635c14bd034a5321b171d5fad8",
 }
 # the same at up to 8 worlds, where the trials of 7 and 8 worlds skip the
 # screen: their lone sweeps must give the same bytes
 MISCONFIGURED_DIGESTS_8_WORLDS = {
     "exhaustive": "641293e0ccadce7cfca394fe6fe926680061a7fe2a21a90912cba86d2e293416",
-    "sampled": "22d4abc541f077ba50f96f55d937bc5a4f50f1646f0b8961725928d73a24af03",
+    "sampled": "5ebef21169bb1ae20f57c404f2274ef1514d73d4b5b57ea246f10890b04ea2eb",
 }
 
 
@@ -198,10 +199,11 @@ def test_suite_builds_one_evaluator_per_union_chunk(monkeypatch):
 def test_union_screen_flags_instances_that_read_fewer_variables():
     # p and q hold all 4^n codes in every trial's worlds, so an instance
     # that reads p only, q only or no variable (D) meets all of its
-    # valuations too.  C-dia, CTan-dia and D are not sound on some of
-    # these monotone frames, so some instances are invalid; C-dia and
-    # CTan-dia come more than once a trial, as where a logic lists a
-    # schema twice
+    # valuations too, and its first failing code, read on its own
+    # variables, is the first of an exhaustive sweep of it alone.  C-dia,
+    # CTan-dia and D are not sound on some of these monotone frames, so
+    # some instances are invalid; C-dia and CTan-dia come more than once a
+    # trial, as where a logic lists a schema twice
     draws = [(name, [SLOT_FORMULAS.index(f) for f in slots], 0) for name, slots in [
         ("4", [p]),
         ("C-dia", [Diamond(p)]),
@@ -220,16 +222,22 @@ def test_union_screen_flags_instances_that_read_fewer_variables():
         ([3, 3], [0, 1]), ([4, 0, 0], [2, 2, 2]), ([0, 0, 6, 0], [3, 3, 3, 0]),
     ]]
     drawn = [(frame, draws) for frame in frames]
-    refuted = {(t, i) for t, frame in enumerate(frames)
-               for i, (name, slots, _) in enumerate(draws)
-               if not valid_on_frame(frame, _instance(name, slots), "exhaustive").valid}
-    flagged = set()
+    refuted = {}
+    for t, frame in enumerate(frames):
+        for i, (name, slots, _) in enumerate(draws):
+            cm = valid_on_frame(frame, _instance(name, slots), "exhaustive").countermodel
+            if cm is not None:
+                refuted[t, i] = cm
+    screened = {}
     for n in (2, 3, 4):  # a screen takes the trials of one world count
-        flagged |= _union_failures(drawn, [t for t, f in enumerate(frames) if f.n == n])
-    assert flagged == refuted
+        screened.update(_screen(drawn, [t for t, f in enumerate(frames) if f.n == n]))
+    assert screened == refuted
     # refuted instances read p only (1, 5), q only (2, 7) and nothing (4)
     assert {i for _, i in refuted} == {1, 2, 4, 5, 7}
     assert {t for t, _ in refuted} == {0, 1, 2, 3, 7, 8}
+    assert {tuple(cm.valuation) for cm in refuted.values()} == {("p",), ("q",), ()}
+    # some countermodels put worlds in their variable
+    assert any(any(cm.valuation.values()) for cm in refuted.values())
 
 
 def test_suite_compiles_each_slot_formula_once_per_chunk(monkeypatch):
@@ -237,7 +245,7 @@ def test_suite_compiles_each_slot_formula_once_per_chunk(monkeypatch):
     # slot count) group's schema program once; the trials of n worlds go
     # in chunks of 2^12 lanes, 4^n lanes a trial
     chunks, compiled = [], []
-    screen, compile_ = logic._union_failures, semantics.Evaluator.compile
+    screen, compile_ = logic._screen, semantics.Evaluator.compile
 
     def recorded(drawn, trials):
         per = 1 << 12 - 2 * drawn[trials[0]][0].n
@@ -245,7 +253,7 @@ def test_suite_compiles_each_slot_formula_once_per_chunk(monkeypatch):
                       for k in range(0, len(trials), per))
         return screen(drawn, trials)
 
-    monkeypatch.setattr(logic, "_union_failures", recorded)
+    monkeypatch.setattr(logic, "_screen", recorded)
     monkeypatch.setattr(semantics.Evaluator, "compile",
                         lambda self, phi: compiled.append(phi) or compile_(self, phi))
     assert soundness_suite("K4DC", trials=100, seed=14).ok  # no instance is swept alone
@@ -257,7 +265,8 @@ def test_suite_compiles_each_slot_formula_once_per_chunk(monkeypatch):
 
 
 def per_instance_suite(logic, trials, seed, max_worlds, mode, samples):
-    """The suite as one sweep per built schema instance: its report, the
+    """The suite as one sweep per built schema instance, exhaustive on a
+    trial of up to 6 worlds and in `mode` on a larger one: its report, the
     (trial, schema) positions of the invalid instances, and the trials as
     the union pass takes them."""
     rng = random.Random(seed)
@@ -269,7 +278,8 @@ def per_instance_suite(logic, trials, seed, max_worlds, mode, samples):
             slots = _random_slots(rng, SCHEMAS[name])
             draws.append((name, slots, rng.getrandbits(32)))
             inst = _instance(name, slots)
-            verdict = valid_on_frame(frame, inst, mode=mode, samples=samples, seed=draws[-1][2])
+            verdict = valid_on_frame(frame, inst, mode="exhaustive" if frame.n <= 6 else mode,
+                                     samples=samples, seed=draws[-1][2])
             if not verdict.valid:
                 cm = verdict.countermodel
                 invalid.add((t, i))
@@ -294,22 +304,22 @@ def test_union_suite_matches_one_sweep_per_instance(monkeypatch, mode, samples, 
                                                     trials):
     # the report is that of one sweep per instance, violations and
     # countermodels included.  Trials of up to 6 worlds are screened in a
-    # union pass under all their valuations, which flags every invalid
-    # instance, and exactly those in exhaustive mode; one sample misses
-    # some that it flags.  No trial of more than 6 worlds reaches the
-    # screen: each of its instances is swept alone exactly once
+    # union pass under all their valuations, whose verdict and
+    # countermodel stand in both modes.  No trial of more than 6 worlds
+    # reaches the screen: each of its instances is swept alone exactly
+    # once, and no screened instance is swept again
     swept, screened_worlds = [], []
     monkeypatch.setattr(logic, "valid_on_frame", lambda *args: swept.append(args) or
                         valid_on_frame(*args))
 
     def recorded(drawn, part):
         screened_worlds.extend(drawn[t][0].n for t in part)
-        return _union_failures(drawn, part)
+        return _screen(drawn, part)
 
-    monkeypatch.setattr(logic, "_union_failures", recorded)
+    monkeypatch.setattr(logic, "_screen", recorded)
     k4c = LOGICS["K4C"]
     misconfigured = Logic("K4C", k4c.schemas + ("CTan-dia",), k4c.serial, k4c.strict)
-    flagged = missed = beyond = 0
+    reported = beyond = 0
     for lg in [*LOGICS.values(), misconfigured]:
         seed = 33
         report, invalid, chunk = per_instance_suite(lg, trials, seed, max_worlds, mode, samples)
@@ -319,23 +329,15 @@ def test_union_suite_matches_one_sweep_per_instance(monkeypatch, mode, samples, 
         small = [t for t, (frame, _) in enumerate(chunk) if frame.n <= 6]
         large = [t for t, (frame, _) in enumerate(chunk) if frame.n > 6]
         assert sorted(screened_worlds) == sorted(chunk[t][0].n for t in small)
-        screened = set()  # a screen takes the trials of one world count
+        screened = {}  # a screen takes the trials of one world count
         for n in {chunk[t][0].n for t in small}:
-            screened |= _union_failures(chunk, [t for t in small if chunk[t][0].n == n])
-        small_invalid = {(t, i) for t, i in invalid if chunk[t][0].n <= 6}
-        assert small_invalid <= screened
-        if mode == "exhaustive":
-            assert screened == small_invalid
-        alone = sorted(args[4] for args in swept if args[0].n > 6)  # instance seeds
+            screened.update(_screen(chunk, [t for t in small if chunk[t][0].n == n]))
+        assert set(screened) == {(t, i) for t, i in invalid if chunk[t][0].n <= 6}
+        alone = sorted(args[4] for args in swept)  # instance seeds
         assert alone == sorted(s for t in large for _, _, s in chunk[t][1])
-        assert len(swept) == len(screened) + len(alone)
-        flagged += len(invalid)
-        missed += len(screened - small_invalid)
-        beyond += len(invalid) - len(small_invalid)
-    if max_worlds == 1:
-        assert flagged == missed == 0
-    else:
-        assert flagged > 0 if samples > 1 else missed > 0
+        reported += len(invalid)
+        beyond += len(invalid) - len(screened)
+    assert (reported > 0) == (max_worlds > 1)
     if max_worlds == 8:  # 80 trials at seed 33 refute an instance past 6 worlds
         assert beyond > 0
 
@@ -370,6 +372,27 @@ def test_suite_screens_a_schema_listed_twice_per_position():
     report, _, _ = per_instance_suite(doubled, 60, 0, 4, "exhaustive", 32)
     assert soundness_suite(doubled, 60, 0, 4, "exhaustive") == report
     assert len(report.violations) == 10
+
+
+def test_every_reported_violation_is_certified():
+    # each violation's valuation and world refute its instance on its
+    # frame under the per-valuation evaluator; up to 6 worlds the screen
+    # gives the verdict, so both modes report the same violations
+    k4c = LOGICS["K4C"]
+    misconfigured = Logic("K4C", k4c.schemas + ("CTan-dia",), k4c.serial, k4c.strict)
+    from tanglemc.frame import frame_from_dict
+    for max_worlds, trials in ((4, 60), (8, 30)):
+        reports = {mode: soundness_suite(misconfigured, trials, 3, max_worlds, mode, 4)
+                   for mode in ("exhaustive", "sampled")}
+        for report in reports.values():
+            sizes = []
+            for v in report.violations:
+                frame, valuation = frame_from_dict(v.frame)
+                assert v.world not in truth_set(Model(frame, valuation), parse(v.formula))
+                sizes.append(frame.n)
+            assert min(sizes) <= 6 and (max_worlds < 7 or max(sizes) > 6)
+        if max_worlds <= 6:
+            assert reports["sampled"].violations == reports["exhaustive"].violations
 
 
 def test_sound_suite_never_builds_an_instance(monkeypatch):
@@ -514,7 +537,7 @@ def test_an_instance_reads_its_slots_in_metavariable_order():
 def test_a_second_suite_call_makes_no_slot_program(monkeypatch):
     # the programs of the slot formulas and of the schemas are made once
     # per process: a later call makes a program only for an instance that
-    # it sweeps alone, so none for a sound logic
+    # it sweeps alone, of a trial of over 6 worlds
     k4c = LOGICS["K4C"]
     misconfigured = Logic("K4C", k4c.schemas + ("CTan-dia",), k4c.serial, k4c.strict)
     for lg in (k4c, misconfigured):
@@ -525,9 +548,9 @@ def test_a_second_suite_call_makes_no_slot_program(monkeypatch):
                         lambda self, phi: made.append(phi) or init(self, phi))
     assert soundness_suite(k4c, trials=40, seed=3, mode="exhaustive").ok
     assert made == []
-    report = soundness_suite(misconfigured, trials=40, seed=3, mode="exhaustive")
-    assert report.violations  # exhaustive: the screen flags exactly the invalid instances
-    assert [pretty(phi) for phi in made] == [v.formula for v in report.violations]
+    # the screen gives a violation's countermodel too: only its text builds the instance
+    assert soundness_suite(misconfigured, trials=40, seed=3, mode="exhaustive").violations
+    assert made == []
 
 
 def test_soundness_suite_negative_control_non_serial(monkeypatch):

@@ -8,6 +8,7 @@ from tanglemc.frame import Frame, duplicate_reflexive, transitive_closure
 from tanglemc.pathspace import (
     LimitAssignment,
     Path,
+    _count_paths,
     _thin_reflexive_cluster,
     build_limit_assignment,
     enumerate_paths,
@@ -140,6 +141,24 @@ def test_enumerate_paths_matches_brute_force():
             assert enumerate_paths(frame, bound) == brute_force_paths(frame, bound)
             report = verify_lim_pmorphism(story, build_limit_assignment(story), bound)
             assert report.paths_checked == len(enumerate_paths(closed, bound))
+
+
+def test_path_count_on_a_wide_star():
+    # a root that strictly sees n - 1 leaves: n constant paths, then the n
+    # - 1 leaf tails after each prefix (root,) * k, k = 1..r; and the count
+    # is the enumeration's on small frames whose relations need not be
+    # transitive
+    n = 5000
+    star = Frame([f"w{i}" for i in range(n)], [((1 << n) - 1) ^ 1] + [0] * (n - 1), [0] * n)
+    for r in (0, 1, 3):
+        assert _count_paths(star, r) == n + r * (n - 1)
+    rng = random.Random(35)
+    for _ in range(100):
+        k = rng.randint(1, 5)
+        frame = Frame([f"w{i}" for i in range(k)], [rng.getrandbits(k) for _ in range(k)],
+                      range(k))
+        for bound in range(4):
+            assert _count_paths(frame, bound) == len(enumerate_paths(frame, bound))
 
 
 def test_enumerate_paths_on_a_long_chain():

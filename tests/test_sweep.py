@@ -533,6 +533,40 @@ def test_chunks_of_frames_across_relations_match_the_oracle():
     assert with_o.frame.n == 4 and with_o.frames_checked == 2 + 22 + 351 + 993
 
 
+def test_slot_masks_and_sweep_position_read_the_lane_layout():
+    # a chunk of exhaustive_passes puts each slot's frame in lanes of its
+    # own: slot j's lanes alone refute phi as a sweep of frame j alone
+    # does, and the last lane a sweep counts is (the first refuted slot,
+    # the code of its countermodel)
+    rng = random.Random(34)
+    frames = [f for f in (random_class_frame(rng, 3, LOGICS["K4C"]) for _ in range(60))
+              if f.n == 3]
+    phi = parse("<d>p & O q -> [d]q")
+    program = semantics.Program(phi)
+    slots = [(f._succ, f._func) for f in frames]
+    (ev, masks), = semantics.exhaustive_passes(frames[0], 2, slots)
+    regions = ev.slot_masks()
+    assert len(regions) == len(frames) and sum(regions) == ev.full
+    assert all(a & b == 0 for a, b in itertools.combinations(regions, 2))
+    env = dict(zip(("p", "q"), masks))
+    value = ev.compile(program)(env)
+    verdicts = [valid_on_frame(f, phi) for f in frames]
+    assert 0 < sum(v.valid for v in verdicts) < len(frames)
+    for region, verdict in zip(regions, verdicts):
+        hit = ev.refutation(value | ev.full ^ region, env, ("p", "q"))
+        assert (hit and hit[1]) == verdict.countermodel
+    for first in range(len(frames)):
+        checked, cm = semantics.sweep(program, semantics.exhaustive_passes(
+            frames[0], 2, slots[first:]))
+        refuted = [i for i, v in enumerate(verdicts[first:]) if not v.valid]
+        if refuted:
+            i = refuted[0]
+            assert cm == verdicts[first + i].countermodel
+            assert semantics.sweep_position(6, checked) == (i, verdicts[first + i].checked - 1)
+        else:
+            assert cm is None and checked == len(slots[first:]) << 6
+
+
 def test_one_slot_per_relation_gives_the_reports_of_every_map(monkeypatch):
     # with the rule patched off, a formula without O sweeps every map: the
     # theorems and non-theorems without O, and those with O as a control
