@@ -95,6 +95,19 @@ def test_parser_copies_the_dump_paths_limit():
     assert cli._DUMP_PATHS_LIMIT == pathspace.DUMP_PATHS_LIMIT
 
 
+def test_axioms_help_names_the_largest_screened_trial(capsys):
+    # the suite screens a trial when its codes of p and q fit one pass;
+    # --mode and --samples govern only the larger trials
+    from tanglemc import cli, logic, semantics
+
+    bits = len(logic.SUITE_VARIABLES)
+    screened = max(n for n in range(1, 13) if semantics.pass_layout(n * bits)[1] == n * bits)
+    with pytest.raises(SystemExit):
+        cli.main(["axioms", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert screened == 6 and text.count(f"over {screened} worlds") == 2
+
+
 def test_story_command_in_a_fresh_process():
     story = str(ROOT / "demos" / "story_chain.story.json")
     run = _python("-m", "tanglemc", "story-validate", "--story", story)
